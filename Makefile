@@ -4,7 +4,7 @@
 STATICCHECK_VERSION = 2024.1.1
 GOVULNCHECK_VERSION = v1.1.3
 
-.PHONY: all build test race lint burstlint lint-hotpath lint-report vet-burstlint staticcheck govulncheck golden bench bench-baseline bench-gate
+.PHONY: all build test race fuzz lint burstlint lint-hotpath lint-report vet-burstlint staticcheck govulncheck golden bench bench-baseline bench-gate
 
 all: build test lint
 
@@ -16,6 +16,11 @@ test:
 
 race:
 	go test -race ./...
+
+## fuzz: the native fuzz targets, the same budget CI gives them.
+## FuzzRNGMatchesMathRand checks sim.RNG against math/rand's stream.
+fuzz:
+	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s ./internal/sim
 
 ## lint: everything the CI lint job runs.
 lint: burstlint staticcheck govulncheck

@@ -122,7 +122,8 @@ var Default = Config{
 	HotPathFuncs: []string{"Send", "Recv", "Enqueue", "Dequeue", "OnEvent"},
 	// Per-package hot-path entry points beyond the method-name roots: the
 	// event kernel's dispatch loop and per-event scheduling surface, the
-	// lazy-timer and burst-train kernels, and the packet pool. Everything
+	// lazy-timer and burst-train kernels, the RNG draws every traffic
+	// emit makes (and the source under them), and the packet pool. Everything
 	// transitively reachable from these inside their package must stay
 	// allocation-free (or carry a //burst:alloc-ok waiver with a reason).
 	HotPathRoots: map[string][]string{
@@ -133,6 +134,8 @@ var Default = Config{
 			"Scheduler.InjectAt", "Scheduler.Cancel",
 			"Timer.Reset", "Timer.ResetAt", "Timer.Stop", "Timer.fire",
 			"Train.Add", "Train.fire",
+			"RNG.Float64", "RNG.Exp", "RNG.ExpDuration", "RNG.Pareto",
+			"alfg.Uint64", "alfg.Int63",
 		},
 		"tcpburst/internal/packet": {"Pool.Get", "Pool.Put"},
 	},
