@@ -124,7 +124,7 @@ func RunChainBatch(ctx context.Context, cfgs []ChainConfig, exec ExecOptions) ([
 		}
 		jobs[i] = runner.Job[*ChainResult]{
 			Label: fmt.Sprintf("chain %s/%s long=%d hop1=%d hop2=%d seed=%d",
-				c.Protocol, c.Gateway, c.LongClients, c.Hop1Clients, c.Hop2Clients, c.Seed),
+				c.Protocol, c.Base.QueueName(), c.LongClients, c.Hop1Clients, c.Hop2Clients, c.Seed),
 			Key: key,
 			Do: func(ctx context.Context) (*ChainResult, error) {
 				return RunParkingLotContext(ctx, c)
