@@ -4,7 +4,7 @@
 STATICCHECK_VERSION = 2024.1.1
 GOVULNCHECK_VERSION = v1.1.3
 
-.PHONY: all build test race fuzz lint burstlint lint-hotpath lint-report vet-burstlint staticcheck govulncheck golden bench bench-baseline bench-gate
+.PHONY: all build test race fuzz shard-smoke lint burstlint lint-hotpath lint-report vet-burstlint staticcheck govulncheck golden bench bench-baseline bench-gate
 
 all: build test lint
 
@@ -21,6 +21,16 @@ race:
 ## FuzzRNGMatchesMathRand checks sim.RNG against math/rand's stream.
 fuzz:
 	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s ./internal/sim
+
+## shard-smoke: run the parking-lot example serially and at 4 shards and
+## diff the two tables, which must be byte-identical. It covers Vegas and
+## DRR over 60 s, beyond the 2 s Reno/FIFO golden cell.
+shard-smoke:
+	@tmp=$$(mktemp -d); \
+	go run ./examples/parkinglot -shards 0 > $$tmp/serial.txt && \
+	go run ./examples/parkinglot -shards 4 > $$tmp/sharded.txt && \
+	diff $$tmp/serial.txt $$tmp/sharded.txt; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 ## lint: everything the CI lint job runs.
 lint: burstlint staticcheck govulncheck

@@ -5,10 +5,13 @@
 // flows, (b) how Vegas vs Reno changes it, and (c) that TCP-induced
 // burstiness appears at both gateways.
 //
-// Run with: go run ./examples/parkinglot [-shards 2]
+// Run with: go run ./examples/parkinglot [-shards K]
 //
-// -shards 2 splits each run at the inter-gateway cut onto two
-// schedulers (bit-identical results; see DESIGN.md §11).
+// -shards K spreads each run over K schedulers, placed by the topology
+// compiler: at 2 the split is the inter-gateway cut, and from 3 on the
+// clients spread over the shards beyond the two gateways'. Results are
+// bit-identical at every K (see DESIGN.md §11; make shard-smoke diffs
+// 0 against 4).
 package main
 
 import (
@@ -22,7 +25,7 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 0, "schedulers per run (0 or 1 serial; 2 splits at the inter-gateway cut)")
+	shards := flag.Int("shards", 0, "schedulers per run (0 or 1 serial; up to one per host, bit-identical at every count)")
 	flag.Parse()
 
 	fmt.Println("Two-bottleneck parking lot: 20 long + 20 per-hop cross clients")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -11,6 +12,36 @@ func TestChainValidation(t *testing.T) {
 	}
 	if _, err := RunParkingLot(ChainConfig{LongClients: 1, Hop1Clients: -1}); err == nil {
 		t.Error("negative cross traffic accepted")
+	}
+	// Dumbbell-only Base fields the parking lot cannot honor are rejected
+	// by name instead of silently ignored.
+	for field, base := range map[string]Config{
+		"Backend":              {Backend: FluidBackend},
+		"Mix":                  {Mix: []MixEntry{{Protocol: Reno, Clients: 2}}},
+		"Warmup":               {Warmup: time.Second},
+		"ClientDelayJitter":    {ClientDelayJitter: time.Millisecond},
+		"WireLossProb":         {WireLossProb: 0.01},
+		"ReverseRateBps":       {ReverseRateBps: 1e6},
+		"ReverseBufferPackets": {ReverseBufferPackets: 8},
+		"CwndSampleInterval":   {CwndSampleInterval: 100 * time.Millisecond},
+		"TraceClients":         {TraceClients: []int{1}},
+		"TraceQueue":           {TraceQueue: true},
+		"PacketLogCapacity":    {PacketLogCapacity: 10},
+		"TelemetryInterval":    {TelemetryInterval: 100 * time.Millisecond},
+	} {
+		_, err := RunParkingLot(ChainConfig{LongClients: 2, Duration: time.Second, Base: base})
+		if err == nil || !strings.Contains(err.Error(), "Base."+field) {
+			t.Errorf("Base.%s: err = %v, want it rejected by name", field, err)
+		}
+	}
+	// Any shard count up to one per host runs; beyond that is rejected.
+	for _, k := range []int{3, 4} {
+		if _, err := RunParkingLot(ChainConfig{LongClients: 2, Hop1Clients: 1, Hop2Clients: 1, Duration: time.Second, Shards: k}); err != nil {
+			t.Errorf("shards %d rejected: %v", k, err)
+		}
+	}
+	if _, err := RunParkingLot(ChainConfig{LongClients: 1, Duration: time.Second, Shards: 4}); err == nil {
+		t.Error("4 shards accepted for 3 hosts")
 	}
 }
 

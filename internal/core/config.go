@@ -618,20 +618,6 @@ func (c Config) QueueName() string {
 	return c.Gateway.String()
 }
 
-// clientProtocol returns the protocol run by the 0-based client index.
-func (c Config) clientProtocol(i int) Protocol {
-	if len(c.Mix) == 0 {
-		return c.Protocol
-	}
-	for _, m := range c.Mix {
-		if i < m.Clients {
-			return m.Protocol
-		}
-		i -= m.Clients
-	}
-	return c.Protocol
-}
-
 // Label names the configuration the way the runner's progress lines do:
 // "protocol/gateway n=N seed=S". Sweeps use it to tag per-run telemetry
 // streams sharing one writer.

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"tcpburst/internal/link"
-	"tcpburst/internal/node"
 	"tcpburst/internal/packet"
 	"tcpburst/internal/queue"
 	"tcpburst/internal/sim"
@@ -17,14 +15,6 @@ import (
 	"tcpburst/internal/trace"
 	"tcpburst/internal/traffic"
 	"tcpburst/internal/transport"
-)
-
-// Node addressing: the server is address 1; client i (0-based) is 100+i.
-const (
-	serverAddr packet.Addr = 1
-	// clientAddrOff packs client addresses directly after the server so
-	// the gateway routing table is a dense slice indexed by address.
-	clientAddrOff packet.Addr = 2
 )
 
 // FlowResult captures one client stream's outcome.
@@ -215,107 +205,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return runFluidContext(ctx, cfg)
 	}
 
-	// One scheduler, packet pool, and telemetry registry per shard (one of
-	// each when serial). The serial and sharded builds share every code
-	// path below: RNG forks and lane allocations happen in build order, so
-	// a single build sequence is what keeps the two modes bit-identical.
-	env := newBuildEnv(cfg)
-	place := env.place
-	rng := sim.NewRNG(cfg.Seed)
-
-	// sched/pool/tel of the gateway shard, where the bottleneck, its taps,
-	// the queue probe, and the context watchdog live.
-	sched := env.scheds[place.gw]
-	pool := env.pools[place.gw]
-	tel := env.tels[place.gw]
-
-	server := node.NewHost(serverAddr)
-	server.SetPool(env.pools[place.srv])
-	gateway := node.NewGateway(0)
-	gateway.SetPool(pool)
-	// gwDeliver executes a gateway delivery on whatever shard the barrier
-	// routes it to; the routing table is immutable after build and every
-	// egress link lives on its packet's destination shard.
-	gwDeliver := func(arg any) { gateway.Receive(arg.(*packet.Packet)) }
-	env.wireGatewayCrossings(gwDeliver)
-
-	// Bottleneck gateway→server link with the discipline under study.
-	bottleneckQ, err := buildGatewayQueue(cfg, rng, tel)
+	n, err := buildTopology(dumbbell(cfg))
 	if err != nil {
 		return nil, err
 	}
-	if drr, ok := bottleneckQ.(*queue.DRR); ok {
-		// Longest-queue eviction consumes the displaced packet inside the
-		// discipline; reclaim it there.
-		drr.OnEvict(pool.Put)
-	}
-	bottleneckLinkCfg := link.Config{
-		Name:     "gw->server",
-		RateBps:  cfg.BottleneckRateBps,
-		Delay:    cfg.BottleneckDelay,
-		Queue:    bottleneckQ,
-		Dst:      server,
-		Pool:     pool,
-		Metrics:  tel.link,
-		Lane:     env.lanes.Next(),
-		XDeliver: env.xDeliverTo(place.gw, place.srv, func(arg any) { server.Receive(arg.(*packet.Packet)) }),
-
-		DisableBatching: cfg.DisableBatching,
-	}
-	if cfg.WireLossProb > 0 {
-		bottleneckLinkCfg.LossProb = cfg.WireLossProb
-		bottleneckLinkCfg.LossRNG = rng.Fork(1 << 21)
-	}
-	bottleneck, err := link.New(sched, bottleneckLinkCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := gateway.AddRoute(serverAddr, bottleneck); err != nil {
-		return nil, err
-	}
-
-	// Reverse bottleneck server→gateway for acknowledgments; the paper
-	// keeps it uncongested, but its rate and buffer are overridable for
-	// ACK-compression studies.
-	reverseRate := cfg.BottleneckRateBps
-	if cfg.ReverseRateBps > 0 {
-		reverseRate = cfg.ReverseRateBps
-	}
-	reverseBuf := cfg.AccessBufferPackets
-	if cfg.ReverseBufferPackets > 0 {
-		reverseBuf = cfg.ReverseBufferPackets
-	}
-	// The shared ACK-return link can never fill when ACKs drain at least
-	// as fast as the data that clocks them: every data packet reaches the
-	// server through the single bottleneck serializer, so sink ACKs are
-	// spaced at least one data serialization apart, and with ACK
-	// serialization no slower the queue never holds more than a couple of
-	// ACKs. Delayed ACKs break the clocking — every flow's ACK timer can
-	// flush on the same instant — so the guarantee needs per-arrival acking
-	// throughout (and a little capacity slack for ties at the boundary).
-	serverOutOverprov := reverseBuf >= 16 &&
-		sim.SerializationDelay(cfg.AckSize, reverseRate) <= sim.SerializationDelay(cfg.PacketSize, cfg.BottleneckRateBps)
-	for i := 0; serverOutOverprov && i < cfg.Clients; i++ {
-		if cfg.clientProtocol(i) == RenoDelayAck {
-			serverOutOverprov = false
-		}
-	}
-	serverOut, err := link.New(env.scheds[place.srv], link.Config{
-		Name:     "server->gw",
-		RateBps:  reverseRate,
-		Delay:    cfg.BottleneckDelay,
-		Queue:    queue.NewFIFO(reverseBuf),
-		Dst:      gateway,
-		Pool:     env.pools[place.srv],
-		Lane:     env.lanes.Next(),
-		XDeliver: env.xDeliverToClient(gwDeliver),
-
-		DisableBatching: cfg.DisableBatching,
-		Overprovisioned: serverOutOverprov,
-	})
-	if err != nil {
-		return nil, err
-	}
+	bottleneck, serverOut := n.links[0], n.links[1]
+	// The gateway's shard holds the bottleneck, its taps, the queue probe
+	// and (shard 0) the context watchdog.
+	gw := n.place.gw[0]
+	sched, tel := n.scheds[gw], n.tels[gw]
 
 	// The paper's measurement point: data packets entering the gateway,
 	// binned per round-trip propagation delay.
@@ -344,11 +242,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	})
 
-	flows, accessLinks, reverseLinks, err := buildClients(cfg, env, rng, gateway, server, serverOut)
-	if err != nil {
-		return nil, err
-	}
-
 	// Always-on queue-occupancy probe (10 ms grain); read-only, so it
 	// cannot perturb the experiment. Lives on the gateway shard.
 	queueSamples := make([]float64, 0, int(cfg.Duration/(10*time.Millisecond))+1)
@@ -359,65 +252,80 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	sched.After(10*time.Millisecond, sampleQueue)
 
-	sampler, cwndSeries, queueSeries, err := buildTracing(cfg, sched, flows, bottleneck)
+	sampler, cwndSeries, queueSeries, err := buildTracing(cfg, sched, n.flows, bottleneck)
 	if err != nil {
 		return nil, err
 	}
-	rings, err := startTelemetry(cfg, env, bottleneck, flows)
+	rings, err := startTelemetry(cfg, n)
 	if err != nil {
 		return nil, err
 	}
 
-	for _, f := range flows {
+	for _, f := range n.flows {
 		f.gen.Start()
 	}
 	if sampler != nil {
 		sampler.Start()
 	}
 
-	watchContext(ctx, sched)
-
 	horizon := sim.TimeZero.Add(cfg.Duration)
-	if env.group != nil {
-		err = env.group.Run(horizon)
-	} else {
-		err = sched.Run(horizon)
+	if err := n.run(ctx, horizon); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		if errors.Is(err, sim.ErrStopped) && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("run experiment: %w", err)
-	}
-	for _, f := range flows {
+	for _, f := range n.flows {
 		f.gen.Stop()
 	}
 	if sampler != nil {
 		sampler.Stop()
 	}
 
-	res := collect(cfg, flows, counter, horizon, bottleneck, serverOut, accessLinks, reverseLinks, bottleneckQ, cwndSeries, queueSeries)
+	res := collect(cfg, n.flows, counter, horizon, bottleneck, serverOut, cwndSeries, queueSeries)
 	res.Queue = summarizeQueue(queueSamples, cfg.BufferPackets)
 	res.PacketLog = pktLog
-	res.SimEvents = 0
-	for _, s := range env.scheds {
-		res.SimEvents += s.Fired()
-		res.SchedOps += s.ScheduledOps()
-	}
-	// Serialization-pipelined links credit elided serialize-done events at
-	// delivery; completions in flight at the horizon settle here so
-	// SimEvents counts exactly what the per-event schedule fired.
-	res.SimEvents += bottleneck.FinishVirtual(horizon) + serverOut.FinishVirtual(horizon)
-	for _, l := range accessLinks {
-		res.SimEvents += l.FinishVirtual(horizon)
-	}
-	for _, l := range reverseLinks {
-		res.SimEvents += l.FinishVirtual(horizon)
-	}
-	if err := finishTelemetry(cfg, env, rings, res); err != nil {
+	res.SimEvents, res.SchedOps = n.settle(horizon)
+	if err := finishTelemetry(cfg, n, rings, res); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// dumbbell describes the paper's Figure 1: N clients on one gateway,
+// sending over the bottleneck to one server. Mix blocks become client
+// groups; client i always draws traffic stream i+1.
+func dumbbell(cfg Config) topology {
+	// The reverse bottleneck carries the acknowledgments. The paper keeps
+	// it uncongested, but its rate and buffer are overridable for
+	// ACK-compression studies.
+	reverseRate := cfg.BottleneckRateBps
+	if cfg.ReverseRateBps > 0 {
+		reverseRate = cfg.ReverseRateBps
+	}
+	reverseBuf := cfg.AccessBufferPackets
+	if cfg.ReverseBufferPackets > 0 {
+		reverseBuf = cfg.ReverseBufferPackets
+	}
+	server, gateway := hostRef(0), gatewayRef(0)
+	t := topology{
+		cfg:      cfg,
+		hosts:    1,
+		gateways: 1,
+		links: []topoLink{
+			{name: "gw->server", from: gateway, to: server, rateBps: cfg.BottleneckRateBps,
+				delay: cfg.BottleneckDelay, bottleneck: true, lossProb: cfg.WireLossProb},
+			{name: "server->gw", from: server, to: gateway, rateBps: reverseRate,
+				delay: cfg.BottleneckDelay, buffer: reverseBuf},
+		},
+	}
+	mix := cfg.Mix
+	if len(mix) == 0 {
+		mix = []MixEntry{{Protocol: cfg.Protocol, Clients: cfg.Clients}}
+	}
+	stream := int64(1)
+	for _, m := range mix {
+		t.groups = append(t.groups, topoGroup{clients: m.Clients, proto: m.Protocol, stream: stream})
+		stream += int64(m.Clients)
+	}
+	return t
 }
 
 // watchContext wires ctx into the single-threaded event loop: a recurring
@@ -478,13 +386,15 @@ func summarizeQueue(samples []float64, capacity int) QueueStats {
 
 // flow bundles one client's components.
 type flow struct {
-	client  int // 1-based
 	proto   Protocol
 	gen     traffic.Generator
 	tcpSend *tcp.Sender          // nil for UDP
 	udpSend *transport.UDPSender // nil for TCP
 	tcpSink *tcp.Sink
 	udpSink *transport.UDPSink
+	// access and reverse are the client's link pair to and from its
+	// gateway.
+	access, reverse *link.Link
 }
 
 // delivered returns packets received by the server application.
@@ -552,166 +462,6 @@ func buildGatewayQueue(cfg Config, rng *sim.RNG, tel *telem) (queue.Discipline, 
 		RNG:            rng.Fork(1 << 20),
 		Metrics:        tel.red,
 	})
-}
-
-// buildClients wires every client host, its access links, transport agents,
-// and Poisson source. Each client's sender-side components live on its
-// shard; the sink side (receiver, delayed-ACK timers, reverse bottleneck
-// egress) lives on the server shard. Serial runs collapse both to shard 0.
-func buildClients(
-	cfg Config,
-	env *buildEnv,
-	rng *sim.RNG,
-	gateway *node.Gateway,
-	server *node.Host,
-	serverOut *link.Link,
-) ([]*flow, []*link.Link, []*link.Link, error) {
-	flows := make([]*flow, 0, cfg.Clients)
-	accessLinks := make([]*link.Link, 0, cfg.Clients)
-	reverseLinks := make([]*link.Link, 0, cfg.Clients)
-
-	srvSched := env.scheds[env.place.srv]
-	srvPool := env.pools[env.place.srv]
-	srvTel := env.tels[env.place.srv]
-
-	// Heterogeneous-RTT extension: draw per-client access delays from a
-	// dedicated stream so enabling jitter does not perturb the traffic
-	// streams.
-	var jitterRNG *sim.RNG
-	if cfg.ClientDelayJitter > 0 {
-		jitterRNG = rng.Fork(1 << 22)
-	}
-
-	for i := 0; i < cfg.Clients; i++ {
-		addr := clientAddrOff + packet.Addr(i)
-		flowID := packet.FlowID(i + 1)
-		cs := env.place.client[i]
-		sched := env.scheds[cs]
-		pool := env.pools[cs]
-		tel := env.tels[cs]
-		host := node.NewHost(addr)
-		host.SetPool(pool)
-
-		delay := cfg.ClientDelay
-		if jitterRNG != nil {
-			delay += sim.Duration(jitterRNG.Uniform(0, float64(cfg.ClientDelayJitter)))
-		}
-
-		proto := cfg.clientProtocol(i)
-		// A TCP client's access and reverse queues can never fill when the
-		// buffer dwarfs the window: in-network packets of one flow are
-		// bounded by a window of originals plus a window of go-back-N
-		// retransmission copies, so capacity ≥ 2·MaxWindow guarantees
-		// drop-free operation and unlocks the link layer's serialization
-		// pipelining. UDP clients are open-loop — nothing bounds their
-		// backlog — so their links keep the per-event path.
-		overprov := proto.IsTCP() && cfg.AccessBufferPackets >= 2*cfg.MaxWindow
-
-		access, err := link.New(sched, link.Config{
-			Name:     fmt.Sprintf("client%d->gw", i+1),
-			RateBps:  cfg.ClientRateBps,
-			Delay:    delay,
-			Queue:    queue.NewFIFO(cfg.AccessBufferPackets),
-			Dst:      gateway,
-			Pool:     pool,
-			Lane:     env.lanes.Next(),
-			XDeliver: env.crossToGw[cs],
-
-			DisableBatching: cfg.DisableBatching,
-			Overprovisioned: overprov,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		reverse, err := link.New(sched, link.Config{
-			Name:    fmt.Sprintf("gw->client%d", i+1),
-			RateBps: cfg.ClientRateBps,
-			Delay:   delay,
-			Queue:   queue.NewFIFO(cfg.AccessBufferPackets),
-			Dst:     host,
-			Pool:    pool,
-			Lane:    env.lanes.Next(),
-
-			DisableBatching: cfg.DisableBatching,
-			Overprovisioned: overprov,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := gateway.AddRoute(addr, reverse); err != nil {
-			return nil, nil, nil, err
-		}
-		accessLinks = append(accessLinks, access)
-		reverseLinks = append(reverseLinks, reverse)
-
-		f := &flow{client: i + 1, proto: proto}
-		var src transport.Source
-		if proto.IsTCP() {
-			tcpCfg := tcp.Config{
-				Flow:              flowID,
-				Src:               addr,
-				Dst:               serverAddr,
-				Variant:           proto.TCPVariant(),
-				PacketSize:        cfg.PacketSize,
-				AckSize:           cfg.AckSize,
-				MaxWindow:         cfg.MaxWindow,
-				MinRTO:            cfg.MinRTO,
-				DelayedAcks:       proto == RenoDelayAck,
-				DelayedAckTimeout: cfg.DelayedAckTimeout,
-				Vegas:             cfg.Vegas,
-				Sched:             sched,
-				Pool:              pool,
-				Metrics:           tel.tcp,
-				DisableBatching:   cfg.DisableBatching,
-			}
-			sendCfg := tcpCfg
-			sendCfg.Out = access
-			sender, err := tcp.NewSender(sendCfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			sinkCfg := tcpCfg
-			sinkCfg.Out = serverOut
-			sinkCfg.Sched = srvSched
-			sinkCfg.Pool = srvPool
-			sinkCfg.Metrics = srvTel.tcp
-			sink, err := tcp.NewSink(sinkCfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			host.Bind(flowID, sender)
-			server.Bind(flowID, sink)
-			f.tcpSend, f.tcpSink = sender, sink
-			src = sender
-		} else {
-			sender, err := transport.NewUDPSender(transport.UDPConfig{
-				Flow:       flowID,
-				Src:        addr,
-				Dst:        serverAddr,
-				PacketSize: cfg.PacketSize,
-				Out:        access,
-				Now:        sched.Now,
-				Pool:       pool,
-			})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			sink := transport.NewUDPSinkWithClock(srvSched.Now)
-			sink.SetPool(srvPool)
-			host.Bind(flowID, sender)
-			server.Bind(flowID, sink)
-			f.udpSend, f.udpSink = sender, sink
-			src = sender
-		}
-
-		gen, err := buildGenerator(cfg, sched, rng.Fork(int64(i+1)), src, tel.appGenerated)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		f.gen = gen
-		flows = append(flows, f)
-	}
-	return flows, accessLinks, reverseLinks, nil
 }
 
 // buildGenerator constructs one client's workload source per the traffic
@@ -806,8 +556,6 @@ func collect(
 	counter *stats.WindowCounter,
 	horizon sim.Time,
 	bottleneck, serverOut *link.Link,
-	accessLinks, reverseLinks []*link.Link,
-	bottleneckQ queue.Discipline,
 	cwndSeries []*trace.Series,
 	queueSeries *trace.Series,
 ) *Result {
@@ -842,10 +590,10 @@ func collect(
 	perFlowDelivered := make([]float64, 0, len(flows))
 	perProtoDelivered := make(map[Protocol][]float64)
 	res.ByProtocol = make(map[Protocol]ProtocolTotals)
-	for _, f := range flows {
+	for i, f := range flows {
 		c := f.counters()
 		fr := FlowResult{
-			Client:    f.client,
+			Client:    i + 1,
 			Protocol:  f.proto,
 			Generated: f.gen.Generated(),
 			Delivered: f.delivered(),
@@ -885,12 +633,10 @@ func collect(
 	res.BottleneckDrops = bottleneck.Stats().Drops
 	res.WireLosses = bottleneck.Stats().WireLosses
 	res.ForwardDrops = res.BottleneckDrops + res.WireLosses
-	for _, l := range accessLinks {
-		res.ForwardDrops += l.Stats().Drops
-	}
 	res.AckDrops = serverOut.Stats().Drops
-	for _, l := range reverseLinks {
-		res.AckDrops += l.Stats().Drops
+	for _, f := range flows {
+		res.ForwardDrops += f.access.Stats().Drops
+		res.AckDrops += f.reverse.Stats().Drops
 	}
 	if res.DataSent > 0 {
 		res.LossPct = 100 * float64(res.ForwardDrops) / float64(res.DataSent)
@@ -904,6 +650,7 @@ func collect(
 	}
 	res.JainFairness = stats.JainIndex(perFlowDelivered)
 
+	bottleneckQ := bottleneck.Queue()
 	if cfg.Queue != nil {
 		if sr, ok := bottleneckQ.(queue.StatsReporter); ok {
 			st := sr.DisciplineStats()

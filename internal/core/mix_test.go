@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -42,21 +43,35 @@ func TestMixDefaultsFillClientsAndProtocol(t *testing.T) {
 	}
 }
 
+// TestClientProtocolAssignment pins how the dumbbell description maps Mix
+// blocks onto client groups: protocols in block order, and client i on
+// traffic stream i+1 whatever its block.
 func TestClientProtocolAssignment(t *testing.T) {
+	assign := func(cfg Config) ([]Protocol, []int64) {
+		var protos []Protocol
+		var streams []int64
+		for _, g := range dumbbell(cfg).groups {
+			for c := 0; c < g.clients; c++ {
+				protos = append(protos, g.proto)
+				streams = append(streams, g.stream+int64(c))
+			}
+		}
+		return protos, streams
+	}
 	cfg := Config{
 		Clients: 6,
 		Mix:     []MixEntry{{Protocol: Reno, Clients: 2}, {Protocol: Vegas, Clients: 3}, {Protocol: UDP, Clients: 1}},
 	}
-	want := []Protocol{Reno, Reno, Vegas, Vegas, Vegas, UDP}
-	for i, p := range want {
-		if got := cfg.clientProtocol(i); got != p {
-			t.Errorf("clientProtocol(%d) = %v, want %v", i, got, p)
-		}
+	protos, streams := assign(cfg)
+	if want := []Protocol{Reno, Reno, Vegas, Vegas, Vegas, UDP}; !reflect.DeepEqual(protos, want) {
+		t.Errorf("protocols = %v, want %v", protos, want)
+	}
+	if want := []int64{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(streams, want) {
+		t.Errorf("traffic streams = %v, want %v", streams, want)
 	}
 	// Homogeneous fallback.
-	plain := Config{Clients: 3, Protocol: Tahoe}
-	if plain.clientProtocol(2) != Tahoe {
-		t.Error("homogeneous clientProtocol broken")
+	if protos, _ := assign(Config{Clients: 3, Protocol: Tahoe}); !reflect.DeepEqual(protos, []Protocol{Tahoe, Tahoe, Tahoe}) {
+		t.Errorf("homogeneous protocols = %v, want all tahoe", protos)
 	}
 }
 

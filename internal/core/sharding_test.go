@@ -7,35 +7,47 @@ import (
 	"time"
 )
 
+// TestPlanShardsPlacement pins the topology compiler's one placement rule
+// on both topologies: gateways first, sink hosts with the gateway feeding
+// them, clients in contiguous blocks over the shards left (or with their
+// attach gateway when none is left).
 func TestPlanShardsPlacement(t *testing.T) {
+	place := buildPlacement
+	clientShards := func(p placement) []int {
+		s := make([]int, p.clients)
+		for j := range s {
+			s[j] = p.client(j)
+		}
+		return s
+	}
 	cfg := DefaultConfig(10, Reno, FIFO)
 
-	p := planShards(cfg) // Shards unset: serial
-	if p.k != 1 || p.gw != 0 || p.srv != 0 {
+	p := place(dumbbell(cfg)) // Shards unset: serial
+	if p.k != 1 || p.gw[0] != 0 || p.host[0] != 0 {
 		t.Errorf("serial placement = %+v, want everything on shard 0", p)
 	}
 
 	cfg.Shards = 2
-	p = planShards(cfg)
-	if p.gw != 0 || p.srv != 0 {
-		t.Errorf("K=2: gateway/server on %d/%d, want colocated on 0", p.gw, p.srv)
+	p = place(dumbbell(cfg))
+	if p.gw[0] != 0 || p.host[0] != 0 {
+		t.Errorf("K=2: gateway/server on %d/%d, want colocated on 0", p.gw[0], p.host[0])
 	}
-	for i, s := range p.client {
+	for i, s := range clientShards(p) {
 		if s != 1 {
 			t.Fatalf("K=2: client %d on shard %d, want 1", i, s)
 		}
 	}
 
 	cfg.Shards = 5
-	p = planShards(cfg)
-	if p.gw != 0 || p.srv != 1 {
-		t.Errorf("K=5: gateway/server on %d/%d, want 0/1", p.gw, p.srv)
+	p = place(dumbbell(cfg))
+	if p.gw[0] != 0 || p.host[0] != 0 {
+		t.Errorf("K=5: gateway/server on %d/%d, want colocated on 0", p.gw[0], p.host[0])
 	}
 	seen := make(map[int]int)
-	prev := 2
-	for i, s := range p.client {
-		if s < 2 || s >= p.k {
-			t.Fatalf("K=5: client %d on shard %d, outside client shards [2,%d)", i, s, p.k)
+	prev := 1
+	for i, s := range clientShards(p) {
+		if s < 1 || s >= p.k {
+			t.Fatalf("K=5: client %d on shard %d, outside client shards [1,%d)", i, s, p.k)
 		}
 		if s < prev {
 			t.Fatalf("K=5: client blocks not contiguous at client %d", i)
@@ -43,9 +55,46 @@ func TestPlanShardsPlacement(t *testing.T) {
 		prev = s
 		seen[s]++
 	}
-	for s := 2; s < p.k; s++ {
+	for s := 1; s < p.k; s++ {
 		if seen[s] == 0 {
 			t.Errorf("K=5: client shard %d owns no clients", s)
+		}
+	}
+
+	// The chain's K=2 cut: gw1 and its long and hop-1 clients | gw2, the
+	// server, exit1 and the hop-2 clients.
+	chain := ChainConfig{LongClients: 4, Hop1Clients: 3, Hop2Clients: 3, Shards: 2}.withDefaults()
+	p = place(chain.topology())
+	if !reflect.DeepEqual(p.gw, []int{0, 1}) || !reflect.DeepEqual(p.host, []int{1, 1}) {
+		t.Errorf("chain K=2: gateways on %v, server/exit1 on %v; want [0 1] and [1 1]", p.gw, p.host)
+	}
+	if got, want := clientShards(p), []int{0, 0, 0, 0, 0, 0, 0, 1, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("chain K=2: clients on %v, want %v", got, want)
+	}
+}
+
+// TestLookaheadFromCrossingLinks pins the compiler's lookahead: the
+// minimum delay over the links that actually cross shards. The dumbbell's
+// access links cross at every K (2 ms); the chain's K=2 cut crosses only
+// the two inter-gateway links (20 ms), and its clients cross from K=3 on.
+func TestLookaheadFromCrossingLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		top  topology
+		want time.Duration
+	}{
+		{"dumbbell/K=1", dumbbell(DefaultConfig(8, Reno, FIFO).WithDefaults()), 0},
+		{"dumbbell/K=2", dumbbell(Config{Clients: 8, Shards: 2}.WithDefaults()), 2 * time.Millisecond},
+		{"dumbbell/K=4", dumbbell(Config{Clients: 8, Shards: 4}.WithDefaults()), 2 * time.Millisecond},
+		{"chain/K=2", ChainConfig{LongClients: 2, Hop2Clients: 2, Shards: 2}.withDefaults().topology(), 20 * time.Millisecond},
+		{"chain/K=3", ChainConfig{LongClients: 2, Hop2Clients: 2, Shards: 3}.withDefaults().topology(), 2 * time.Millisecond},
+	} {
+		n, err := buildTopology(tc.top)
+		if err != nil {
+			t.Fatalf("%s: buildTopology: %v", tc.name, err)
+		}
+		if n.lookahead != tc.want {
+			t.Errorf("%s: lookahead %v, want %v", tc.name, n.lookahead, tc.want)
 		}
 	}
 }

@@ -95,40 +95,33 @@ func newTelem(cfg Config) *telem {
 // enabled reports whether this run publishes telemetry.
 func (t *telem) enabled() bool { return t.reg != nil }
 
-// probeEnv says which live simulation objects this shard's registry may
-// read. Probes run on the shard's own goroutine during windows, so a
-// registry may only touch state its shard owns: foreign probes register
-// under the same names with zero-returning functions instead. That keeps
-// the column set (and its order) identical on every shard, which is what
-// lets finishTelemetry merge per-shard snapshot rows by elementwise sum —
-// every column has exactly one owning shard, so real + zeros = real.
-type probeEnv struct {
-	// sched is this shard's scheduler; sim.events reads its Fired count,
-	// so the merged column is the total across shards.
-	sched *sim.Scheduler
-	// bottleneck is non-nil only on the gateway shard, which owns
-	// queue.depth, gw.util, and the cov.rtt accumulator.
-	bottleneck *link.Link
-	flows      []*flow
-	// shard and clientShard decide which cwnd/ssthresh probes are local.
-	shard       int
-	clientShard []int
-	// sink, when non-nil, overrides the configured sink — sharded runs
-	// sample into private per-shard rings and merge after the run.
-	sink telemetry.Sink
-}
-
 // start registers the probes that need live simulation objects, resolves
-// the sink, and starts the periodic sampler. Call it after the topology is
-// built and before the scheduler runs.
-func (t *telem) start(cfg Config, env probeEnv) error {
+// the sink, and starts the periodic sampler of shard's registry. Call it
+// after the topology is built and before the scheduler runs.
+//
+// Probes run on the shard's own goroutine during windows, so a registry
+// may only touch state its shard owns: foreign probes register under the
+// same names with zero-returning functions instead. That keeps the column
+// set (and its order) identical on every shard, which is what lets
+// finishTelemetry merge per-shard snapshot rows by elementwise sum — every
+// column has exactly one owning shard, so real + zeros = real. The gateway
+// shard owns queue.depth, gw.util and the cov.rtt accumulator; sim.events
+// reads each shard's own Fired count, so the merged column is the total.
+// A non-nil sink overrides the configured one: sharded runs sample into
+// private per-shard rings and merge after the run.
+func (t *telem) start(cfg Config, n *network, shard int, sink telemetry.Sink) error {
 	if !t.enabled() {
 		return nil
 	}
 	reg := t.reg
 	zero := func() float64 { return 0 }
 
-	if b := env.bottleneck; b != nil {
+	sched := n.scheds[shard]
+	var bottleneck *link.Link
+	if shard == n.place.gw[0] {
+		bottleneck = n.links[0]
+	}
+	if b := bottleneck; b != nil {
 		reg.Probe("queue.depth", func() float64 {
 			return float64(b.QueueLen())
 		})
@@ -149,11 +142,10 @@ func (t *telem) start(cfg Config, env probeEnv) error {
 		reg.Probe("queue.depth", zero)
 		reg.Probe("gw.util", zero)
 	}
-	sched := env.sched
 	reg.Probe("sim.events", func() float64 {
 		return float64(sched.Fired())
 	})
-	if env.bottleneck != nil {
+	if bottleneck != nil {
 		cov := t.cov
 		reg.Probe("cov.rtt", func() float64 {
 			return cov.sample(sched.Now())
@@ -167,11 +159,11 @@ func (t *telem) start(cfg Config, env probeEnv) error {
 		targets = defaultTraceClients(cfg.Clients)
 	}
 	for _, idx := range targets {
-		sender := env.flows[idx-1].tcpSend
+		sender := n.flows[idx-1].tcpSend
 		if sender == nil {
 			continue // UDP clients have no window to publish
 		}
-		if env.clientShard[idx-1] == env.shard {
+		if n.place.client(idx-1) == shard {
 			reg.Probe(fmt.Sprintf("cwnd.client%d", idx), sender.Cwnd)
 			reg.Probe(fmt.Sprintf("ssthresh.client%d", idx), sender.Ssthresh)
 		} else {
@@ -180,7 +172,6 @@ func (t *telem) start(cfg Config, env probeEnv) error {
 		}
 	}
 
-	sink := env.sink
 	if sink == nil {
 		sink = cfg.TelemetrySink
 		if cfg.TelemetrySinkFactory != nil {
@@ -191,7 +182,7 @@ func (t *telem) start(cfg Config, env probeEnv) error {
 			sink = t.ring
 		}
 	}
-	sampler, err := telemetry.NewSampler(env.sched, reg, cfg.TelemetryInterval, sink)
+	sampler, err := telemetry.NewSampler(sched, reg, cfg.TelemetryInterval, sink)
 	if err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
@@ -206,33 +197,18 @@ func (t *telem) start(cfg Config, env probeEnv) error {
 // configured sink directly; sharded runs stream each shard into a private
 // ring on the same virtual tick grid, merged into the configured sink by
 // finishTelemetry after the run. Returns the private rings (nil serial).
-func startTelemetry(cfg Config, env *buildEnv, bottleneck *link.Link, flows []*flow) ([]*telemetry.Ring, error) {
-	if env.group == nil {
-		return nil, env.tels[0].start(cfg, probeEnv{
-			sched:       env.scheds[0],
-			bottleneck:  bottleneck,
-			flows:       flows,
-			clientShard: env.place.client,
-		})
-	}
-	if !env.tels[0].enabled() {
+func startTelemetry(cfg Config, n *network) ([]*telemetry.Ring, error) {
+	if !n.tels[0].enabled() {
 		return nil, nil
 	}
-	capacity := int(cfg.Duration/cfg.TelemetryInterval) + 2
-	rings := make([]*telemetry.Ring, env.place.k)
-	for s := range rings {
-		rings[s] = telemetry.NewRing(capacity)
-		pe := probeEnv{
-			sched:       env.scheds[s],
-			flows:       flows,
-			shard:       s,
-			clientShard: env.place.client,
-			sink:        rings[s],
+	var rings []*telemetry.Ring
+	for s, t := range n.tels {
+		var sink telemetry.Sink
+		if n.group != nil {
+			ring := telemetry.NewRing(int(cfg.Duration/cfg.TelemetryInterval) + 2)
+			rings, sink = append(rings, ring), ring
 		}
-		if s == env.place.gw {
-			pe.bottleneck = bottleneck
-		}
-		if err := env.tels[s].start(cfg, pe); err != nil {
+		if err := t.start(cfg, n, s, sink); err != nil {
 			return nil, err
 		}
 	}
@@ -247,14 +223,14 @@ func startTelemetry(cfg Config, env *buildEnv, bottleneck *link.Link, flows []*f
 // own sampler event per tick, so SimEvents (and the sim.events column)
 // count K sampler pops per interval instead of one — which is why the
 // byte-identity and golden tests pin sharded runs with telemetry off.
-func finishTelemetry(cfg Config, env *buildEnv, rings []*telemetry.Ring, res *Result) error {
-	if env.group == nil {
-		return env.tels[0].finish(res)
+func finishTelemetry(cfg Config, net *network, rings []*telemetry.Ring, res *Result) error {
+	if net.group == nil {
+		return net.tels[0].finish(res)
 	}
 	if rings == nil {
 		return nil
 	}
-	for _, t := range env.tels {
+	for _, t := range net.tels {
 		t.sampler.Sample()
 		if err := t.sampler.Close(); err != nil {
 			return fmt.Errorf("telemetry: %w", err)
@@ -262,8 +238,8 @@ func finishTelemetry(cfg Config, env *buildEnv, rings []*telemetry.Ring, res *Re
 	}
 	n := rings[0].Len()
 	for s, r := range rings {
-		if uint64(r.Len()) != env.tels[s].sampler.Records() {
-			return fmt.Errorf("telemetry: shard %d ring overflowed (%d rows kept of %d)", s, r.Len(), env.tels[s].sampler.Records())
+		if uint64(r.Len()) != net.tels[s].sampler.Records() {
+			return fmt.Errorf("telemetry: shard %d ring overflowed (%d rows kept of %d)", s, r.Len(), net.tels[s].sampler.Records())
 		}
 		if r.Len() != n {
 			return fmt.Errorf("telemetry: shard %d recorded %d rows, shard 0 %d", s, r.Len(), n)
@@ -303,8 +279,8 @@ func finishTelemetry(cfg Config, env *buildEnv, rings []*telemetry.Ring, res *Re
 		return fmt.Errorf("telemetry: %w", err)
 	}
 
-	merged := env.tels[0].reg.Export()
-	for _, t := range env.tels[1:] {
+	merged := net.tels[0].reg.Export()
+	for _, t := range net.tels[1:] {
 		e := t.reg.Export()
 		for k, v := range e.Counters {
 			merged.Counters[k] += v

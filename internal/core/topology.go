@@ -1,0 +1,529 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"tcpburst/internal/link"
+	"tcpburst/internal/node"
+	"tcpburst/internal/packet"
+	"tcpburst/internal/queue"
+	"tcpburst/internal/shard"
+	"tcpburst/internal/sim"
+	"tcpburst/internal/tcp"
+	"tcpburst/internal/transport"
+)
+
+// Topologies are data. RunContext describes the paper's dumbbell and
+// RunParkingLotContext the two-gateway chain as a topology, and
+// buildTopology compiles either into schedulers, pools, links, routes and
+// transport endpoints. The compiler alone owns the rules that keep a
+// sharded run bit-identical to the serial one (DESIGN.md §11): placement,
+// lookahead, lane and RNG fork order, cross-shard delivery hooks, the
+// overprovisioning proofs behind serialization pipelining, and
+// FinishVirtual settlement over every link.
+
+// nodeRef names a sink host or a gateway of a topology.
+type nodeRef struct {
+	gateway bool
+	index   int
+}
+
+func hostRef(i int) nodeRef    { return nodeRef{index: i} }
+func gatewayRef(i int) nodeRef { return nodeRef{gateway: true, index: i} }
+
+// topoLink is a fixed link: any link but a client's access pair, which the
+// compiler derives from the client groups.
+type topoLink struct {
+	name     string
+	from, to nodeRef
+	rateBps  float64
+	delay    sim.Duration
+	// buffer sizes the link's FIFO. A bottleneck link runs the configured
+	// gateway discipline and publishes the gateway telemetry instead.
+	buffer     int
+	bottleneck bool
+	// queueStream, when nonzero, is the root-stream fork the bottleneck
+	// discipline draws from; zero hands it the root stream itself.
+	queueStream int64
+	// lossProb, when positive, loses packets on the wire with coin flips
+	// from root stream 1<<21.
+	lossProb float64
+}
+
+// topoGroup is a block of clients that share a protocol, attach to one
+// gateway and send to one sink host. Its client c draws its traffic from
+// root stream stream+c.
+type topoGroup struct {
+	clients int
+	proto   Protocol
+	attach  int // gateway index
+	dst     int // sink host index
+	stream  int64
+}
+
+// topology describes a network. Every sink host has one link in, from the
+// gateway that serves it, and one link out, which carries its sinks'
+// acknowledgments. Sink host h has address 1+h and clients follow densely
+// in group order, so routing tables stay indexed slices; client j
+// (0-based across groups) sends flow j+1. A gateway reaches a node it does
+// not serve over its direct link to the gateway that does.
+//
+// sim.RNG.Fork consumes a parent draw, so fork order is part of the digest
+// contract. The root stream (cfg.Seed) forks in this order: each link's
+// discipline stream, then its loss stream, in link order; the access-delay
+// jitter stream 1<<22 when cfg.ClientDelayJitter is positive; then every
+// client's traffic stream in group order. Lanes are drawn in the same
+// order: the links, then each client's access and reverse link.
+type topology struct {
+	// cfg supplies the client links (rate, delay, jitter, buffer), the
+	// transport and traffic parameters, the gateway discipline, the shard
+	// count and the debug knobs.
+	cfg      Config
+	hosts    int
+	gateways int
+	links    []topoLink
+	groups   []topoGroup
+}
+
+// placement maps a topology onto shards.
+type placement struct {
+	k      int
+	gw     []int // shard of each gateway
+	host   []int // shard of each sink host
+	groups []topoGroup
+	// clients counts the clients across all groups.
+	clients int
+}
+
+// buildPlacement applies the one placement rule:
+//
+//   - gateways take shards 0..G-1 (folded into blocks when K < G);
+//   - each sink host shares the shard of the gateway that feeds it;
+//   - clients fill the remaining shards in contiguous blocks, or stay with
+//     their attach gateway when no shard is left.
+//
+// At K=2 this is the dumbbell's gateway+server | clients cut and the
+// chain's gw1 and its clients | gw2, its hosts and the hop-2 clients.
+// Links live on the shard of their source node, except a client's reverse
+// link, which lives with the client; so deliveries cross shards only into
+// gateways.
+func buildPlacement(t topology) placement {
+	p := placement{
+		k:      max(t.cfg.Shards, 1),
+		gw:     make([]int, t.gateways),
+		host:   make([]int, t.hosts),
+		groups: t.groups,
+	}
+	for g := range p.gw {
+		p.gw[g] = g * min(p.k, t.gateways) / t.gateways
+	}
+	for _, l := range t.links {
+		if !l.to.gateway {
+			p.host[l.to.index] = p.gw[l.from.index]
+		}
+	}
+	for _, g := range t.groups {
+		p.clients += g.clients
+	}
+	return p
+}
+
+// attach returns the gateway client j (0-based across groups) attaches to.
+func (p placement) attach(j int) int {
+	for _, g := range p.groups {
+		if j < g.clients {
+			return g.attach
+		}
+		j -= g.clients
+	}
+	panic(fmt.Sprintf("core: client %d outside the topology", j))
+}
+
+// client returns the shard of client j.
+func (p placement) client(j int) int {
+	if free := p.k - len(p.gw); free > 0 {
+		return len(p.gw) + j*free/p.clients
+	}
+	return p.gw[p.attach(j)]
+}
+
+// egress returns the shard that owns gateway g's egress link toward dst:
+// the client's for a client attached at g, else g's own, where its links
+// to sink hosts and to other gateways live.
+func (p placement) egress(g int, dst packet.Addr) int {
+	if j := int(dst) - 1 - len(p.host); j >= 0 && p.attach(j) == g {
+		return p.client(j)
+	}
+	return p.gw[g]
+}
+
+// network is a compiled topology, ready to run.
+type network struct {
+	place  placement
+	scheds []*sim.Scheduler
+	pools  []*packet.Pool
+	tels   []*telem
+	group  *shard.Group // nil when serial
+	// lookahead is the barrier window: the minimum delay over the links
+	// whose deliveries cross shards; zero when serial.
+	lookahead sim.Duration
+	links     []*link.Link // the fixed links, in description order
+	flows     []*flow      // the clients, in group order
+}
+
+// buildTopology compiles t. Nothing is scheduled yet: the caller attaches
+// its measurement taps, starts the traffic and calls run.
+func buildTopology(t topology) (*network, error) {
+	cfg := t.cfg
+	feed, out := make([]int, t.hosts), make([]int, t.hosts)
+	toward := make(map[[2]int]int) // gateway pair -> index of the link between them
+	for i, l := range t.links {
+		switch {
+		case !l.to.gateway:
+			feed[l.to.index] = i
+		case !l.from.gateway:
+			out[l.from.index] = i
+		default:
+			toward[[2]int{l.from.index, l.to.index}] = i
+		}
+	}
+	place := buildPlacement(t)
+	k := place.k
+	n := &network{
+		place:  place,
+		scheds: make([]*sim.Scheduler, k),
+		pools:  make([]*packet.Pool, k),
+		tels:   make([]*telem, k),
+		links:  make([]*link.Link, len(t.links)),
+		flows:  make([]*flow, 0, place.clients),
+	}
+	for s := 0; s < k; s++ {
+		n.scheds[s] = sim.NewScheduler()
+		if !cfg.DisablePacketPool {
+			n.pools[s] = packet.NewPool()
+		}
+		n.tels[s] = newTelem(cfg)
+	}
+	hosts := make([]*node.Host, t.hosts)
+	for h := range hosts {
+		hosts[h] = node.NewHost(packet.Addr(1 + h))
+		hosts[h].SetPool(n.pools[place.host[h]])
+	}
+	gateways := make([]*node.Gateway, t.gateways)
+	attached := make([]bool, t.gateways)
+	for g := range gateways {
+		gateways[g] = node.NewGateway(packet.Addr(g))
+		gateways[g].SetPool(n.pools[place.gw[g]])
+	}
+	for _, grp := range t.groups {
+		attached[grp.attach] = attached[grp.attach] || grp.clients > 0
+	}
+
+	// xdeliver returns the XDeliver hook of a link on shard src into
+	// gateway g, with delay d. The delivery runs on the shard that owns the
+	// gateway's egress link for p.Dst, so gateway.Receive always dispatches
+	// onto a local link. A link needs the hook unless every such egress is
+	// on src; it then hands each delivery to the barrier, possibly back to
+	// its own shard, which is why its delay joins the lookahead either way.
+	lookahead := cfg.Duration
+	hooks := make(map[[2]int]func(sim.Time, uint64, *packet.Packet))
+	xdeliver := func(src, g int, d sim.Duration) func(sim.Time, uint64, *packet.Packet) {
+		if k == 1 || src == place.gw[g] && (k <= t.gateways || !attached[g]) {
+			return nil
+		}
+		lookahead = min(lookahead, d)
+		key := [2]int{src, g}
+		if hooks[key] == nil {
+			c := &crossing{n: n, src: src, g: g, gw: gateways[g]}
+			c.deliver = c.receive
+			hooks[key] = c.hand
+		}
+		return hooks[key]
+	}
+	// route makes dst, served by gateway serve over its link in, reachable
+	// from every gateway.
+	route := func(dst packet.Addr, serve int, in *link.Link) error {
+		for g, gw := range gateways {
+			via := in
+			if g != serve {
+				i, ok := toward[[2]int{g, serve}]
+				if !ok {
+					continue
+				}
+				via = n.links[i]
+			}
+			if err := gw.AddRoute(dst, via); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	rng := sim.NewRNG(cfg.Seed)
+	lanes := sim.NewLanes()
+	// newLink builds tl on shard s, delivering to dst (through xd when it
+	// crosses shards).
+	newLink := func(s int, tl topoLink, dst link.Receiver, xd func(sim.Time, uint64, *packet.Packet), overprov bool) (*link.Link, error) {
+		var q queue.Discipline
+		var metrics link.Metrics
+		if !tl.bottleneck {
+			q = queue.NewFIFO(tl.buffer)
+		} else {
+			qrng := rng
+			if tl.queueStream != 0 {
+				qrng = rng.Fork(tl.queueStream)
+			}
+			var err error
+			if q, err = buildGatewayQueue(cfg, qrng, n.tels[s]); err != nil {
+				return nil, err
+			}
+			if drr, ok := q.(*queue.DRR); ok {
+				// Longest-queue eviction consumes the displaced packet
+				// inside the discipline; reclaim it there.
+				drr.OnEvict(n.pools[s].Put)
+			}
+			metrics = n.tels[s].link
+		}
+		lc := link.Config{
+			Name:    tl.name,
+			RateBps: tl.rateBps,
+			Delay:   tl.delay,
+			Queue:   q,
+			Dst:     dst,
+			Pool:    n.pools[s],
+			Metrics: metrics,
+			Lane:    lanes.Next(),
+
+			XDeliver:        xd,
+			DisableBatching: cfg.DisableBatching,
+			Overprovisioned: overprov,
+		}
+		if tl.lossProb > 0 {
+			lc.LossProb, lc.LossRNG = tl.lossProb, rng.Fork(1<<21)
+		}
+		return link.New(n.scheds[s], lc)
+	}
+
+	for i, tl := range t.links {
+		s, proof := place.gw[tl.from.index], false
+		if !tl.from.gateway {
+			s, proof = place.host[tl.from.index], buildAckProof(t, tl, t.links[feed[tl.from.index]])
+		}
+		var dst link.Receiver
+		var xd func(sim.Time, uint64, *packet.Packet)
+		if tl.to.gateway {
+			dst, xd = gateways[tl.to.index], xdeliver(s, tl.to.index, tl.delay)
+		} else {
+			dst = hosts[tl.to.index]
+		}
+		var err error
+		if n.links[i], err = newLink(s, tl, dst, xd, proof); err != nil {
+			return nil, err
+		}
+	}
+	for h, l := range feed {
+		if err := route(packet.Addr(1+h), t.links[l].from.index, n.links[l]); err != nil {
+			return nil, err
+		}
+	}
+
+	// Heterogeneous-RTT extension: draw per-client access delays from a
+	// dedicated stream so enabling jitter does not perturb the traffic
+	// streams.
+	var jitter *sim.RNG
+	if cfg.ClientDelayJitter > 0 {
+		jitter = rng.Fork(1 << 22)
+	}
+	j := 0
+	for _, grp := range t.groups {
+		srv, ss := hosts[grp.dst], place.host[grp.dst]
+		// A TCP client's access and reverse queues can never fill when the
+		// buffer dwarfs the window: in-network packets of one flow are
+		// bounded by a window of originals plus a window of go-back-N
+		// retransmission copies, so capacity ≥ 2·MaxWindow guarantees
+		// drop-free operation and unlocks the link layer's serialization
+		// pipelining. UDP clients are open-loop — nothing bounds their
+		// backlog — so their links keep the per-event path.
+		overprov := grp.proto.IsTCP() && cfg.AccessBufferPackets >= 2*cfg.MaxWindow
+		for c := 0; c < grp.clients; c, j = c+1, j+1 {
+			addr := packet.Addr(1 + t.hosts + j)
+			flowID := packet.FlowID(j + 1)
+			cs := place.client(j)
+			sched, pool, tel := n.scheds[cs], n.pools[cs], n.tels[cs]
+			host := node.NewHost(addr)
+			host.SetPool(pool)
+
+			delay := cfg.ClientDelay
+			if jitter != nil {
+				delay += sim.Duration(jitter.Uniform(0, float64(cfg.ClientDelayJitter)))
+			}
+			pair := topoLink{name: fmt.Sprintf("client%d->gw", j+1), rateBps: cfg.ClientRateBps, delay: delay, buffer: cfg.AccessBufferPackets}
+			access, err := newLink(cs, pair, gateways[grp.attach], xdeliver(cs, grp.attach, delay), overprov)
+			if err != nil {
+				return nil, err
+			}
+			pair.name = fmt.Sprintf("gw->client%d", j+1)
+			reverse, err := newLink(cs, pair, host, nil, overprov)
+			if err != nil {
+				return nil, err
+			}
+			if err := route(addr, grp.attach, reverse); err != nil {
+				return nil, err
+			}
+
+			f := &flow{proto: grp.proto, access: access, reverse: reverse}
+			var src transport.Source
+			if grp.proto.IsTCP() {
+				tcpCfg := tcp.Config{
+					Flow:              flowID,
+					Src:               addr,
+					Dst:               srv.Addr(),
+					Variant:           grp.proto.TCPVariant(),
+					PacketSize:        cfg.PacketSize,
+					AckSize:           cfg.AckSize,
+					MaxWindow:         cfg.MaxWindow,
+					MinRTO:            cfg.MinRTO,
+					DelayedAcks:       grp.proto == RenoDelayAck,
+					DelayedAckTimeout: cfg.DelayedAckTimeout,
+					Vegas:             cfg.Vegas,
+					Sched:             sched,
+					Pool:              pool,
+					Metrics:           tel.tcp,
+					DisableBatching:   cfg.DisableBatching,
+				}
+				sendCfg := tcpCfg
+				sendCfg.Out = access
+				sender, err := tcp.NewSender(sendCfg)
+				if err != nil {
+					return nil, err
+				}
+				sinkCfg := tcpCfg
+				sinkCfg.Out = n.links[out[grp.dst]]
+				sinkCfg.Sched, sinkCfg.Pool, sinkCfg.Metrics = n.scheds[ss], n.pools[ss], n.tels[ss].tcp
+				sink, err := tcp.NewSink(sinkCfg)
+				if err != nil {
+					return nil, err
+				}
+				host.Bind(flowID, sender)
+				srv.Bind(flowID, sink)
+				f.tcpSend, f.tcpSink = sender, sink
+				src = sender
+			} else {
+				sender, err := transport.NewUDPSender(transport.UDPConfig{
+					Flow:       flowID,
+					Src:        addr,
+					Dst:        srv.Addr(),
+					PacketSize: cfg.PacketSize,
+					Out:        access,
+					Now:        sched.Now,
+					Pool:       pool,
+				})
+				if err != nil {
+					return nil, err
+				}
+				sink := transport.NewUDPSinkWithClock(n.scheds[ss].Now)
+				sink.SetPool(n.pools[ss])
+				host.Bind(flowID, sender)
+				srv.Bind(flowID, sink)
+				f.udpSend, f.udpSink = sender, sink
+				src = sender
+			}
+
+			gen, err := buildGenerator(cfg, sched, rng.Fork(grp.stream+int64(c)), src, tel.appGenerated)
+			if err != nil {
+				return nil, err
+			}
+			f.gen = gen
+			n.flows = append(n.flows, f)
+		}
+	}
+
+	if k > 1 {
+		if lookahead <= 0 {
+			return nil, fmt.Errorf("topology: sharding needs a positive delay on every link that crosses shards, got %v", lookahead)
+		}
+		n.group, n.lookahead = shard.NewGroup(n.scheds, lookahead), lookahead
+	}
+	return n, nil
+}
+
+// crossing hands a link's deliveries from shard src into gateway gw (index
+// g) to the barrier, bound for the shard that owns the gateway's egress
+// link toward p.Dst. Its methods, not closures inside buildTopology, run
+// per packet, so profiles attribute the crossings to the run rather than
+// to set-up (perfbench counts core.build* as set-up).
+type crossing struct {
+	n       *network
+	src, g  int
+	gw      *node.Gateway
+	deliver func(any) // receive, bound once
+}
+
+func (c *crossing) receive(arg any) { c.gw.Receive(arg.(*packet.Packet)) }
+
+func (c *crossing) hand(at sim.Time, ord uint64, p *packet.Packet) {
+	c.n.group.Cross(c.src, c.n.place.egress(c.g, p.Dst), at, ord, c.deliver, p)
+}
+
+// buildAckProof derives the overprovisioning proof for l, the link that
+// carries a sink host's acknowledgments, whose data arrives over feed. The
+// link can never fill when ACKs drain at least as fast as the data that
+// clocks them: every data packet reaches the host through feed's single
+// serializer, so sink ACKs are spaced at least one data serialization
+// apart, and with ACK serialization no slower the queue never holds more
+// than a couple of ACKs. Delayed ACKs break the clocking — every flow's
+// ACK timer can flush on the same instant — so the guarantee needs
+// per-arrival acking from every sink on the host (and a little capacity
+// slack for ties at the boundary).
+func buildAckProof(t topology, l, feed topoLink) bool {
+	if l.buffer < 16 || sim.SerializationDelay(t.cfg.AckSize, l.rateBps) > sim.SerializationDelay(t.cfg.PacketSize, feed.rateBps) {
+		return false
+	}
+	for _, g := range t.groups {
+		if g.dst == l.from.index && g.clients > 0 && g.proto == RenoDelayAck {
+			return false
+		}
+	}
+	return true
+}
+
+// run executes the network to the horizon, serially or across the shard
+// group. The context watchdog lives on shard 0, which the group runs on
+// the calling goroutine.
+func (n *network) run(ctx context.Context, horizon sim.Time) error {
+	watchContext(ctx, n.scheds[0])
+	var err error
+	if n.group != nil {
+		err = n.group.Run(horizon)
+	} else {
+		err = n.scheds[0].Run(horizon)
+	}
+	if err != nil {
+		if errors.Is(err, sim.ErrStopped) && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return fmt.Errorf("run simulation: %w", err)
+	}
+	return nil
+}
+
+// settle closes the books after run: it returns the events the run
+// executed and the scheduler filings it made. Serialization-pipelined
+// links credit elided serialize-done events at delivery; completions in
+// flight at the horizon settle here, so the count is exactly what the
+// per-event schedule fired.
+func (n *network) settle(horizon sim.Time) (events, ops uint64) {
+	for _, s := range n.scheds {
+		events += s.Fired()
+		ops += s.ScheduledOps()
+	}
+	for _, l := range n.links {
+		events += l.FinishVirtual(horizon)
+	}
+	for _, f := range n.flows {
+		events += f.access.FinishVirtual(horizon) + f.reverse.FinishVirtual(horizon)
+	}
+	return events, ops
+}
