@@ -109,4 +109,7 @@ func TestCellString(t *testing.T) {
 	if got := (Cell{Protocol: Vegas, Gateway: RED}).String(); got != "vegas/red" {
 		t.Errorf("Cell string = %q, want vegas/red", got)
 	}
+	if got := (Cell{Protocol: Reno, Gateway: DRR}).String(); got != "reno/drr" {
+		t.Errorf("Cell string = %q, want reno/drr", got)
+	}
 }
