@@ -18,9 +18,12 @@ race:
 	go test -race ./...
 
 ## fuzz: the native fuzz targets, the same budget CI gives them.
-## FuzzRNGMatchesMathRand checks sim.RNG against math/rand's stream.
+## FuzzRNGMatchesMathRand checks sim.RNG against math/rand's stream;
+## FuzzParseSpec checks that queue specs round-trip through their canonical
+## string and that building one never panics.
 fuzz:
 	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s ./internal/sim
+	go test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/queue
 
 ## shard-smoke: run the parking-lot example serially and at 4 shards and
 ## diff the two tables, which must be byte-identical. It covers Vegas and

@@ -147,13 +147,22 @@ func BenchmarkAblationVariants(b *testing.B) {
 	}
 }
 
+// withQueue sets cfg's gateway discipline from a registry spec string.
+func withQueue(cfg core.Config, spec string) core.Config {
+	s, err := queue.ParseSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	cfg.Queue = &s
+	return cfg
+}
+
 // BenchmarkAblationREDMaxProb sweeps RED aggressiveness: the paper-era ns
 // default (0.1) versus Floyd & Jacobson's recommended 0.02.
 func BenchmarkAblationREDMaxProb(b *testing.B) {
 	for _, maxP := range []float64{0.02, 0.1, 0.5} {
 		b.Run(fmt.Sprintf("maxp%.2f", maxP), func(b *testing.B) {
-			cfg := core.DefaultConfig(60, core.Reno, core.RED)
-			cfg.REDMaxProb = maxP
+			cfg := withQueue(core.DefaultConfig(60, core.Reno, 0), fmt.Sprintf("red?maxprob=%g", maxP))
 			res := runBench(b, cfg)
 			b.ReportMetric(res.COV, "cov")
 			b.ReportMetric(float64(res.Delivered), "delivered_pkts")
@@ -184,8 +193,7 @@ func BenchmarkAblationGentleRED(b *testing.B) {
 			name = "gentle"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig(60, core.Reno, core.RED)
-			cfg.REDGentle = gentle
+			cfg := withQueue(core.DefaultConfig(60, core.Reno, 0), fmt.Sprintf("red?gentle=%t", gentle))
 			res := runBench(b, cfg)
 			b.ReportMetric(res.COV, "cov")
 			b.ReportMetric(res.LossPct, "loss_pct")
@@ -202,8 +210,7 @@ func BenchmarkAblationECN(b *testing.B) {
 			name = "mark"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig(50, core.Reno, core.RED)
-			cfg.REDECN = ecn
+			cfg := withQueue(core.DefaultConfig(50, core.Reno, 0), fmt.Sprintf("red?ecn=%t", ecn))
 			res := runBench(b, cfg)
 			b.ReportMetric(res.COV, "cov")
 			b.ReportMetric(res.LossPct, "loss_pct")

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"tcpburst/internal/core"
+	"tcpburst/internal/queue"
 	"tcpburst/internal/runcache"
 	"tcpburst/internal/runner"
 	"tcpburst/internal/telemetry"
@@ -176,9 +177,10 @@ func writeTable1(w io.Writer, base core.Config) {
 		cfg.BufferPackets, cfg.PacketSize, cfg.MaxWindow)
 	fmt.Fprintf(w, "- Poisson 1/λ = %s per client; RTT window %s\n",
 		cfg.MeanInterval, cfg.RTT())
+	red := queue.DefaultREDConfig(cfg.BufferPackets, 0, nil)
 	fmt.Fprintf(w, "- Vegas α/β/γ %g/%g/%g; RED %g/%g w=%g max_p=%g\n\n",
 		cfg.Vegas.Alpha, cfg.Vegas.Beta, cfg.Vegas.Gamma,
-		cfg.REDMinThreshold, cfg.REDMaxThreshold, cfg.REDWeight, cfg.REDMaxProb)
+		red.MinThreshold, red.MaxThreshold, red.Weight, red.MaxProb)
 }
 
 func writeSweepSection(w io.Writer, sweep *core.Sweep) {
@@ -225,7 +227,6 @@ func writeTraceSection(ctx context.Context, w io.Writer, base core.Config, maxN 
 		cfg := base
 		cfg.Clients = row.clients
 		cfg.Protocol = row.proto
-		cfg.Gateway = core.FIFO
 		cfg.CwndSampleInterval = 100 * time.Millisecond
 		// Per-flow tracing samples cross-shard state, so traced figures run
 		// serially even when -shards accelerates the sweep points.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -40,14 +41,21 @@ func TestRunPerFlowBreakdown(t *testing.T) {
 func TestRunREDOverrides(t *testing.T) {
 	var sb strings.Builder
 	err := run(&sb, []string{
-		"-clients", "5", "-duration", "2s", "-queue", "red",
-		"-redmin", "5", "-redmax", "20", "-redw", "0.01", "-redmaxp", "0.2",
+		"-clients", "5", "-duration", "2s",
+		"-queue", "red?min=5&max=20&weight=0.01&maxprob=0.2",
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(sb.String(), "RED:") {
 		t.Errorf("RED stats missing:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "red?max=20&maxprob=0.2&min=5&weight=0.01 gateway") {
+		t.Errorf("header does not name the canonical RED spec:\n%s", sb.String())
+	}
+	// The flat RED flags are gone: the spec grammar is the one spelling.
+	if err := run(io.Discard, []string{"-queue", "red", "-redmin", "5"}); err == nil {
+		t.Error("-redmin accepted")
 	}
 }
 

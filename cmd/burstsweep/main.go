@@ -36,6 +36,7 @@ import (
 
 	"tcpburst/internal/core"
 	"tcpburst/internal/prof"
+	"tcpburst/internal/queue"
 	"tcpburst/internal/runcache"
 	"tcpburst/internal/runner"
 	"tcpburst/internal/telemetry"
@@ -291,6 +292,7 @@ func contains(xs []int, v int) bool {
 
 func printTable1() {
 	cfg := core.MustConfig(core.WithClients(1), core.WithProtocol(core.Reno))
+	red := queue.DefaultREDConfig(cfg.BufferPackets, 0, nil)
 	fmt.Println("Table 1. Simulation parameters (reconstructed; see DESIGN.md).")
 	rows := [][2]string{
 		{"client link bandwidth (mu_c)", fmt.Sprintf("%.0f Mbps", cfg.ClientRateBps/1e6)},
@@ -303,8 +305,8 @@ func printTable1() {
 		{"mean packet intergeneration time (1/lambda)", cfg.MeanInterval.String()},
 		{"total test time", cfg.Duration.String()},
 		{"TCP Vegas alpha / beta / gamma", fmt.Sprintf("%g / %g / %g", cfg.Vegas.Alpha, cfg.Vegas.Beta, cfg.Vegas.Gamma)},
-		{"RED min / max threshold", fmt.Sprintf("%g / %g packets", cfg.REDMinThreshold, cfg.REDMaxThreshold)},
-		{"RED weight / max drop probability", fmt.Sprintf("%g / %g", cfg.REDWeight, cfg.REDMaxProb)},
+		{"RED min / max threshold", fmt.Sprintf("%g / %g packets", red.MinThreshold, red.MaxThreshold)},
+		{"RED weight / max drop probability", fmt.Sprintf("%g / %g", red.Weight, red.MaxProb)},
 		{"round-trip propagation delay (cov window)", cfg.RTT().String()},
 	}
 	for _, r := range rows {

@@ -43,7 +43,7 @@ func main() {
 				Hop1Clients: 20,
 				Hop2Clients: 20,
 				Protocol:    p,
-				Gateway:     q,
+				Base:        core.Config{Gateway: q},
 				Duration:    60 * time.Second,
 				Shards:      *shards,
 			})
@@ -55,7 +55,7 @@ func main() {
 	}
 	for i, res := range results {
 		fmt.Printf("%-8s %8s %10d %10d %10d %9.1f%% %9.4f\n",
-			cfgs[i].Protocol, cfgs[i].Gateway, res.Long.Delivered, res.Hop1.Delivered, res.Hop2.Delivered,
+			cfgs[i].Protocol, cfgs[i].Base.Gateway, res.Long.Delivered, res.Hop1.Delivered, res.Hop2.Delivered,
 			res.LongShareHop2*100, res.COVHop2)
 	}
 

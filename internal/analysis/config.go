@@ -72,9 +72,9 @@ type Config struct {
 	// QueuePackage is the import path of the gateway-discipline registry.
 	// Factories register there, in init functions, and discipline-name
 	// dispatch (comparing or switching on Spec.Name) happens only there:
-	// everywhere else goes through queue.Build, queue.Registered, or
-	// Spec.Lower, so adding a discipline never means hunting down name
-	// switches scattered through the harness.
+	// everywhere else goes through queue.Build, queue.Registered, or a
+	// type assertion on the built discipline, so adding a discipline never
+	// means hunting down name switches scattered through the harness.
 	QueuePackage string
 }
 

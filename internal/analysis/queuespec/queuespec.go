@@ -19,7 +19,7 @@ import (
 // Analyzer is the discipline-registry closure checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "queuespec",
-	Doc:  "discipline factories register in init inside internal/queue; no code outside it compares or switches on Spec.Name — dispatch belongs to Build/Registered/Lower",
+	Doc:  "discipline factories register in init inside internal/queue; no code outside it compares or switches on Spec.Name — dispatch goes through Build/Registered or a type assertion on the built discipline",
 	Run:  run,
 }
 
@@ -46,7 +46,7 @@ func run(pass *analysis.Pass) (any, error) {
 						for _, operand := range []ast.Expr{n.X, n.Y} {
 							if isSpecName(pass, operand) {
 								pass.Reportf(n.OpPos,
-									"comparing queue.Spec.Name outside %s; discipline-name dispatch belongs to the registry — use queue.Build, queue.Registered, or Spec.Lower", analysis.Default.QueuePackage)
+									"comparing queue.Spec.Name outside %s; discipline-name dispatch belongs to the registry — use queue.Build, queue.Registered, or a type assertion on the built discipline", analysis.Default.QueuePackage)
 								break
 							}
 						}
@@ -54,7 +54,7 @@ func run(pass *analysis.Pass) (any, error) {
 				case *ast.SwitchStmt:
 					if !inRegistry && n.Tag != nil && isSpecName(pass, n.Tag) {
 						pass.Reportf(n.Switch,
-							"switching on queue.Spec.Name outside %s; discipline-name dispatch belongs to the registry — use queue.Build, queue.Registered, or Spec.Lower", analysis.Default.QueuePackage)
+							"switching on queue.Spec.Name outside %s; discipline-name dispatch belongs to the registry — use queue.Build, queue.Registered, or a type assertion on the built discipline", analysis.Default.QueuePackage)
 					}
 				}
 				return true

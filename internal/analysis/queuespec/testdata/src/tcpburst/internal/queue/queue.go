@@ -35,9 +35,9 @@ func install() {
 	Register("sneaky", nil) // want `queue\.Register outside an init function`
 }
 
-// Lower is the sanctioned name-dispatch site: inside the registry package
-// the switch is fine.
-func Lower(s Spec) (string, bool) {
+// family dispatches on the discipline name, which is fine inside the
+// registry package.
+func family(s Spec) (string, bool) {
 	switch s.Name {
 	case "fifo", "red", "drr":
 		return s.Name, true
@@ -45,4 +45,4 @@ func Lower(s Spec) (string, bool) {
 	return "", false
 }
 
-var _ = install
+var _, _ = install, family

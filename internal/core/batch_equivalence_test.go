@@ -136,7 +136,7 @@ func TestBatchingMatchesUnbatchedParkingLot(t *testing.T) {
 		b.DisableBatching = disable
 		return ChainConfig{
 			LongClients: 4, Hop1Clients: 3, Hop2Clients: 3,
-			Protocol: Reno, Gateway: FIFO,
+			Protocol: Reno,
 			Duration: 2 * time.Second,
 			Base:     b,
 		}

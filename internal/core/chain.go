@@ -29,14 +29,13 @@ type ChainConfig struct {
 	LongClients, Hop1Clients, Hop2Clients int
 	// Protocol is the transport for every client.
 	Protocol Protocol
-	// Gateway is the queueing discipline at both bottlenecks.
-	Gateway GatewayQueue
 	// Seed and Duration as in Config.
 	Seed     int64
 	Duration sim.Duration
 	// Base supplies link rates, delays, buffer sizes, packet sizes,
-	// transport and traffic parameters, and the bottleneck discipline when
-	// Base.Queue names one (Clients/Protocol/Gateway fields are ignored).
+	// transport and traffic parameters, and the discipline at both
+	// bottlenecks (Base.Queue or Base.Gateway; fifo when neither is set).
+	// Base.Clients and Base.Protocol are ignored.
 	// Dumbbell-only fields the parking lot cannot honor — Mix, jitter,
 	// wire loss, the reverse-path overrides, warm-up, tracing, the packet
 	// log and telemetry — are rejected by name rather than ignored.
@@ -58,15 +57,8 @@ func (c ChainConfig) withDefaults() ChainConfig {
 	if c.Protocol == 0 {
 		c.Protocol = Reno
 	}
-	if c.Gateway == 0 && c.Base.Queue == nil {
-		c.Gateway = FIFO
-	}
 	c.Base.Protocol = c.Protocol
-	c.Base.Gateway = c.Gateway
 	c.Base = c.Base.WithDefaults()
-	// A Base.Queue spec naming a legacy discipline lowers onto the enum;
-	// mirror it so the chain's own Gateway field names what runs.
-	c.Gateway = c.Base.Gateway
 	if c.Seed == 0 {
 		c.Seed = c.Base.Seed
 	}

@@ -139,7 +139,7 @@ func TestChainWithREDAndDRR(t *testing.T) {
 	for _, q := range []GatewayQueue{RED, DRR} {
 		res, err := RunParkingLot(ChainConfig{
 			LongClients: 15, Hop1Clients: 20, Hop2Clients: 20,
-			Protocol: Reno, Gateway: q, Duration: 20 * time.Second,
+			Protocol: Reno, Duration: 20 * time.Second, Base: Config{Gateway: q},
 		})
 		if err != nil {
 			t.Fatalf("RunParkingLot(%v): %v", q, err)

@@ -97,13 +97,10 @@ func ParseProtocol(s string) (Protocol, error) {
 	return 0, fmt.Errorf("unknown protocol %q", s)
 }
 
-// GatewayQueue selects the bottleneck queueing discipline.
-//
-// Deprecated: the enum covers only the original three disciplines. New code
-// should carry a queue.Spec (Config.Queue, WithGatewayDiscipline); the enum
-// remains as the lowered form of the three legacy disciplines, which is what
-// keeps their JSON encodings — and therefore golden digests and cache keys —
-// byte-identical to the pre-registry era.
+// GatewayQueue names one of the three original gateway disciplines. It is
+// an input shorthand only: WithDefaults raises a non-zero Config.Gateway
+// into the equivalent Config.Queue spec and zeroes it, so a defaulted
+// Config carries its discipline in one form.
 type GatewayQueue int
 
 // Queueing disciplines at the gateway. FIFO and RED are the paper's; DRR
@@ -115,7 +112,7 @@ const (
 	DRR
 )
 
-// String returns the discipline name.
+// String returns the discipline name, which is also its registry name.
 func (q GatewayQueue) String() string {
 	switch q {
 	case FIFO:
@@ -126,20 +123,6 @@ func (q GatewayQueue) String() string {
 		return "drr"
 	default:
 		return fmt.Sprintf("queue(%d)", int(q))
-	}
-}
-
-// ParseGatewayQueue converts a discipline name back to a GatewayQueue.
-func ParseGatewayQueue(s string) (GatewayQueue, error) {
-	switch s {
-	case "fifo":
-		return FIFO, nil
-	case "red":
-		return RED, nil
-	case "drr":
-		return DRR, nil
-	default:
-		return 0, fmt.Errorf("unknown gateway queue %q", s)
 	}
 }
 
@@ -197,17 +180,13 @@ type Config struct {
 	// block sizes (WithDefaults fills it in when left zero), and
 	// Protocol is ignored except as the label of the run.
 	Mix []MixEntry
-	// Gateway is the bottleneck queueing discipline in its deprecated enum
-	// form. WithDefaults lowers any Queue spec naming a legacy discipline
-	// (fifo/red/drr) into this field, so a legacy config and its spec
-	// spelling encode — and cache — identically.
-	Gateway GatewayQueue
-	// Queue selects the bottleneck discipline by registry spec — the
-	// extensible replacement for Gateway. When it survives WithDefaults
-	// (i.e. it names a discipline outside the legacy enum, such as
-	// "codel?target=5ms"), the gateway queue is built through
-	// queue.Build and Gateway stays zero. Omitted from JSON when nil so
-	// legacy encodings, golden digests, and cache keys are unchanged.
+	// Gateway is shorthand for Queue naming fifo, red or drr. WithDefaults
+	// raises it into Queue and zeroes it; setting both is an error.
+	Gateway GatewayQueue `json:",omitempty"`
+	// Queue selects the bottleneck discipline by registry spec, such as
+	// "red?ecn=true" or "codel?target=5ms" (fifo when neither it nor
+	// Gateway is set). After WithDefaults it is the only discipline field,
+	// and the gateway queue is built from it through queue.Build.
 	Queue *queue.Spec `json:",omitempty"`
 	// Seed drives every random stream in the experiment; identical
 	// configurations replay identically.
@@ -257,19 +236,6 @@ type Config struct {
 	// for TrafficParetoOnOff. The in-burst packet interval is derived so
 	// the long-run mean rate still equals 1/MeanInterval.
 	MeanOnTime, MeanOffTime sim.Duration
-
-	// REDMinThreshold / REDMaxThreshold / REDWeight / REDMaxProb
-	// parameterize the RED gateway (paper: 10 / 40; Floyd–Jacobson
-	// weight 0.002; ns-era default max drop probability 0.1).
-	REDMinThreshold float64
-	REDMaxThreshold float64
-	REDWeight       float64
-	REDMaxProb      float64
-	// REDECN switches RED from dropping to ECN marking (extension).
-	REDECN bool
-	// REDGentle enables Floyd's gentle-RED ramp above the max threshold
-	// (extension).
-	REDGentle bool
 
 	// WireLossProb, when positive, drops each packet serialized onto the
 	// bottleneck link with this probability — random, non-congestive loss
@@ -324,12 +290,6 @@ type Config struct {
 	//burst:nocache sink construction only labels output streams; results are identical for any factory
 	TelemetrySinkFactory func(Config) telemetry.Sink `json:"-"`
 
-	// DisablePacketPool runs the experiment without the per-simulation
-	// packet pool, allocating every packet. Debug knob: results are
-	// bit-identical either way (the equivalence tests enforce this); the
-	// pooled path is just faster.
-	DisablePacketPool bool
-
 	// Shards partitions the packet simulation across this many schedulers
 	// running on separate cores, synchronized by conservative lookahead
 	// windows (DESIGN.md §11). 0 or 1 runs serially. Sharded runs are
@@ -349,12 +309,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's Table 1 parameters for n clients using
-// the given protocol and gateway discipline.
+// the given protocol and gateway discipline (q == 0 leaves the discipline
+// to WithDefaults, which picks fifo).
 func DefaultConfig(n int, p Protocol, q GatewayQueue) Config {
-	return Config{
+	c := Config{
 		Clients:             n,
 		Protocol:            p,
-		Gateway:             q,
 		Seed:                1,
 		Duration:            200 * time.Second,
 		ClientRateBps:       100e6,
@@ -371,14 +331,14 @@ func DefaultConfig(n int, p Protocol, q GatewayQueue) Config {
 		ParetoShape:         1.5,
 		MeanOnTime:          100 * time.Millisecond,
 		MeanOffTime:         200 * time.Millisecond,
-		REDMinThreshold:     10,
-		REDMaxThreshold:     40,
-		REDWeight:           0.002,
-		REDMaxProb:          0.1,
 		Vegas:               tcp.DefaultVegasParams(),
 		MinRTO:              200 * time.Millisecond,
 		DelayedAckTimeout:   100 * time.Millisecond,
 	}
+	if q != 0 {
+		c.Queue = &queue.Spec{Name: q.String()}
+	}
+	return c
 }
 
 // WithDefaults fills zero-valued tunables from DefaultConfig, keeping any
@@ -392,46 +352,15 @@ func (c Config) WithDefaults() Config {
 	if len(c.Mix) > 0 && c.Protocol == 0 {
 		c.Protocol = c.Mix[0].Protocol
 	}
-	if c.Queue != nil && c.Gateway == 0 {
-		// Canonicalize: a spec naming a legacy discipline lowers onto the
-		// deprecated enum + flat RED fields, so "red?ecn=true" and the old
-		// WithGateway(RED)+WithREDECN() spelling produce byte-identical
-		// configs (and cache keys). Specs outside the legacy vocabulary
-		// keep the Queue field and run through the registry.
-		if l, ok := c.Queue.Lower(); ok {
-			switch l.Kind {
-			case "fifo":
-				c.Gateway = FIFO
-			case "drr":
-				c.Gateway = DRR
-			case "red":
-				c.Gateway = RED
-				if l.Min > 0 {
-					c.REDMinThreshold = l.Min
-				}
-				if l.Max > 0 {
-					c.REDMaxThreshold = l.Max
-				}
-				if l.Weight > 0 {
-					c.REDWeight = l.Weight
-				}
-				if l.MaxProb > 0 {
-					c.REDMaxProb = l.MaxProb
-				}
-				if l.ECN {
-					c.REDECN = true
-				}
-				if l.Gentle {
-					c.REDGentle = true
-				}
-			}
-			c.Queue = nil
+	if c.Queue == nil {
+		gw := c.Gateway
+		if gw == 0 {
+			gw = FIFO
 		}
+		c.Queue = &queue.Spec{Name: gw.String()}
+		c.Gateway = 0
 	}
-	if c.Gateway == 0 && c.Queue == nil {
-		c.Gateway = FIFO
-	}
-	d := DefaultConfig(c.Clients, c.Protocol, c.Gateway)
+	d := DefaultConfig(c.Clients, c.Protocol, 0)
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
@@ -480,18 +409,6 @@ func (c Config) WithDefaults() Config {
 	if c.MeanOffTime == 0 {
 		c.MeanOffTime = d.MeanOffTime
 	}
-	if c.REDMinThreshold == 0 { //burst:floateq-ok zero means unset; take the default
-		c.REDMinThreshold = d.REDMinThreshold
-	}
-	if c.REDMaxThreshold == 0 { //burst:floateq-ok zero means unset; take the default
-		c.REDMaxThreshold = d.REDMaxThreshold
-	}
-	if c.REDWeight == 0 { //burst:floateq-ok zero means unset; take the default
-		c.REDWeight = d.REDWeight
-	}
-	if c.REDMaxProb == 0 { //burst:floateq-ok zero means unset; take the default
-		c.REDMaxProb = d.REDMaxProb
-	}
 	if c.Vegas == (tcp.VegasParams{}) {
 		c.Vegas = d.Vegas
 	}
@@ -515,8 +432,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: unknown protocol %d", int(c.Protocol))
 	case c.Queue != nil && c.Gateway != 0:
 		return fmt.Errorf("config: both Gateway (%v) and Queue (%v) set; pick one discipline", c.Gateway, c.Queue)
-	case c.Queue == nil && (c.Gateway < FIFO || c.Gateway > DRR):
-		return fmt.Errorf("config: unknown gateway queue %d", int(c.Gateway))
+	case c.Queue == nil:
+		return fmt.Errorf("config: no gateway discipline; Queue is set by WithDefaults")
 	case c.Duration <= 0:
 		return fmt.Errorf("config: duration %v <= 0", c.Duration)
 	case c.Warmup < 0 || c.Warmup >= c.Duration:
@@ -581,52 +498,54 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: cwnd/queue tracing samples cross-shard state; run tracing with shards=1")
 		}
 	}
-	if c.Queue != nil {
-		if err := c.validateQueueSpec(); err != nil {
-			return err
-		}
+	q, err := c.scratchQueue()
+	if err != nil {
+		return err
 	}
 	if c.Backend == FluidBackend {
-		if err := c.validateFluid(); err != nil {
+		if err := c.validateFluid(q); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// validateQueueSpec scratch-builds the configured discipline so an unknown
-// name or bad parameter fails at configuration time with the registry's
-// self-explaining error instead of deep inside Run. The scratch build uses
-// a throwaway RNG; the real run forks the experiment's seeded stream.
-func (c Config) validateQueueSpec() error {
-	_, err := queue.Build(*c.Queue, queue.BuildContext{
+// buildQueue builds the configured gateway discipline through the
+// registry. rng lazily forks the discipline's random stream: only a
+// discipline that draws randomness calls it, so a deterministic one leaves
+// every downstream stream untouched.
+func (c Config) buildQueue(rng func() *sim.RNG, m queue.Metrics) (queue.Discipline, error) {
+	return queue.Build(*c.Queue, queue.BuildContext{
 		Capacity:       c.BufferPackets,
 		PacketSize:     c.PacketSize,
 		MeanPacketTime: sim.SerializationDelay(c.PacketSize, c.BottleneckRateBps),
-		RNG:            func() *sim.RNG { return sim.NewRNG(0) },
+		RNG:            rng,
+		Metrics:        m,
 	})
-	return err
 }
 
-// QueueName returns the canonical discipline label of the run: the spec's
-// canonical string for registry-built disciplines ("codel?target=5ms"),
-// the enum name ("fifo", "red", "drr") otherwise.
-func (c Config) QueueName() string {
-	if c.Queue != nil {
-		return c.Queue.String()
-	}
-	return c.Gateway.String()
+// scratchQueue builds the configured discipline with a throwaway RNG and
+// no telemetry. Validation uses it so an unknown name or bad parameter
+// fails at configuration time with the registry's self-explaining error;
+// the fluid mapping and summary reconstruction type-switch on it.
+func (c Config) scratchQueue() (queue.Discipline, error) {
+	return c.buildQueue(func() *sim.RNG { return sim.NewRNG(0) }, queue.Metrics{})
 }
+
+// QueueName returns the canonical spec string of the run's discipline,
+// e.g. "red", "red?ecn=true" or "codel?target=5ms".
+func (c Config) QueueName() string { return c.Queue.String() }
 
 // Label names the configuration the way the runner's progress lines do:
-// "protocol/gateway n=N seed=S". Sweeps use it to tag per-run telemetry
-// streams sharing one writer.
+// "protocol/gateway n=N seed=S", omitting a plain "/fifo" as the paper's
+// legends do. Sweeps use it to tag per-run telemetry streams sharing one
+// writer.
 func (c Config) Label() string {
-	cell := Cell{Protocol: c.Protocol, Gateway: c.Gateway}
-	if c.Queue != nil {
-		cell.Queue = c.Queue.String()
+	name := c.Protocol.String()
+	if q := c.QueueName(); q != FIFO.String() {
+		name += "/" + q
 	}
-	return fmt.Sprintf("%s n=%d seed=%d", cell, c.Clients, c.Seed)
+	return fmt.Sprintf("%s n=%d seed=%d", name, c.Clients, c.Seed)
 }
 
 // RTT returns the round-trip propagation delay 2(τc+τs) — the paper's

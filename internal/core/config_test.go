@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tcpburst/internal/queue"
 )
 
 func TestDefaultConfigMatchesTable1(t *testing.T) {
@@ -24,8 +26,11 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if cfg.PacketSize != 1000 {
 		t.Errorf("PacketSize = %d, want 1000", cfg.PacketSize)
 	}
-	if cfg.REDMinThreshold != 10 || cfg.REDMaxThreshold != 40 {
-		t.Errorf("RED thresholds %v/%v, want 10/40", cfg.REDMinThreshold, cfg.REDMaxThreshold)
+	if cfg.QueueName() != "fifo" {
+		t.Errorf("QueueName = %q, want fifo", cfg.QueueName())
+	}
+	if red := queue.DefaultREDConfig(cfg.BufferPackets, 0, nil); red.MinThreshold != 10 || red.MaxThreshold != 40 {
+		t.Errorf("RED thresholds %v/%v, want 10/40", red.MinThreshold, red.MaxThreshold)
 	}
 	if cfg.Vegas.Alpha != 1 || cfg.Vegas.Beta != 3 || cfg.Vegas.Gamma != 1 {
 		t.Errorf("Vegas params %+v, want 1/3/1", cfg.Vegas)
@@ -126,15 +131,6 @@ func TestProtocolParsingRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseProtocol("bogus"); err == nil {
 		t.Error("bogus protocol parsed")
-	}
-	for _, q := range []GatewayQueue{FIFO, RED} {
-		got, err := ParseGatewayQueue(q.String())
-		if err != nil || got != q {
-			t.Errorf("ParseGatewayQueue(%q) = %v, %v", q.String(), got, err)
-		}
-	}
-	if _, err := ParseGatewayQueue("bogus"); err == nil {
-		t.Error("bogus queue parsed")
 	}
 }
 

@@ -217,7 +217,7 @@ func TestChainBatchCacheRoundTrip(t *testing.T) {
 	}
 	exec := ExecOptions{Jobs: 1, Cache: store}
 	cfg := ChainConfig{LongClients: 4, Hop1Clients: 4, Hop2Clients: 4,
-		Protocol: Reno, Gateway: FIFO, Duration: 10 * time.Second}
+		Protocol: Reno, Duration: 10 * time.Second}
 	ctx := context.Background()
 
 	cold, stats, err := RunChainBatch(ctx, []ChainConfig{cfg}, exec)

@@ -44,7 +44,7 @@ type QueueStats struct {
 	FullFrac float64
 }
 
-// REDStats summarizes the RED gateway's behavior when Gateway == RED.
+// REDStats summarizes the gateway's behavior when it runs RED.
 type REDStats struct {
 	EarlyDrops  uint64
 	ForcedDrops uint64
@@ -52,10 +52,11 @@ type REDStats struct {
 	FinalAvg    float64
 }
 
-// AQMStats is the generic discipline counter snapshot for registry-built
-// gateways (Config.Queue runs): control-law drops, buffer-overflow drops,
-// ECN marks, admission-control sheds, and the discipline's terminal
-// control variable (PIE's drop probability, a bucket's remaining tokens).
+// AQMStats is the generic discipline counter snapshot for every other
+// discipline that reports stats (CoDel, PIE, the admission buckets):
+// control-law drops, buffer-overflow drops, ECN marks, admission-control
+// sheds, and the discipline's terminal control variable (PIE's drop
+// probability, a bucket's remaining tokens).
 type AQMStats struct {
 	EarlyDrops  uint64
 	ForcedDrops uint64
@@ -130,8 +131,8 @@ type Result struct {
 	PacketLog *trace.PacketLog
 	// RED carries gateway drop/mark detail when the RED discipline ran.
 	RED *REDStats
-	// AQM carries the generic discipline counters when a registry-built
-	// (Config.Queue) gateway ran and the discipline reports stats.
+	// AQM carries the generic discipline counters when any other
+	// discipline that reports stats ran; FIFO and DRR report neither.
 	AQM *AQMStats
 
 	// CwndTraces holds per-client congestion-window series when tracing
@@ -422,46 +423,29 @@ func (f *flow) counters() tcp.Counters {
 	return tcp.Counters{DataSent: sent, Submitted: sent}
 }
 
-// buildGatewayQueue constructs the bottleneck discipline. Legacy enum
-// configurations keep their original construction paths — including where
-// in the build sequence the RED path forks the seed stream (1<<20), which
-// is what keeps their replays bit-identical to the pre-registry era.
-// Registry (Config.Queue) runs build through queue.Build with a lazy RNG
-// closure forking the same stream at the same point, so a discipline that
-// draws no randomness leaves every downstream stream untouched.
-func buildGatewayQueue(cfg Config, rng *sim.RNG, tel *telem) (queue.Discipline, error) {
-	if cfg.Queue != nil {
-		return queue.Build(*cfg.Queue, queue.BuildContext{
-			Capacity:       cfg.BufferPackets,
-			PacketSize:     cfg.PacketSize,
-			MeanPacketTime: sim.SerializationDelay(cfg.PacketSize, cfg.BottleneckRateBps),
-			RNG:            func() *sim.RNG { return rng.Fork(1 << 20) },
-			Metrics:        tel.aqm,
-		})
-	}
-	switch cfg.Gateway {
-	case FIFO:
-		return queue.NewFIFO(cfg.BufferPackets), nil
-	case DRR:
-		drr, err := queue.NewDRR(cfg.BufferPackets, cfg.PacketSize)
-		if err != nil {
-			return nil, err
+// disciplineStats reports a gateway discipline's end-of-run counters in
+// the family the summary encodes them under: RED's own fields for RED, the
+// generic AQM fields for any other StatsReporter, neither for FIFO and DRR.
+func disciplineStats(q queue.Discipline) (*REDStats, *AQMStats) {
+	switch q := q.(type) {
+	case *queue.RED:
+		return &REDStats{
+			EarlyDrops:  q.EarlyDrops(),
+			ForcedDrops: q.ForcedDrops(),
+			Marks:       q.Marks(),
+			FinalAvg:    q.Average(),
+		}, nil
+	case queue.StatsReporter:
+		st := q.DisciplineStats()
+		return nil, &AQMStats{
+			EarlyDrops:  st.EarlyDrops,
+			ForcedDrops: st.ForcedDrops,
+			Marks:       st.Marks,
+			Shed:        st.Shed,
+			FinalAvg:    st.FinalAvg,
 		}
-		drr.SetEvictionMetric(tel.drrEvictions)
-		return drr, nil
 	}
-	return queue.NewRED(queue.REDConfig{
-		Capacity:       cfg.BufferPackets,
-		MinThreshold:   cfg.REDMinThreshold,
-		MaxThreshold:   cfg.REDMaxThreshold,
-		Weight:         cfg.REDWeight,
-		MaxProb:        cfg.REDMaxProb,
-		MeanPacketTime: sim.SerializationDelay(cfg.PacketSize, cfg.BottleneckRateBps),
-		ECN:            cfg.REDECN,
-		Gentle:         cfg.REDGentle,
-		RNG:            rng.Fork(1 << 20),
-		Metrics:        tel.red,
-	})
+	return nil, nil
 }
 
 // buildGenerator constructs one client's workload source per the traffic
@@ -650,25 +634,6 @@ func collect(
 	}
 	res.JainFairness = stats.JainIndex(perFlowDelivered)
 
-	bottleneckQ := bottleneck.Queue()
-	if cfg.Queue != nil {
-		if sr, ok := bottleneckQ.(queue.StatsReporter); ok {
-			st := sr.DisciplineStats()
-			res.AQM = &AQMStats{
-				EarlyDrops:  st.EarlyDrops,
-				ForcedDrops: st.ForcedDrops,
-				Marks:       st.Marks,
-				Shed:        st.Shed,
-				FinalAvg:    st.FinalAvg,
-			}
-		}
-	} else if redQ, ok := bottleneckQ.(*queue.RED); ok {
-		res.RED = &REDStats{
-			EarlyDrops:  redQ.EarlyDrops(),
-			ForcedDrops: redQ.ForcedDrops(),
-			Marks:       redQ.Marks(),
-			FinalAvg:    redQ.Average(),
-		}
-	}
+	res.RED, res.AQM = disciplineStats(bottleneck.Queue())
 	return res
 }

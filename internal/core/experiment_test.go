@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"tcpburst/internal/queue"
 )
 
 // shortConfig returns a paper config shrunk to a test-friendly duration.
@@ -392,7 +394,7 @@ func TestECNExtensionReducesLoss(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	ecn := base
-	ecn.REDECN = true
+	ecn.Queue = &queue.Spec{Name: "red", Params: map[string]string{"ecn": "true"}}
 	marked, err := Run(ecn)
 	if err != nil {
 		t.Fatalf("Run ecn: %v", err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tcpburst/internal/queue"
 	"tcpburst/internal/trace"
 )
 
@@ -429,7 +430,7 @@ func TestGentleREDReducesForcedDrops(t *testing.T) {
 		t.Fatalf("Run cliff: %v", err)
 	}
 	gentleCfg := base
-	gentleCfg.REDGentle = true
+	gentleCfg.Queue = &queue.Spec{Name: "red", Params: map[string]string{"gentle": "true"}}
 	gentle, err := Run(gentleCfg)
 	if err != nil {
 		t.Fatalf("Run gentle: %v", err)

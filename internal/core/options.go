@@ -66,24 +66,11 @@ func WithProtocol(p Protocol) Option {
 	return func(c *Config) { c.Protocol = p }
 }
 
-// WithGateway sets the bottleneck queueing discipline by legacy enum.
-//
-// Deprecated: use WithGatewayDiscipline; the enum covers only fifo/red/drr.
-func WithGateway(q GatewayQueue) Option {
-	return func(c *Config) { c.Gateway = q }
-}
-
-// WithGatewayDiscipline selects the bottleneck discipline by registry spec.
-// Specs naming a legacy discipline (fifo, red, drr and RED's classic
-// parameters) lower onto the deprecated enum fields during defaulting, so
-// they configure — and cache — exactly as the old enum spelling did;
-// anything else runs through the queue.Build registry.
+// WithGatewayDiscipline selects the bottleneck discipline by registry spec,
+// e.g. "red?maxprob=0.2" or "codel?target=5ms".
 func WithGatewayDiscipline(spec queue.Spec) Option {
 	s := spec.Clone()
-	return func(c *Config) {
-		c.Gateway = 0
-		c.Queue = &s
-	}
+	return func(c *Config) { c.Queue = &s }
 }
 
 // ParseDiscipline parses a CLI "-queue" value in the registry's
@@ -182,27 +169,6 @@ func WithReverseRate(bps float64) Option {
 	return func(c *Config) { c.ReverseRateBps = bps }
 }
 
-// WithRED sets the RED gateway thresholds, EWMA weight and max drop
-// probability (and is meaningful only with WithGateway(RED)).
-func WithRED(minThreshold, maxThreshold, weight, maxProb float64) Option {
-	return func(c *Config) {
-		c.REDMinThreshold = minThreshold
-		c.REDMaxThreshold = maxThreshold
-		c.REDWeight = weight
-		c.REDMaxProb = maxProb
-	}
-}
-
-// WithREDECN switches RED from dropping to ECN marking.
-func WithREDECN() Option {
-	return func(c *Config) { c.REDECN = true }
-}
-
-// WithREDGentle enables Floyd's gentle-RED ramp above the max threshold.
-func WithREDGentle() Option {
-	return func(c *Config) { c.REDGentle = true }
-}
-
 // WithCwndTracing samples the chosen clients' congestion windows at the
 // given period; an empty client list picks 1, N/2 and N.
 func WithCwndTracing(interval sim.Duration, clients ...int) Option {
@@ -240,12 +206,6 @@ func WithTelemetrySink(s telemetry.Sink) Option {
 // defaulted config; it takes precedence over WithTelemetrySink.
 func WithTelemetrySinkFactory(f func(Config) telemetry.Sink) Option {
 	return func(c *Config) { c.TelemetrySinkFactory = f }
-}
-
-// WithoutPacketPool disables the per-simulation packet pool (debug knob;
-// results are bit-identical either way).
-func WithoutPacketPool() Option {
-	return func(c *Config) { c.DisablePacketPool = true }
 }
 
 // WithShards partitions the packet simulation over k schedulers running

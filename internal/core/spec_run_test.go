@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// TestFluidRejectsRegistryDisciplines checks the guard satellite: the
-// mean-field backend models only fifo and classic red, so a registry
-// discipline must fail validation with an error that names the discipline
-// and the fix.
+// TestFluidRejectsRegistryDisciplines checks the fluid guard: the
+// mean-field backend models only fifo and red, so any other discipline
+// must fail validation with an error that names the discipline and the
+// fix.
 func TestFluidRejectsRegistryDisciplines(t *testing.T) {
 	for _, spec := range []string{"codel", "pie", "tokenbucket?rate=4000"} {
 		opt, err := ParseDiscipline(spec)
@@ -26,20 +26,20 @@ func TestFluidRejectsRegistryDisciplines(t *testing.T) {
 			t.Errorf("fluid rejection of %q = %q, want the discipline and the packet-backend fix named", spec, msg)
 		}
 	}
-	// The lowered spellings of the modeled disciplines still pass.
-	for _, spec := range []string{"fifo", "red"} {
+	// The modeled disciplines pass, with any RED parameters.
+	for _, spec := range []string{"fifo", "red", "red?ecn=true&gentle=true&maxprob=0.2"} {
 		opt, err := ParseDiscipline(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := NewConfig(WithClients(10), WithProtocol(Reno), WithBackend(FluidBackend), opt); err != nil {
-			t.Errorf("fluid backend rejected lowered %q: %v", spec, err)
+			t.Errorf("fluid backend rejected %q: %v", spec, err)
 		}
 	}
 }
 
-// TestSweepOverSpecCells runs a miniature sweep mixing legacy and registry
-// cells and checks each point runs its own discipline end-to-end.
+// TestSweepOverSpecCells runs a miniature sweep mixing enum and spec cells
+// and checks each point runs its own discipline end-to-end.
 func TestSweepOverSpecCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -60,9 +60,10 @@ func TestSweepOverSpecCells(t *testing.T) {
 		t.Fatalf("points = %d, want 3", len(sweep.Points))
 	}
 
-	legacy := sweep.Point(Cell{Protocol: Reno, Gateway: FIFO}, 12)
-	if legacy == nil || legacy.Result.AQM != nil || legacy.Result.Config.Queue != nil {
-		t.Error("legacy cell gained registry state")
+	fifo := sweep.Point(Cell{Protocol: Reno, Gateway: FIFO}, 12)
+	if fifo == nil || fifo.Result.AQM != nil || fifo.Result.RED != nil ||
+		fifo.Result.Config.Gateway != 0 || fifo.Result.Config.QueueName() != "fifo" {
+		t.Error("enum cell did not default to the fifo spec with no discipline stats")
 	}
 
 	codel := sweep.Point(Cell{Protocol: Reno, Queue: "codel?interval=40ms&target=2ms"}, 12)

@@ -55,9 +55,8 @@ type Summary struct {
 	REDMarks       uint64  `json:"redMarks,omitempty"`
 	REDFinalAvg    float64 `json:"redFinalAvg,omitempty"`
 
-	// AQM* mirror Result.AQM for registry-built (Config.Queue) gateways;
-	// omitted for legacy runs so their digests are byte-identical to the
-	// pre-registry era.
+	// AQM* mirror Result.AQM for disciplines other than RED that report
+	// stats; omitted for FIFO, DRR and RED runs.
 	AQMEarlyDrops  uint64  `json:"aqmEarlyDrops,omitempty"`
 	AQMForcedDrops uint64  `json:"aqmForcedDrops,omitempty"`
 	AQMMarks       uint64  `json:"aqmMarks,omitempty"`
@@ -193,7 +192,12 @@ func ResultFromSummary(cfg Config, s Summary) *Result {
 		SimEvents:        s.SimEvents,
 		TelemetryRecords: s.TelemetryRecords,
 	}
-	if cfg.Gateway == RED {
+	// The family (RED, generic AQM or neither) is the one a fresh run of
+	// cfg's discipline reports. cfg passed validation before its result
+	// was stored, so the scratch build cannot fail.
+	q, _ := cfg.scratchQueue()
+	red, aqm := disciplineStats(q)
+	if red != nil {
 		r.RED = &REDStats{
 			EarlyDrops:  s.REDEarlyDrops,
 			ForcedDrops: s.REDForcedDrops,
@@ -201,7 +205,7 @@ func ResultFromSummary(cfg Config, s Summary) *Result {
 			FinalAvg:    s.REDFinalAvg,
 		}
 	}
-	if cfg.Queue != nil {
+	if aqm != nil {
 		r.AQM = &AQMStats{
 			EarlyDrops:  s.AQMEarlyDrops,
 			ForcedDrops: s.AQMForcedDrops,

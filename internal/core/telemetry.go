@@ -21,9 +21,7 @@ type telem struct {
 
 	link         link.Metrics
 	tcp          tcp.Metrics
-	red          queue.REDMetrics
 	aqm          queue.Metrics
-	drrEvictions telemetry.Counter
 	appGenerated telemetry.Counter
 
 	// cov accumulates per-RTT-window gateway arrival counts between
@@ -65,27 +63,15 @@ func newTelem(cfg Config) *telem {
 		Delivered:       reg.Counter("tcp.delivered"),
 		AcksSent:        reg.Counter("tcp.acks"),
 	}
-	if cfg.Gateway == RED {
-		t.red = queue.REDMetrics{
-			EarlyDrops:  reg.Counter("red.early_drops"),
-			ForcedDrops: reg.Counter("red.forced_drops"),
-			Marks:       reg.Counter("red.marks"),
-		}
-	}
-	if cfg.Gateway == DRR {
-		t.drrEvictions = reg.Counter("drr.evictions")
-	}
-	if cfg.Queue != nil {
-		// Registry-built disciplines publish through the generic handle
-		// set; which handles move depends on the discipline (CoDel never
-		// sheds, a token bucket never marks).
-		t.aqm = queue.Metrics{
-			EarlyDrops:  reg.Counter("aqm.early_drops"),
-			ForcedDrops: reg.Counter("aqm.forced_drops"),
-			Marks:       reg.Counter("aqm.marks"),
-			Shed:        reg.Counter("aqm.shed"),
-			Evictions:   reg.Counter("aqm.evictions"),
-		}
+	// Every discipline publishes through the one aqm.* handle set; which
+	// handles move depends on the discipline (RED never sheds, a token
+	// bucket never marks, FIFO moves none).
+	t.aqm = queue.Metrics{
+		EarlyDrops:  reg.Counter("aqm.early_drops"),
+		ForcedDrops: reg.Counter("aqm.forced_drops"),
+		Marks:       reg.Counter("aqm.marks"),
+		Shed:        reg.Counter("aqm.shed"),
+		Evictions:   reg.Counter("aqm.evictions"),
 	}
 	t.appGenerated = reg.Counter("app.generated")
 	t.cov = newRTTCOV(cfg.RTT())

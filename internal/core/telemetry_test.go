@@ -238,7 +238,7 @@ func TestRunBatchConcurrentWriters(t *testing.T) {
 // same configuration as the defaulted struct literal, and surfaces
 // validation errors instead of deferring them to Run.
 func TestNewConfigDefaultsAndValidation(t *testing.T) {
-	got, err := NewConfig(WithClients(39), WithProtocol(Vegas), WithGateway(RED), WithSeed(7))
+	got, err := NewConfig(WithClients(39), WithCell(Cell{Protocol: Vegas, Gateway: RED}), WithSeed(7))
 	if err != nil {
 		t.Fatalf("NewConfig: %v", err)
 	}

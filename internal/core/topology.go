@@ -201,9 +201,7 @@ func buildTopology(t topology) (*network, error) {
 	}
 	for s := 0; s < k; s++ {
 		n.scheds[s] = sim.NewScheduler()
-		if !cfg.DisablePacketPool {
-			n.pools[s] = packet.NewPool()
-		}
+		n.pools[s] = packet.NewPool()
 		n.tels[s] = newTelem(cfg)
 	}
 	hosts := make([]*node.Host, t.hosts)
@@ -275,8 +273,12 @@ func buildTopology(t topology) (*network, error) {
 			if tl.queueStream != 0 {
 				qrng = rng.Fork(tl.queueStream)
 			}
+			// A discipline that draws randomness forks the queue stream
+			// (1<<20) at this point in the build sequence; the others
+			// never call the closure, so no downstream stream shifts.
 			var err error
-			if q, err = buildGatewayQueue(cfg, qrng, n.tels[s]); err != nil {
+			fork := func() *sim.RNG { return qrng.Fork(1 << 20) }
+			if q, err = cfg.buildQueue(fork, n.tels[s].aqm); err != nil {
 				return nil, err
 			}
 			if drr, ok := q.(*queue.DRR); ok {

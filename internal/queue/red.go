@@ -6,7 +6,6 @@ import (
 
 	"tcpburst/internal/packet"
 	"tcpburst/internal/sim"
-	"tcpburst/internal/telemetry"
 )
 
 // REDConfig parameterizes a random-early-detection gateway queue
@@ -45,14 +44,7 @@ type REDConfig struct {
 	RNG *sim.RNG
 	// Metrics holds preregistered telemetry handles mirrored by the
 	// early/forced/mark counters; the zero value disables publication.
-	Metrics REDMetrics
-}
-
-// REDMetrics bundles the telemetry handles a RED queue publishes.
-type REDMetrics struct {
-	EarlyDrops  telemetry.Counter
-	ForcedDrops telemetry.Counter
-	Marks       telemetry.Counter
+	Metrics Metrics
 }
 
 // Validate reports the first configuration error, or nil.
@@ -176,6 +168,9 @@ func (q *RED) Len() int { return q.ring.len() }
 // Cap returns the physical buffer capacity in packets.
 func (q *RED) Cap() int { return q.cfg.Capacity }
 
+// Config returns the parameters the queue was built with.
+func (q *RED) Config() REDConfig { return q.cfg }
+
 // Average returns the current EWMA queue length estimate.
 func (q *RED) Average() float64 { return q.avg }
 
@@ -228,7 +223,9 @@ func (q *RED) dropTest() bool {
 }
 
 // DefaultREDConfig returns the paper-era RED parameters for a gateway with
-// the given physical capacity and typical packet transmission time.
+// the given physical capacity and typical packet transmission time: the
+// paper's 10/40 packet thresholds, Floyd & Jacobson's weight 0.002 and the
+// ns-era max drop probability 0.1. The "red" spec's defaults are these.
 func DefaultREDConfig(capacity int, meanPacketTime sim.Duration, rng *sim.RNG) REDConfig {
 	return REDConfig{
 		Capacity:       capacity,

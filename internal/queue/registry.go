@@ -150,26 +150,18 @@ func buildFIFO(spec Spec, ctx BuildContext) (Discipline, error) {
 	return NewFIFO(ctx.Capacity), nil
 }
 
-// buildRED maps the spec parameters onto REDConfig. Defaults are the
-// paper-era values of DefaultREDConfig, and the parameter names mirror the
-// deprecated flat Config fields they replace.
+// buildRED maps the spec parameters onto REDConfig, starting from the
+// paper-era values of DefaultREDConfig.
 func buildRED(spec Spec, ctx BuildContext) (Discipline, error) {
 	p := spec.params()
-	cfg := REDConfig{
-		Capacity:       ctx.Capacity,
-		MinThreshold:   p.float("min", 10),
-		MaxThreshold:   p.float("max", 40),
-		Weight:         p.float("weight", 0.002),
-		MaxProb:        p.float("maxprob", 0.1),
-		MeanPacketTime: ctx.MeanPacketTime,
-		ECN:            p.boolean("ecn", false),
-		Gentle:         p.boolean("gentle", false),
-		Metrics: REDMetrics{
-			EarlyDrops:  ctx.Metrics.EarlyDrops,
-			ForcedDrops: ctx.Metrics.ForcedDrops,
-			Marks:       ctx.Metrics.Marks,
-		},
-	}
+	cfg := DefaultREDConfig(ctx.Capacity, ctx.MeanPacketTime, nil)
+	cfg.MinThreshold = p.float("min", cfg.MinThreshold)
+	cfg.MaxThreshold = p.float("max", cfg.MaxThreshold)
+	cfg.Weight = p.float("weight", cfg.Weight)
+	cfg.MaxProb = p.float("maxprob", cfg.MaxProb)
+	cfg.ECN = p.boolean("ecn", false)
+	cfg.Gentle = p.boolean("gentle", false)
+	cfg.Metrics = ctx.Metrics
 	if err := p.finish(); err != nil {
 		return nil, err
 	}

@@ -1,8 +1,12 @@
 package queue
 
 import (
+	"maps"
 	"strings"
 	"testing"
+	"time"
+
+	"tcpburst/internal/sim"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -102,39 +106,38 @@ func TestSpecClone(t *testing.T) {
 	}
 }
 
-func TestSpecLower(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Legacy
-		ok   bool
-	}{
-		{"fifo", Legacy{Kind: "fifo"}, true},
-		{"drr", Legacy{Kind: "drr"}, true},
-		{"red", Legacy{Kind: "red"}, true},
-		{"red?ecn=true", Legacy{Kind: "red", ECN: true}, true},
-		{"red?gentle=true&ecn=false", Legacy{Kind: "red", Gentle: true}, true},
-		{"red?min=5&max=15&weight=0.01&maxprob=0.2",
-			Legacy{Kind: "red", Min: 5, Max: 15, Weight: 0.01, MaxProb: 0.2}, true},
-		// Explicit zero cannot be told apart from "unset" in the flat
-		// fields, so it must not lower.
-		{"red?min=0", Legacy{}, false},
-		// Keys outside the legacy vocabulary run through the registry.
-		{"red?target=5ms", Legacy{}, false},
-		{"red?ecn=notabool", Legacy{}, false},
-		// Parameterized fifo/drr and every new discipline never lower.
-		{"fifo?x=1", Legacy{}, false},
-		{"codel", Legacy{}, false},
-		{"pie?target=15ms", Legacy{}, false},
-		{"tokenbucket?rate=3000", Legacy{}, false},
+// FuzzParseSpec checks the spec grammar on arbitrary input: a string that
+// parses renders to a canonical form that parses back to the same spec
+// (and renders identically), and building it through the registry returns
+// a discipline or an error, never a panic.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"fifo", "drr", "red", "red?ecn=true", "red?min=5&max=15&gentle=true",
+		"red?min=0", "red?weight=NaN", "codel?target=5ms&interval=100ms",
+		"pie?ecn=true&maxecnprob=0.2", "tokenbucket?burst=25&rate=2000",
+		"leakybucket?depth=10&rate=500&perflow=true", "fifo?x=1", "a?b=c=d",
+		"wred", "codel?", "?x=1", "red?min=1&min=2",
+	} {
+		f.Add(s)
 	}
-	for _, tc := range cases {
-		spec, err := ParseSpec(tc.in)
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseSpec(in)
 		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", tc.in, err)
+			return
 		}
-		got, ok := spec.Lower()
-		if ok != tc.ok || got != tc.want {
-			t.Errorf("Lower(%q) = %+v, %v; want %+v, %v", tc.in, got, ok, tc.want, tc.ok)
+		canon := spec.String()
+		back, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) ok, but its String %q does not parse: %v", in, canon, err)
 		}
-	}
+		if back.Name != spec.Name || !maps.Equal(back.Params, spec.Params) || back.String() != canon {
+			t.Fatalf("ParseSpec(%q) = %+v, round trip through %q = %+v", in, spec, canon, back)
+		}
+		_, _ = Build(spec, BuildContext{
+			Capacity:       50,
+			PacketSize:     1000,
+			MeanPacketTime: 258 * time.Microsecond,
+			RNG:            func() *sim.RNG { return sim.NewRNG(1) },
+		})
+	})
 }
