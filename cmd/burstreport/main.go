@@ -113,9 +113,7 @@ func run(w io.Writer, args []string) (err error) {
 		}()
 		baseOpts = append(baseOpts,
 			core.WithTelemetry(*telemetryInterval),
-			core.WithTelemetrySinkFactory(func(c core.Config) telemetry.Sink {
-				return telemetry.NewJSONLRun(sw, c.Label())
-			}),
+			core.WithTelemetrySink(telemetry.NewJSONL(sw)),
 		)
 	}
 	base := core.BaseConfig(baseOpts...)

@@ -120,17 +120,12 @@ func run(w io.Writer, args []string) error {
 	var closeSink func() error
 	if *telemetryOn || *telemetryOut != "" {
 		opts = append(opts, core.WithTelemetry(*telemetryInterval))
-		live := telemetry.NewLiveLine(os.Stderr,
+		sink, closeFn, err := telemetry.OpenLiveSink(os.Stderr, *telemetryOut,
 			"queue.depth", "cov.rtt", "gw.drops", "tcp.timeouts")
-		sink := telemetry.Sink(live)
-		if *telemetryOut != "" {
-			fileSink, closeFn, err := telemetry.OpenFileSink(*telemetryOut)
-			if err != nil {
-				return err
-			}
-			closeSink = closeFn
-			sink = telemetry.MultiSink(fileSink, live)
+		if err != nil {
+			return err
 		}
+		closeSink = closeFn
 		opts = append(opts, core.WithTelemetrySink(sink))
 	}
 	cfg, err := core.NewConfig(opts...)

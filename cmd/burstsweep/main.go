@@ -137,11 +137,10 @@ func run(args []string) error {
 		}
 		baseOpts = append(baseOpts,
 			core.WithTelemetry(*telemetryInterval),
-			// Each job gets its own sink labeling records with the run's
-			// identity; SyncWriter keeps concurrent lines whole.
-			core.WithTelemetrySinkFactory(func(c core.Config) telemetry.Sink {
-				return telemetry.NewJSONLRun(sw, c.Label())
-			}),
+			// The JSONL sink gives each job its own sink labeling records
+			// with the run's identity; SyncWriter keeps concurrent lines
+			// whole.
+			core.WithTelemetrySink(telemetry.NewJSONL(sw)),
 		)
 	}
 	base := core.BaseConfig(baseOpts...)

@@ -278,17 +278,13 @@ type Config struct {
 	// time, streaming one snapshot record per tick to the sink. Sampling
 	// is read-only, so results are identical with telemetry on or off.
 	TelemetryInterval sim.Duration `json:",omitempty"`
-	// TelemetrySink receives the streamed snapshot records. Nil with
-	// telemetry enabled falls back to an in-memory ring returned in
+	// TelemetrySink receives the streamed snapshot records. A sink that
+	// implements telemetry.PerRun (a JSONL stream) serves each run through
+	// ForRun(Label()), so runs sharing one stream stay distinguishable. Nil
+	// with telemetry enabled falls back to an in-memory ring returned in
 	// Result.TelemetryRing. Excluded from JSON, and so from cache keys.
 	//burst:nocache a sink is an output destination; the streamed records never feed back into results
 	TelemetrySink telemetry.Sink `json:"-"`
-	// TelemetrySinkFactory, when set, builds the sink per run from the
-	// defaulted configuration — the hook sweeps use to give each run's
-	// records a distinguishing label on a shared stream. It takes
-	// precedence over TelemetrySink. Excluded from JSON.
-	//burst:nocache sink construction only labels output streams; results are identical for any factory
-	TelemetrySinkFactory func(Config) telemetry.Sink `json:"-"`
 
 	// Shards partitions the packet simulation across this many schedulers
 	// running on separate cores, synchronized by conservative lookahead
@@ -462,11 +458,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: reverse rate %v < 0", c.ReverseRateBps)
 	case c.TelemetryInterval < 0:
 		return fmt.Errorf("config: telemetry interval %v < 0", c.TelemetryInterval)
+	case c.CwndSampleInterval < 0:
+		return fmt.Errorf("config: cwnd sample interval %v < 0", c.CwndSampleInterval)
 	}
+	traced := make(map[int]bool, len(c.TraceClients))
 	for _, i := range c.TraceClients {
 		if i < 1 || i > c.Clients {
 			return fmt.Errorf("config: trace client %d outside [1,%d]", i, c.Clients)
 		}
+		if traced[i] {
+			return fmt.Errorf("config: trace client %d listed twice", i)
+		}
+		traced[i] = true
 	}
 	if len(c.Mix) > 0 {
 		sum := 0
@@ -506,6 +509,9 @@ func (c Config) Validate() error {
 		if err := c.validateFluid(q); err != nil {
 			return err
 		}
+	}
+	if c.TraceQueue && c.CwndSampleInterval == 0 {
+		return fmt.Errorf("config: queue tracing samples at the cwnd sample interval; set one")
 	}
 	return nil
 }

@@ -104,6 +104,38 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsTraceSettings: trace settings that would otherwise
+// run and silently misbehave are configuration errors. A duplicated trace
+// client correlates with itself and inflates CwndSyncIndex, a negative
+// sample interval disables tracing, and a queue trace without a sample
+// interval records nothing.
+func TestValidateRejectsTraceSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		substr string
+	}{
+		{"duplicate trace client", func(c *Config) {
+			c.CwndSampleInterval = 100 * time.Millisecond
+			c.TraceClients = []int{1, 1, 2}
+		}, "trace client 1 listed twice"},
+		{"negative cwnd sample interval", func(c *Config) {
+			c.CwndSampleInterval = -100 * time.Millisecond
+		}, "cwnd sample interval"},
+		{"queue trace without interval", func(c *Config) {
+			c.TraceQueue = true
+		}, "queue tracing"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(10, Reno, FIFO)
+			tc.mutate(&cfg)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.substr) {
+				t.Fatalf("Validate = %v, want error containing %q", err, tc.substr)
+			}
+		})
+	}
+}
+
 func TestWithDefaultsFillsZeroFields(t *testing.T) {
 	cfg := Config{Clients: 5, Protocol: Vegas, Gateway: RED}
 	full := cfg.WithDefaults()

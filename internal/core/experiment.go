@@ -214,7 +214,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// The gateway's shard holds the bottleneck, its taps, the queue probe
 	// and (shard 0) the context watchdog.
 	gw := n.place.gw[0]
-	sched, tel := n.scheds[gw], n.tels[gw]
+	sched := n.scheds[gw]
 
 	// The paper's measurement point: data packets entering the gateway,
 	// binned per round-trip propagation delay.
@@ -230,13 +230,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			pktLog.RecordPacket(now, trace.EventDrop, bottleneck.Name(), p)
 		})
 	}
-	covTap := tel.cov
 	bottleneck.OnArrival(func(now sim.Time, p *packet.Packet) {
 		if p.IsData() {
 			counter.Observe(now)
-			if covTap != nil {
-				covTap.observe(now)
-			}
 		}
 		if pktLog != nil {
 			pktLog.RecordPacket(now, trace.EventArrival, bottleneck.Name(), p)
@@ -253,11 +249,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	sched.After(10*time.Millisecond, sampleQueue)
 
-	sampler, cwndSeries, queueSeries, err := buildTracing(cfg, sched, n.flows, bottleneck)
+	tracer, traceRing, err := buildTracing(cfg, sched, n.flows, bottleneck)
 	if err != nil {
 		return nil, err
 	}
-	rings, err := startTelemetry(cfg, n)
+	rings, err := startTelemetry(cfg, n, counter)
 	if err != nil {
 		return nil, err
 	}
@@ -265,8 +261,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	for _, f := range n.flows {
 		f.gen.Start()
 	}
-	if sampler != nil {
-		sampler.Start()
+	if tracer != nil {
+		if err := tracer.Start(); err != nil {
+			return nil, err
+		}
 	}
 
 	horizon := sim.TimeZero.Add(cfg.Duration)
@@ -276,11 +274,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	for _, f := range n.flows {
 		f.gen.Stop()
 	}
-	if sampler != nil {
-		sampler.Stop()
+	if tracer != nil {
+		tracer.Stop()
 	}
 
-	res := collect(cfg, n.flows, counter, horizon, bottleneck, serverOut, cwndSeries, queueSeries)
+	res := collect(cfg, n.flows, counter, horizon, bottleneck, serverOut, traceRing)
 	res.Queue = summarizeQueue(queueSamples, cfg.BufferPackets)
 	res.PacketLog = pktLog
 	res.SimEvents, res.SchedOps = n.settle(horizon)
@@ -481,42 +479,66 @@ func buildGenerator(cfg Config, sched *sim.Scheduler, rng *sim.RNG, dst transpor
 	}
 }
 
-// buildTracing sets up the cwnd/queue samplers behind Figures 5–12.
+// queueTraceName names the bottleneck queue-length trace; every other
+// traced series is a client's congestion window, "client<i>".
+const queueTraceName = "gateway_queue"
+
+// buildTracing registers the probes behind Figures 5–12 on a private
+// registry — each traced client's congestion window and, with TraceQueue,
+// the bottleneck queue length — and returns a stopped sampler recording
+// them every CwndSampleInterval into the returned ring.
 func buildTracing(
 	cfg Config,
 	sched *sim.Scheduler,
 	flows []*flow,
 	bottleneck *link.Link,
-) (*trace.Sampler, []*trace.Series, *trace.Series, error) {
+) (*telemetry.Sampler, *telemetry.Ring, error) {
 	if cfg.CwndSampleInterval <= 0 {
-		return nil, nil, nil, nil
+		return nil, nil, nil
 	}
-	sampler, err := trace.NewSampler(sched, cfg.CwndSampleInterval)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	var cwndSeries []*trace.Series
+	reg := telemetry.NewRegistry()
 	targets := cfg.TraceClients
 	if len(targets) == 0 {
 		targets = defaultTraceClients(cfg.Clients)
 	}
 	for _, idx := range targets {
-		sender := flows[idx-1].tcpSend
-		if sender == nil {
-			// UDP clients (plain or in a mix) have no window to trace.
-			continue
+		// UDP clients (plain or in a mix) have no window to trace.
+		if sender := flows[idx-1].tcpSend; sender != nil {
+			reg.Probe(fmt.Sprintf("client%d", idx), sender.Cwnd)
 		}
-		cwndSeries = append(cwndSeries,
-			sampler.Track(fmt.Sprintf("client%d", idx), sender.Cwnd))
 	}
-	var queueSeries *trace.Series
 	if cfg.TraceQueue {
-		queueSeries = sampler.Track("gateway_queue", func() float64 {
+		reg.Probe(queueTraceName, func() float64 {
 			return float64(bottleneck.QueueLen())
 		})
 	}
-	return sampler, cwndSeries, queueSeries, nil
+	ring := telemetry.NewRing(tickRows(cfg.Duration, cfg.CwndSampleInterval))
+	sampler, err := telemetry.NewSampler(sched, reg, cfg.CwndSampleInterval, ring)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sampler, ring, nil
+}
+
+// traceSeries reads the traced series back from the tracing ring. The
+// sampler started at t=0, so sample i was taken at i·interval.
+func traceSeries(ring *telemetry.Ring, interval sim.Duration) (cwnd []*trace.Series, queue *trace.Series) {
+	if ring == nil {
+		return nil, nil
+	}
+	for j, name := range ring.Fields() {
+		s := &trace.Series{Name: name, Samples: make([]trace.Sample, ring.Len())}
+		for i := range s.Samples {
+			_, row := ring.At(i)
+			s.Samples[i] = trace.Sample{At: sim.TimeZero.Add(sim.Duration(i) * interval), Value: row[j]}
+		}
+		if name == queueTraceName {
+			queue = s
+		} else {
+			cwnd = append(cwnd, s)
+		}
+	}
+	return cwnd, queue
 }
 
 // defaultTraceClients picks clients 1, N/2 and N, mirroring the paper's
@@ -540,8 +562,7 @@ func collect(
 	counter *stats.WindowCounter,
 	horizon sim.Time,
 	bottleneck, serverOut *link.Link,
-	cwndSeries []*trace.Series,
-	queueSeries *trace.Series,
+	traceRing *telemetry.Ring,
 ) *Result {
 	counts := counter.Close(horizon)
 	if cfg.Warmup > 0 {
@@ -560,12 +581,11 @@ func collect(
 		WindowCounts:    counts,
 		MeanWindowCount: countStats.Mean(),
 		Hurst:           stats.HurstVarianceTime(counts),
-		CwndTraces:      cwndSeries,
-		QueueTrace:      queueSeries,
 	}
-	if len(cwndSeries) >= 2 {
-		series := make([][]float64, len(cwndSeries))
-		for i, s := range cwndSeries {
+	res.CwndTraces, res.QueueTrace = traceSeries(traceRing, cfg.CwndSampleInterval)
+	if len(res.CwndTraces) >= 2 {
+		series := make([][]float64, len(res.CwndTraces))
+		for i, s := range res.CwndTraces {
 			series[i] = decreaseIndicator(s.Values())
 		}
 		res.CwndSyncIndex = stats.MeanPairwiseCorrelation(series)

@@ -386,21 +386,9 @@ func runFluidTelemetry(ctx context.Context, cfg Config, params meanfield.Params,
 	}
 	sched.After(stepDur, tick)
 
-	sink := cfg.TelemetrySink
-	if cfg.TelemetrySinkFactory != nil {
-		sink = cfg.TelemetrySinkFactory(cfg)
-	}
-	var ring *telemetry.Ring
-	if sink == nil {
-		ring = telemetry.NewRing(int(cfg.Duration/cfg.TelemetryInterval) + 2)
-		sink = ring
-	}
-	sampler, err := telemetry.NewSampler(sched, reg, cfg.TelemetryInterval, sink)
-	if err != nil {
-		return fmt.Errorf("fluid telemetry: %w", err)
-	}
-	if err := sampler.Start(); err != nil {
-		return fmt.Errorf("fluid telemetry: %w", err)
+	t := &telem{reg: reg}
+	if err := t.startSampler(cfg, sched, nil); err != nil {
+		return err
 	}
 	watchContext(ctx, sched)
 	if err := sched.Run(horizon); err != nil {
@@ -409,14 +397,6 @@ func runFluidTelemetry(ctx context.Context, cfg Config, params meanfield.Params,
 		}
 		return fmt.Errorf("fluid backend: %w", err)
 	}
-	sampler.Sample()
-	if err := sampler.Close(); err != nil {
-		return fmt.Errorf("fluid telemetry: %w", err)
-	}
-	export := reg.Export()
-	res.Telemetry = &export
-	res.TelemetryRecords = sampler.Records()
-	res.TelemetryRing = ring
 	res.SimEvents = sched.Fired()
-	return nil
+	return t.finish(res)
 }

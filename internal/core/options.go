@@ -197,15 +197,10 @@ func WithTelemetry(interval sim.Duration) Option {
 	return func(c *Config) { c.TelemetryInterval = interval }
 }
 
-// WithTelemetrySink streams telemetry snapshots to the given sink.
+// WithTelemetrySink streams telemetry snapshots to the given sink; a
+// telemetry.PerRun sink gives each run its own labelled sink.
 func WithTelemetrySink(s telemetry.Sink) Option {
 	return func(c *Config) { c.TelemetrySink = s }
-}
-
-// WithTelemetrySinkFactory builds the telemetry sink per run from the
-// defaulted config; it takes precedence over WithTelemetrySink.
-func WithTelemetrySinkFactory(f func(Config) telemetry.Sink) Option {
-	return func(c *Config) { c.TelemetrySinkFactory = f }
 }
 
 // WithShards partitions the packet simulation over k schedulers running

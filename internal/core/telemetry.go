@@ -24,11 +24,6 @@ type telem struct {
 	aqm          queue.Metrics
 	appGenerated telemetry.Counter
 
-	// cov accumulates per-RTT-window gateway arrival counts between
-	// snapshots; nil when telemetry is disabled (so the arrival tap pays
-	// one pointer test, same as the packet-log tap).
-	cov *rttCOV
-
 	sampler *telemetry.Sampler
 	ring    *telemetry.Ring
 }
@@ -74,7 +69,6 @@ func newTelem(cfg Config) *telem {
 		Evictions:   reg.Counter("aqm.evictions"),
 	}
 	t.appGenerated = reg.Counter("app.generated")
-	t.cov = newRTTCOV(cfg.RTT())
 	return t
 }
 
@@ -91,11 +85,11 @@ func (t *telem) enabled() bool { return t.reg != nil }
 // set (and its order) identical on every shard, which is what lets
 // finishTelemetry merge per-shard snapshot rows by elementwise sum — every
 // column has exactly one owning shard, so real + zeros = real. The gateway
-// shard owns queue.depth, gw.util and the cov.rtt accumulator; sim.events
-// reads each shard's own Fired count, so the merged column is the total.
-// A non-nil sink overrides the configured one: sharded runs sample into
-// private per-shard rings and merge after the run.
-func (t *telem) start(cfg Config, n *network, shard int, sink telemetry.Sink) error {
+// shard owns queue.depth, gw.util and cov.rtt, which reads the run's
+// window counter; sim.events reads each shard's own Fired count, so the
+// merged column is the total. A non-nil sink overrides the run's own:
+// sharded runs sample into private per-shard rings and merge after the run.
+func (t *telem) start(cfg Config, n *network, counter *stats.WindowCounter, shard int, sink telemetry.Sink) error {
 	if !t.enabled() {
 		return nil
 	}
@@ -132,9 +126,18 @@ func (t *telem) start(cfg Config, n *network, shard int, sink telemetry.Sink) er
 		return float64(sched.Fired())
 	})
 	if bottleneck != nil {
-		cov := t.cov
+		// The c.o.v. of the RTT windows completed since the last snapshot.
+		// An interval too short to close two windows holds the previous
+		// value instead of collapsing to zero.
+		var from int
+		var last float64
 		reg.Probe("cov.rtt", func() float64 {
-			return cov.sample(sched.Now())
+			done := counter.CompletedBy(sched.Now())
+			if len(done)-from >= 2 {
+				w := stats.Summarize(done[from:])
+				last, from = w.COV(), len(done)
+			}
+			return last
 		})
 	} else {
 		reg.Probe("cov.rtt", zero)
@@ -157,18 +160,16 @@ func (t *telem) start(cfg Config, n *network, shard int, sink telemetry.Sink) er
 			reg.Probe(fmt.Sprintf("ssthresh.client%d", idx), zero)
 		}
 	}
+	return t.startSampler(cfg, sched, sink)
+}
 
+// startSampler starts t's periodic sampler on sched, streaming into sink
+// or, when sink is nil, into the run's own sink from runSink.
+func (t *telem) startSampler(cfg Config, sched *sim.Scheduler, sink telemetry.Sink) error {
 	if sink == nil {
-		sink = cfg.TelemetrySink
-		if cfg.TelemetrySinkFactory != nil {
-			sink = cfg.TelemetrySinkFactory(cfg)
-		}
-		if sink == nil {
-			t.ring = telemetry.NewRing(int(cfg.Duration/cfg.TelemetryInterval) + 2)
-			sink = t.ring
-		}
+		sink, t.ring = runSink(cfg, tickRows(cfg.Duration, cfg.TelemetryInterval))
 	}
-	sampler, err := telemetry.NewSampler(sched, reg, cfg.TelemetryInterval, sink)
+	sampler, err := telemetry.NewSampler(sched, t.reg, cfg.TelemetryInterval, sink)
 	if err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
@@ -179,11 +180,44 @@ func (t *telem) start(cfg Config, n *network, shard int, sink telemetry.Sink) er
 	return nil
 }
 
+// tickRows is the number of rows a sampler ticking every interval records
+// over a run of duration: one per tick from t=0 through the horizon, plus
+// the final off-grid sample.
+func tickRows(duration, interval sim.Duration) int { return int(duration/interval) + 2 }
+
+// runSink decides where one run's telemetry records go: the configured
+// sink, narrowed to this run through ForRun(cfg.Label()) when it is a
+// telemetry.PerRun, or else a fresh in-memory ring of rows records, which
+// it also returns for Result.TelemetryRing. The serial, sharded and fluid
+// paths all resolve their sink here.
+func runSink(cfg Config, rows int) (telemetry.Sink, *telemetry.Ring) {
+	switch sink := cfg.TelemetrySink.(type) {
+	case nil:
+		ring := telemetry.NewRing(rows)
+		return ring, ring
+	case telemetry.PerRun:
+		return sink.ForRun(cfg.Label()), nil
+	default:
+		return sink, nil
+	}
+}
+
+// closeSampler takes the final off-grid snapshot (a no-op when the horizon
+// lands on a tick) and closes the stream. The sink's first error surfaces
+// here: a run whose telemetry stream failed is a failed run.
+func closeSampler(s *telemetry.Sampler) error {
+	s.Sample()
+	if err := s.Close(); err != nil {
+		return fmt.Errorf("telemetry: %w", err)
+	}
+	return nil
+}
+
 // startTelemetry starts the per-shard samplers. Serial runs stream to the
 // configured sink directly; sharded runs stream each shard into a private
 // ring on the same virtual tick grid, merged into the configured sink by
 // finishTelemetry after the run. Returns the private rings (nil serial).
-func startTelemetry(cfg Config, n *network) ([]*telemetry.Ring, error) {
+func startTelemetry(cfg Config, n *network, counter *stats.WindowCounter) ([]*telemetry.Ring, error) {
 	if !n.tels[0].enabled() {
 		return nil, nil
 	}
@@ -191,10 +225,10 @@ func startTelemetry(cfg Config, n *network) ([]*telemetry.Ring, error) {
 	for s, t := range n.tels {
 		var sink telemetry.Sink
 		if n.group != nil {
-			ring := telemetry.NewRing(int(cfg.Duration/cfg.TelemetryInterval) + 2)
+			ring := telemetry.NewRing(tickRows(cfg.Duration, cfg.TelemetryInterval))
 			rings, sink = append(rings, ring), ring
 		}
-		if err := t.start(cfg, n, s, sink); err != nil {
+		if err := t.start(cfg, n, counter, s, sink); err != nil {
 			return nil, err
 		}
 	}
@@ -217,9 +251,8 @@ func finishTelemetry(cfg Config, net *network, rings []*telemetry.Ring, res *Res
 		return nil
 	}
 	for _, t := range net.tels {
-		t.sampler.Sample()
-		if err := t.sampler.Close(); err != nil {
-			return fmt.Errorf("telemetry: %w", err)
+		if err := closeSampler(t.sampler); err != nil {
+			return err
 		}
 	}
 	n := rings[0].Len()
@@ -232,15 +265,7 @@ func finishTelemetry(cfg Config, net *network, rings []*telemetry.Ring, res *Res
 		}
 	}
 
-	sink := cfg.TelemetrySink
-	if cfg.TelemetrySinkFactory != nil {
-		sink = cfg.TelemetrySinkFactory(cfg)
-	}
-	var ring *telemetry.Ring
-	if sink == nil {
-		ring = telemetry.NewRing(n + 1)
-		sink = ring
-	}
+	sink, ring := runSink(cfg, n+1)
 	if err := sink.Begin(rings[0].Fields()); err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
@@ -284,67 +309,18 @@ func finishTelemetry(cfg Config, net *network, rings []*telemetry.Ring, res *Res
 	return nil
 }
 
-// finish takes the final off-grid snapshot (a no-op when the horizon lands
-// on a tick), closes the stream, and records the registry's final state
-// into res. The sink's first error surfaces here: a run whose telemetry
-// stream failed is a failed run.
+// finish closes the stream (see closeSampler) and records the registry's
+// final state into res.
 func (t *telem) finish(res *Result) error {
 	if t.sampler == nil {
 		return nil
 	}
-	t.sampler.Sample()
-	if err := t.sampler.Close(); err != nil {
-		return fmt.Errorf("telemetry: %w", err)
+	if err := closeSampler(t.sampler); err != nil {
+		return err
 	}
 	export := t.reg.Export()
 	res.Telemetry = &export
 	res.TelemetryRecords = t.sampler.Records()
 	res.TelemetryRing = t.ring
 	return nil
-}
-
-// rttCOV tracks the paper's burstiness measure as a live time series: data
-// arrivals at the gateway land in RTT-sized bins, and each telemetry
-// snapshot reads the coefficient of variation of the bins completed since
-// the previous snapshot, then resets — so the "cov.rtt" column shows
-// congestion-control modulation developing during a run rather than one
-// whole-run number.
-type rttCOV struct {
-	window    sim.Duration
-	windowEnd sim.Time
-	count     float64
-	w         stats.Welford
-	last      float64
-}
-
-func newRTTCOV(window sim.Duration) *rttCOV {
-	return &rttCOV{window: window, windowEnd: sim.TimeZero.Add(window)}
-}
-
-// roll closes every bin that ends at or before now, recording zeros for
-// empty ones (matching stats.WindowCounter's binning).
-func (c *rttCOV) roll(now sim.Time) {
-	for !now.Before(c.windowEnd) {
-		c.w.Add(c.count)
-		c.count = 0
-		c.windowEnd = c.windowEnd.Add(c.window)
-	}
-}
-
-// observe records one data-packet arrival.
-func (c *rttCOV) observe(now sim.Time) {
-	c.roll(now)
-	c.count++
-}
-
-// sample returns the c.o.v. of the bins completed since the last sample.
-// Intervals too short to close two bins hold the previous value instead of
-// collapsing to zero.
-func (c *rttCOV) sample(now sim.Time) float64 {
-	c.roll(now)
-	if c.w.Count() >= 2 {
-		c.last = c.w.COV()
-		c.w = stats.Welford{}
-	}
-	return c.last
 }

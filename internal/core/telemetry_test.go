@@ -273,15 +273,14 @@ func TestConfigLabel(t *testing.T) {
 }
 
 // TestTelemetrySinkFactoryLabelsRuns: a sweep streaming every run onto one
-// writer distinguishes runs via the factory's per-config label.
+// writer distinguishes runs by label, because a telemetry.PerRun sink (here
+// one shared JSONL stream) makes a labelled sink for each run.
 func TestTelemetrySinkFactoryLabelsRuns(t *testing.T) {
 	var buf syncBuffer
-	sw := telemetry.NewSyncWriter(&buf)
+	sink := telemetry.NewJSONL(telemetry.NewSyncWriter(&buf))
 	cfgs := []Config{telemetryTestConfig(4), telemetryTestConfig(5)}
 	for i := range cfgs {
-		cfgs[i].TelemetrySinkFactory = func(c Config) telemetry.Sink {
-			return telemetry.NewJSONLRun(sw, c.Label())
-		}
+		cfgs[i].TelemetrySink = sink
 	}
 	if _, _, err := RunBatch(context.Background(), cfgs, ExecOptions{Jobs: 2}); err != nil {
 		t.Fatalf("RunBatch: %v", err)
@@ -297,8 +296,8 @@ func TestTelemetrySinkFactoryLabelsRuns(t *testing.T) {
 	}
 	want := int(cfgs[0].Duration/cfgs[0].TelemetryInterval) + 1
 	for _, cfg := range cfgs {
-		// The factory sees the defaulted config, so labels carry the
-		// defaulted seed.
+		// Runs are labelled from the defaulted config, so labels carry
+		// the defaulted seed.
 		label := cfg.WithDefaults().Label()
 		if perRun[label] != want {
 			t.Errorf("run %q has %d records, want %d (per-run counts: %v)",

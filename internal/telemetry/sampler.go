@@ -103,9 +103,6 @@ func (s *Sampler) Stop() {
 // Records returns the number of snapshot records delivered to the sink.
 func (s *Sampler) Records() uint64 { return s.records }
 
-// Err returns the first sink error; sampling stops once one occurs.
-func (s *Sampler) Err() error { return s.err }
-
 // Close stops sampling, flushes the sink, and returns the first error the
 // stream hit.
 func (s *Sampler) Close() error {

@@ -157,3 +157,115 @@ func TestSamplerTickAllocs(t *testing.T) {
 		t.Fatalf("sampling tick allocates %.1f/op, want 0", avg)
 	}
 }
+
+func TestSamplerValidation(t *testing.T) {
+	sched := sim.NewScheduler()
+	reg := NewRegistry()
+	ring := NewRing(4)
+	for _, tc := range []struct {
+		name     string
+		sched    *sim.Scheduler
+		reg      *Registry
+		interval sim.Duration
+		sink     Sink
+	}{
+		{"nil scheduler", nil, reg, time.Second, ring},
+		{"nil registry", sched, nil, time.Second, ring},
+		{"zero interval", sched, reg, 0, ring},
+		{"negative interval", sched, reg, -time.Second, ring},
+		{"nil sink", sched, reg, time.Second, nil},
+	} {
+		if _, err := NewSampler(tc.sched, tc.reg, tc.interval, tc.sink); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// TestSamplerRecordsAtInterval: samples land on the interval grid and pick
+// up a probed value's change at the first tick after it.
+func TestSamplerRecordsAtInterval(t *testing.T) {
+	sched := sim.NewScheduler()
+	reg := NewRegistry()
+	v := 0.0
+	reg.Probe("v", func() float64 { return v })
+	ring := NewRing(16)
+	s, err := NewSampler(sched, reg, 100*time.Millisecond, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.After(250*time.Millisecond, func() { v = 7 })
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Run(sim.TimeZero.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+	// Samples at 0, 100, ..., 1000 ms = 11 samples.
+	if ring.Len() != 11 {
+		t.Fatalf("got %d samples, want 11", ring.Len())
+	}
+	for i := 0; i < ring.Len(); i++ {
+		if ts, _ := ring.At(i); ts != sim.TimeZero.Add(sim.Duration(i)*100*time.Millisecond).Seconds() {
+			t.Errorf("sample %d at %gs, off the 100 ms grid", i, ts)
+		}
+	}
+	if ring.Value(2, "v") != 0 || ring.Value(3, "v") != 7 {
+		t.Errorf("values around the change: %g, %g", ring.Value(2, "v"), ring.Value(3, "v"))
+	}
+	if last := ring.Value(ring.Len()-1, "v"); last != 7 {
+		t.Errorf("last value = %g, want 7", last)
+	}
+}
+
+// TestSamplerMultipleSeriesShareClock: every probe is polled on the same
+// tick, so each record carries all series at one timestamp.
+func TestSamplerMultipleSeriesShareClock(t *testing.T) {
+	sched := sim.NewScheduler()
+	reg := NewRegistry()
+	reg.Probe("a", func() float64 { return 1 })
+	reg.Probe("b", func() float64 { return 2 })
+	ring := NewRing(32)
+	s, err := NewSampler(sched, reg, 50*time.Millisecond, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Run(sim.TimeZero.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ring.Fields(); len(got) != 2 {
+		t.Fatalf("fields = %v, want [a b]", got)
+	}
+	if ring.Len() != 21 {
+		t.Fatalf("got %d records, want 21", ring.Len())
+	}
+	for i := 0; i < ring.Len(); i++ {
+		if _, row := ring.At(i); row[0] != 1 || row[1] != 2 {
+			t.Fatalf("record %d = %v, want both series", i, row)
+		}
+	}
+}
+
+func TestSamplerStopHalts(t *testing.T) {
+	sched := sim.NewScheduler()
+	reg := NewRegistry()
+	reg.Probe("v", func() float64 { return 1 })
+	ring := NewRing(128)
+	s, err := NewSampler(sched, reg, 10*time.Millisecond, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sched.After(100*time.Millisecond, s.Stop)
+	if err := sched.Run(sim.TimeZero.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if ring.Count() > 12 {
+		t.Errorf("sampler kept running after Stop: %d samples", ring.Count())
+	}
+}

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -116,6 +118,13 @@ func (r *Ring) Value(i int, field string) float64 {
 	return row[j]
 }
 
+// PerRun is implemented by sinks that can take the records of many runs at
+// once, such as a JSONL stream that a whole sweep shares. ForRun returns the
+// sink for one run's records, labelled with the run.
+type PerRun interface {
+	ForRun(label string) Sink
+}
+
 // JSONL streams one self-describing JSON object per record:
 //
 //	{"t":1.2,"run":"reno n=45 seed=1","gw.arrivals":412,...}
@@ -125,23 +134,33 @@ func (r *Ring) Value(i int, field string) float64 {
 // shared SyncWriter. The optional run label distinguishes them.
 type JSONL struct {
 	w     io.Writer
-	run   string
+	run   []byte   // `,"run":"label"`, or empty for an unlabelled stream
 	heads [][]byte // per-field `,"name":` fragments, built at Begin
 	buf   []byte
 }
 
-// NewJSONL returns a JSONL sink writing to w.
+// NewJSONL returns a JSONL sink writing to w. Used as a run's sink it
+// serves every run through ForRun, so each record names its run.
 func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }
 
 // NewJSONLRun returns a JSONL sink that stamps every record with a "run"
 // label — sweeps use one labeled sink per job over a shared SyncWriter.
-func NewJSONLRun(w io.Writer, run string) *JSONL { return &JSONL{w: w, run: run} }
+func NewJSONLRun(w io.Writer, run string) *JSONL {
+	j := &JSONL{w: w}
+	if run != "" {
+		j.run = appendJSONString([]byte(`,"run":`), run)
+	}
+	return j
+}
+
+// ForRun returns a sink writing run's labelled records to the same writer.
+func (j *JSONL) ForRun(label string) Sink { return NewJSONLRun(j.w, label) }
 
 // Begin precomputes the per-field key fragments.
 func (j *JSONL) Begin(fields []string) error {
 	j.heads = make([][]byte, len(fields))
 	for i, f := range fields {
-		j.heads[i] = append(strconv.AppendQuote([]byte{','}, f), ':')
+		j.heads[i] = append(appendJSONString([]byte{','}, f), ':')
 	}
 	if j.buf == nil {
 		j.buf = make([]byte, 0, 256)
@@ -155,10 +174,7 @@ func (j *JSONL) Begin(fields []string) error {
 func (j *JSONL) Record(t float64, values []float64) error {
 	b := append(j.buf[:0], `{"t":`...)
 	b = appendJSONFloat(b, t)
-	if j.run != "" {
-		b = append(b, `,"run":`...)
-		b = strconv.AppendQuote(b, j.run)
-	}
+	b = append(b, j.run...)
 	for i, v := range values {
 		b = append(b, j.heads[i]...)
 		b = appendJSONFloat(b, v)
@@ -167,6 +183,17 @@ func (j *JSONL) Record(t float64, values []float64) error {
 	j.buf = b
 	_, err := j.w.Write(b)
 	return err
+}
+
+// appendJSONString appends s as a JSON string. HTML characters stay
+// literal, so a label such as "codel?target=5ms&interval=100ms" keeps its
+// '&'.
+func appendJSONString(b []byte, s string) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(s) // encoding a string cannot fail
+	return append(b, bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})...)
 }
 
 // Flush forwards to the underlying writer when it supports flushing.
@@ -365,20 +392,24 @@ func (l *LiveLine) Flush() error {
 	return err
 }
 
-// OpenFileSink creates path and returns a buffered file sink chosen by
-// extension — ".csv" writes CSV, anything else JSONL — plus a close
-// function that flushes and closes the file.
-func OpenFileSink(path string) (Sink, func() error, error) {
+// OpenLiveSink returns the sink a single-run command streams to: a live
+// line on w showing the given fields, teed — when path is set — into a
+// buffered file at path, written as CSV for a ".csv" extension and JSONL
+// otherwise. The close function flushes and closes the file; without one
+// it does nothing.
+func OpenLiveSink(w io.Writer, path string, fields ...string) (Sink, func() error, error) {
+	live := NewLiveLine(w, fields...)
+	if path == "" {
+		return live, func() error { return nil }, nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("telemetry: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	var sink Sink
+	var file Sink = NewJSONL(bw)
 	if filepath.Ext(path) == ".csv" {
-		sink = NewCSV(bw)
-	} else {
-		sink = NewJSONL(bw)
+		file = NewCSV(bw)
 	}
 	closeFn := func() error {
 		if err := bw.Flush(); err != nil {
@@ -387,5 +418,5 @@ func OpenFileSink(path string) (Sink, func() error, error) {
 		}
 		return f.Close()
 	}
-	return sink, closeFn, nil
+	return MultiSink(file, live), closeFn, nil
 }

@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestRingRetainsRecentRecords(t *testing.T) {
@@ -78,6 +80,99 @@ func TestJSONLStream(t *testing.T) {
 	if rec["cov.rtt"] != 0.0 {
 		t.Fatalf("NaN should sanitize to 0, got %v", rec["cov.rtt"])
 	}
+}
+
+// TestJSONLEncodesNamesAsJSON: labels and field names are JSON strings —
+// control characters use JSON escapes, HTML characters stay literal — and
+// a record still encodes without allocating.
+func TestJSONLEncodesNamesAsJSON(t *testing.T) {
+	var sb strings.Builder
+	s := NewJSONLRun(&sb, "a\x01b codel?target=5ms&interval=100ms")
+	if err := s.Begin([]string{"x<\"y\">"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Record(1, []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"t":1,"run":"a\u0001b codel?target=5ms&interval=100ms","x<\"y\">":2}` + "\n"
+	if sb.String() != want {
+		t.Fatalf("line = %q, want %q", sb.String(), want)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(sb.String()), &rec); err != nil {
+		t.Fatalf("line not JSON: %v", err)
+	}
+
+	d := NewJSONLRun(io.Discard, "reno n=45 seed=1")
+	if err := d.Begin([]string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	row := []float64{1, 2.5}
+	if avg := testing.AllocsPerRun(1000, func() {
+		_ = d.Record(1.5, row)
+	}); avg != 0 {
+		t.Fatalf("JSONL record allocates %.1f/op, want 0", avg)
+	}
+}
+
+// FuzzJSONL: whatever the run label, field names and values, every line the
+// JSONL sink writes decodes as JSON, carries the label and names verbatim,
+// and reads non-finite values as 0.
+func FuzzJSONL(f *testing.F) {
+	f.Add("reno n=45 seed=1", "gw.arrivals", "cov.rtt", 0.5, 42.0, 0.125)
+	f.Add("a\x01b", "x\"y", "<&>", 1.0, math.NaN(), math.Inf(-1))
+	f.Add("", "t", "run", 1e300, math.Inf(1), -0.0)
+	f.Fuzz(func(t *testing.T, label, name1, name2 string, ts, v1, v2 float64) {
+		if !utf8.ValidString(label) || !utf8.ValidString(name1) || !utf8.ValidString(name2) {
+			t.Skip("JSON strings carry valid UTF-8 only")
+		}
+		var sb strings.Builder
+		s := NewJSONLRun(&sb, label)
+		if err := s.Begin([]string{name1, name2}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := s.Record(ts, []float64{v1, v2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+		if len(lines) != 2 {
+			t.Fatalf("%d lines, want 2: %q", len(lines), sb.String())
+		}
+		finite := func(v float64) float64 {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0
+			}
+			return v
+		}
+		for _, line := range lines {
+			var rec map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("line %q is not JSON: %v", line, err)
+			}
+			// Names that collide with each other or with the fixed keys
+			// overwrite one another in a decoded map; decoding is all
+			// that can be checked for them.
+			reserved := map[string]bool{"t": true, "run": true}
+			if reserved[name1] || reserved[name2] || name1 == name2 {
+				continue
+			}
+			want := map[string]float64{"t": finite(ts), name1: finite(v1), name2: finite(v2)}
+			for key, w := range want {
+				var got float64
+				if err := json.Unmarshal(rec[key], &got); err != nil || got != w {
+					t.Fatalf("%q = %s (%v), want %v in %q", key, rec[key], err, w, line)
+				}
+			}
+			if label != "" {
+				var run string
+				if err := json.Unmarshal(rec["run"], &run); err != nil || run != label {
+					t.Fatalf("run = %s (%v), want %q", rec["run"], err, label)
+				}
+			}
+		}
+	})
 }
 
 func TestCSVStream(t *testing.T) {

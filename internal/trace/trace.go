@@ -1,6 +1,7 @@
-// Package trace records time series from a running simulation: the
+// Package trace holds the time series a simulation records — the
 // congestion-window traces behind the paper's Figures 5–12 and queue-length
-// traces for gateway analysis.
+// traces for gateway analysis, sampled by core through telemetry.Sampler —
+// and an ns-style packet event log.
 package trace
 
 import (
@@ -39,81 +40,8 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Sampler polls a set of probes at a fixed interval of virtual time —
-// the paper samples congestion windows every 0.1 s.
-type Sampler struct {
-	sched    *sim.Scheduler
-	interval sim.Duration
-	probes   []probe
-	running  bool
-	pending  sim.Handle
-	tickFn   func() // prebound s.tick
-}
-
-type probe struct {
-	series *Series
-	read   func() float64
-}
-
-// NewSampler returns a stopped sampler, or an error for a non-positive
-// interval.
-func NewSampler(sched *sim.Scheduler, interval sim.Duration) (*Sampler, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("sampler: nil scheduler")
-	}
-	if interval <= 0 {
-		return nil, fmt.Errorf("sampler: interval %v <= 0", interval)
-	}
-	s := &Sampler{sched: sched, interval: interval}
-	s.tickFn = s.tick
-	return s, nil
-}
-
-// Track adds a probe and returns the series it fills.
-func (s *Sampler) Track(name string, read func() float64) *Series {
-	series := &Series{Name: name}
-	s.probes = append(s.probes, probe{series: series, read: read})
-	return series
-}
-
-// Start begins sampling, taking the first sample immediately.
-func (s *Sampler) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	s.tick()
-}
-
-// Stop halts sampling.
-func (s *Sampler) Stop() {
-	s.running = false
-	s.sched.Cancel(s.pending)
-	s.pending = sim.Handle{}
-}
-
-// Series returns all tracked series.
-func (s *Sampler) Series() []*Series {
-	out := make([]*Series, len(s.probes))
-	for i, p := range s.probes {
-		out[i] = p.series
-	}
-	return out
-}
-
-func (s *Sampler) tick() {
-	if !s.running {
-		return
-	}
-	now := s.sched.Now()
-	for _, p := range s.probes {
-		p.series.Samples = append(p.series.Samples, Sample{At: now, Value: p.read()})
-	}
-	s.pending = s.sched.After(s.interval, s.tickFn)
-}
-
 // WriteCSV renders the series as CSV with a shared time column. Series are
-// assumed to be sampled on the same clock (as Sampler guarantees); rows
+// assumed to be sampled on the same clock (as a run's traces are); rows
 // beyond a shorter series are left empty.
 func WriteCSV(sb *strings.Builder, series []*Series) {
 	sb.WriteString("time_s")

@@ -8,87 +8,6 @@ import (
 	"tcpburst/internal/sim"
 )
 
-func TestSamplerValidation(t *testing.T) {
-	sched := sim.NewScheduler()
-	if _, err := NewSampler(nil, time.Second); err == nil {
-		t.Error("nil scheduler accepted")
-	}
-	if _, err := NewSampler(sched, 0); err == nil {
-		t.Error("zero interval accepted")
-	}
-}
-
-func TestSamplerRecordsAtInterval(t *testing.T) {
-	sched := sim.NewScheduler()
-	s, err := NewSampler(sched, 100*time.Millisecond)
-	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
-	}
-	v := 0.0
-	series := s.Track("v", func() float64 { return v })
-	sched.After(250*time.Millisecond, func() { v = 7 })
-	s.Start()
-	if err := sched.Run(sim.TimeZero.Add(time.Second)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	s.Stop()
-	// Samples at 0, 100, ..., 1000 ms = 11 samples.
-	if len(series.Samples) != 11 {
-		t.Fatalf("got %d samples, want 11", len(series.Samples))
-	}
-	if series.Samples[2].Value != 0 || series.Samples[3].Value != 7 {
-		t.Errorf("values around the change: %v, %v", series.Samples[2], series.Samples[3])
-	}
-	if series.Samples[5].At != sim.TimeZero.Add(500*time.Millisecond) {
-		t.Errorf("sample 5 at %v", series.Samples[5].At)
-	}
-	if series.Last() != 7 {
-		t.Errorf("Last() = %v, want 7", series.Last())
-	}
-}
-
-func TestSamplerMultipleSeriesShareClock(t *testing.T) {
-	sched := sim.NewScheduler()
-	s, err := NewSampler(sched, 50*time.Millisecond)
-	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
-	}
-	a := s.Track("a", func() float64 { return 1 })
-	b := s.Track("b", func() float64 { return 2 })
-	s.Start()
-	if err := sched.Run(sim.TimeZero.Add(time.Second)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(a.Samples) != len(b.Samples) {
-		t.Fatalf("series lengths differ: %d vs %d", len(a.Samples), len(b.Samples))
-	}
-	for i := range a.Samples {
-		if a.Samples[i].At != b.Samples[i].At {
-			t.Fatalf("sample %d clocks differ", i)
-		}
-	}
-	if got := s.Series(); len(got) != 2 {
-		t.Errorf("Series() returned %d, want 2", len(got))
-	}
-}
-
-func TestSamplerStopHalts(t *testing.T) {
-	sched := sim.NewScheduler()
-	s, err := NewSampler(sched, 10*time.Millisecond)
-	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
-	}
-	series := s.Track("v", func() float64 { return 1 })
-	s.Start()
-	sched.After(100*time.Millisecond, s.Stop)
-	if err := sched.Run(sim.TimeZero.Add(time.Second)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(series.Samples) > 12 {
-		t.Errorf("sampler kept running after Stop: %d samples", len(series.Samples))
-	}
-}
-
 func TestSeriesValues(t *testing.T) {
 	s := &Series{Name: "x", Samples: []Sample{{At: 0, Value: 1}, {At: 1, Value: 2}}}
 	vals := s.Values()
