@@ -154,3 +154,36 @@ func TestAggregatePreservesMean(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowCounterCompletedBy: rolling to an instant closes the windows
+// that end by then (empty ones as zeros) without disturbing later
+// observations, so the counts match Close's.
+func TestWindowCounterCompletedBy(t *testing.T) {
+	wc, err := NewWindowCounter(10 * time.Millisecond)
+	if err != nil {
+		t.Fatalf("NewWindowCounter: %v", err)
+	}
+	if got := wc.CompletedBy(at(50)); len(got) != 0 {
+		t.Fatalf("unopened counter completed %v", got)
+	}
+	wc.Open(at(0))
+	wc.Observe(at(1))
+	if got := wc.CompletedBy(at(9)); len(got) != 0 {
+		t.Fatalf("CompletedBy(9ms) = %v, want no windows", got)
+	}
+	if got := wc.CompletedBy(at(25)); len(got) != 2 || got[0] != 1 || got[1] != 0 {
+		t.Fatalf("CompletedBy(25ms) = %v, want [1 0]", got)
+	}
+	wc.Observe(at(25))
+	wc.Observe(at(30))
+	counts := wc.Close(at(40))
+	want := []float64{1, 0, 1, 1}
+	if len(counts) != len(want) {
+		t.Fatalf("counts = %v, want %v", counts, want)
+	}
+	for i := range want {
+		if counts[i] != want[i] {
+			t.Fatalf("counts = %v, want %v", counts, want)
+		}
+	}
+}
