@@ -29,12 +29,22 @@ fuzz:
 
 ## shard-smoke: run the parking-lot example serially and at 4 shards and
 ## diff the two tables, which must be byte-identical. It covers Vegas and
-## DRR over 60 s, beyond the 2 s Reno/FIFO golden cell.
+## DRR over 60 s, beyond the 2 s Reno/FIFO golden cell. Then diff a
+## dumbbell burstsim summary (CoDel, 2000 clients) at 0, 2 and 3 shards:
+## 2 shards split the clients between the gateway's shard and the other,
+## and with 3 shards on two cores the window barrier takes its park path.
+SMOKE_DUMBBELL = -clients 2000 -mean-interval 500ms -queue codel -duration 20s -json
 shard-smoke:
 	@tmp=$$(mktemp -d); \
 	go run ./examples/parkinglot -shards 0 > $$tmp/serial.txt && \
 	go run ./examples/parkinglot -shards 4 > $$tmp/sharded.txt && \
-	diff $$tmp/serial.txt $$tmp/sharded.txt; \
+	diff $$tmp/serial.txt $$tmp/sharded.txt && \
+	go build -o $$tmp/burstsim ./cmd/burstsim && \
+	$$tmp/burstsim $(SMOKE_DUMBBELL) -shards 0 > $$tmp/dumbbell0.json && \
+	$$tmp/burstsim $(SMOKE_DUMBBELL) -shards 2 > $$tmp/dumbbell2.json && \
+	$$tmp/burstsim $(SMOKE_DUMBBELL) -shards 3 > $$tmp/dumbbell3.json && \
+	diff $$tmp/dumbbell0.json $$tmp/dumbbell2.json && \
+	diff $$tmp/dumbbell0.json $$tmp/dumbbell3.json; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 ## results-check: regenerate the committed figure series (results/*.csv,

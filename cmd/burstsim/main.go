@@ -170,6 +170,7 @@ func run(w io.Writer, args []string) error {
 	}
 	if *stats {
 		fmt.Fprint(os.Stderr, batchStats.Table())
+		fmt.Fprint(os.Stderr, barrierStats(res))
 	}
 	if *asJSON {
 		raw, err := res.MarshalSummaryJSON()
@@ -181,6 +182,18 @@ func run(w io.Writer, args []string) error {
 	}
 	printResult(w, res, *perFlow)
 	return nil
+}
+
+// barrierStats describes a sharded run's window barrier: its window
+// count, the events per window and the share of barrier waits that
+// parked. It is empty for serial and cached runs.
+func barrierStats(res *core.Result) string {
+	if res.ShardWindows == 0 {
+		return ""
+	}
+	w := float64(res.ShardWindows)
+	return fmt.Sprintf("shard barrier: %d windows, %.1f events/window, %.1f%% of waits parked\n",
+		res.ShardWindows, float64(res.SimEvents)/w, 100*float64(res.ShardParks)/(w*float64(res.Config.Shards)))
 }
 
 func printResult(w io.Writer, res *core.Result, perFlow bool) {

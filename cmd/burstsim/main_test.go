@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"tcpburst/internal/core"
 )
 
 func TestRunPrintsMetrics(t *testing.T) {
@@ -180,5 +182,18 @@ func TestRunJSONOutput(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, `"protocol": "reno"`) || !strings.Contains(out, `"cov"`) {
 		t.Errorf("JSON output malformed:\n%s", out)
+	}
+}
+
+func TestBarrierStats(t *testing.T) {
+	var res core.Result
+	if got := barrierStats(&res); got != "" {
+		t.Errorf("serial run: barrier stats %q, want none", got)
+	}
+	res.Config.Shards = 2
+	res.SimEvents, res.ShardWindows, res.ShardParks = 6400, 100, 50
+	want := "shard barrier: 100 windows, 64.0 events/window, 25.0% of waits parked\n"
+	if got := barrierStats(&res); got != want {
+		t.Errorf("barrier stats %q, want %q", got, want)
 	}
 }

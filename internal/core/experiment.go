@@ -156,6 +156,12 @@ type Result struct {
 	// ops-per-event reduction the batching bench reports. Not part of the
 	// Summary (it is an implementation cost, not simulation behavior).
 	SchedOps uint64
+	// ShardWindows counts the synchronization windows of a sharded run
+	// and ShardParks the barrier waits that parked their goroutine
+	// instead of polling; each window has Config.Shards waits. Both are
+	// zero when serial. Like SchedOps they measure the execution, not the
+	// simulation, so the Summary leaves them out.
+	ShardWindows, ShardParks uint64
 
 	// Telemetry carries the registry's final counter/gauge/histogram state
 	// when Config.TelemetryInterval was set; nil otherwise.
@@ -282,6 +288,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	res.Queue = summarizeQueue(queueSamples, cfg.BufferPackets)
 	res.PacketLog = pktLog
 	res.SimEvents, res.SchedOps = n.settle(horizon)
+	if n.group != nil {
+		res.ShardWindows, res.ShardParks = n.group.Windows(), n.group.Parks()
+	}
 	if err := finishTelemetry(cfg, n, rings, res); err != nil {
 		return nil, err
 	}

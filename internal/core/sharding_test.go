@@ -9,8 +9,8 @@ import (
 
 // TestPlanShardsPlacement pins the topology compiler's one placement rule
 // on both topologies: gateways first, sink hosts with the gateway feeding
-// them, clients in contiguous blocks over the shards left (or with their
-// attach gateway when none is left).
+// them, and clients in contiguous blocks over all shards when there are
+// more shards than gateways (with their attach gateway otherwise).
 func TestPlanShardsPlacement(t *testing.T) {
 	place := buildPlacement
 	clientShards := func(p placement) []int {
@@ -27,15 +27,15 @@ func TestPlanShardsPlacement(t *testing.T) {
 		t.Errorf("serial placement = %+v, want everything on shard 0", p)
 	}
 
+	// K=2 balances the dumbbell: the gateway, the server and the first
+	// half of the clients on shard 0, the other half on shard 1.
 	cfg.Shards = 2
 	p = place(dumbbell(cfg))
 	if p.gw[0] != 0 || p.host[0] != 0 {
 		t.Errorf("K=2: gateway/server on %d/%d, want colocated on 0", p.gw[0], p.host[0])
 	}
-	for i, s := range clientShards(p) {
-		if s != 1 {
-			t.Fatalf("K=2: client %d on shard %d, want 1", i, s)
-		}
+	if got, want := clientShards(p), []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("K=2: clients on %v, want %v", got, want)
 	}
 
 	cfg.Shards = 5
@@ -43,22 +43,8 @@ func TestPlanShardsPlacement(t *testing.T) {
 	if p.gw[0] != 0 || p.host[0] != 0 {
 		t.Errorf("K=5: gateway/server on %d/%d, want colocated on 0", p.gw[0], p.host[0])
 	}
-	seen := make(map[int]int)
-	prev := 1
-	for i, s := range clientShards(p) {
-		if s < 1 || s >= p.k {
-			t.Fatalf("K=5: client %d on shard %d, outside client shards [1,%d)", i, s, p.k)
-		}
-		if s < prev {
-			t.Fatalf("K=5: client blocks not contiguous at client %d", i)
-		}
-		prev = s
-		seen[s]++
-	}
-	for s := 1; s < p.k; s++ {
-		if seen[s] == 0 {
-			t.Errorf("K=5: client shard %d owns no clients", s)
-		}
+	if got, want := clientShards(p), []int{0, 0, 1, 1, 2, 2, 3, 3, 4, 4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("K=5: clients on %v, want %v", got, want)
 	}
 
 	// The chain's K=2 cut: gw1 and its long and hop-1 clients | gw2, the
@@ -70,6 +56,35 @@ func TestPlanShardsPlacement(t *testing.T) {
 	}
 	if got, want := clientShards(p), []int{0, 0, 0, 0, 0, 0, 0, 1, 1, 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("chain K=2: clients on %v, want %v", got, want)
+	}
+}
+
+// TestColocatedAccessLinksStayLocal pins which access links cross shards
+// at K=2: only those of clients placed away from the gateway. A client on
+// the gateway's shard delivers straight into it, so its access link keeps
+// burst trains and serialization pipelining.
+func TestColocatedAccessLinksStayLocal(t *testing.T) {
+	cfg := DefaultConfig(8, Reno, FIFO)
+	cfg.Shards = 2
+	n, err := buildTopology(dumbbell(cfg.WithDefaults()))
+	if err != nil {
+		t.Fatalf("buildTopology: %v", err)
+	}
+	for j, f := range n.flows {
+		remote := n.place.client(j) != n.place.gw[0]
+		if got := f.access.CrossesShards(); got != remote {
+			t.Errorf("client %d on shard %d: access link crosses = %v, want %v", j+1, n.place.client(j), got, remote)
+		}
+		if got := f.access.Pipelined(); got == remote {
+			t.Errorf("client %d on shard %d: access link pipelined = %v, want %v", j+1, n.place.client(j), got, !remote)
+		}
+		if f.reverse.CrossesShards() || !f.reverse.Pipelined() {
+			t.Errorf("client %d: reverse link crosses = %v, pipelined = %v; want a local pipelined link",
+				j+1, f.reverse.CrossesShards(), f.reverse.Pipelined())
+		}
+	}
+	if n.flows[0].access.CrossesShards() || !n.flows[len(n.flows)-1].access.CrossesShards() {
+		t.Error("K=2 did not split the clients between the gateway's shard and the other")
 	}
 }
 

@@ -101,11 +101,12 @@ type placement struct {
 //
 //   - gateways take shards 0..G-1 (folded into blocks when K < G);
 //   - each sink host shares the shard of the gateway that feeds it;
-//   - clients fill the remaining shards in contiguous blocks, or stay with
-//     their attach gateway when no shard is left.
+//   - when K > G, clients fill all K shards in contiguous blocks, gateway
+//     shards included; otherwise they stay with their attach gateway.
 //
-// At K=2 this is the dumbbell's gateway+server | clients cut and the
-// chain's gw1 and its clients | gw2, its hosts and the hop-2 clients.
+// At K=2 this puts the dumbbell's gateway, server and first half of the
+// clients on shard 0 and the other half on shard 1, and cuts the chain
+// into gw1 and its clients | gw2, its hosts and the hop-2 clients.
 // Links live on the shard of their source node, except a client's reverse
 // link, which lives with the client; so deliveries cross shards only into
 // gateways.
@@ -143,8 +144,8 @@ func (p placement) attach(j int) int {
 
 // client returns the shard of client j.
 func (p placement) client(j int) int {
-	if free := p.k - len(p.gw); free > 0 {
-		return len(p.gw) + j*free/p.clients
+	if p.k > len(p.gw) {
+		return j * p.k / p.clients
 	}
 	return p.gw[p.attach(j)]
 }
@@ -220,15 +221,16 @@ func buildTopology(t topology) (*network, error) {
 	}
 
 	// xdeliver returns the XDeliver hook of a link on shard src into
-	// gateway g, with delay d. The delivery runs on the shard that owns the
-	// gateway's egress link for p.Dst, so gateway.Receive always dispatches
-	// onto a local link. A link needs the hook unless every such egress is
-	// on src; it then hands each delivery to the barrier, possibly back to
-	// its own shard, which is why its delay joins the lookahead either way.
+	// gateway g, with delay d, or nil when local is set. The delivery runs
+	// on the shard that owns the gateway's egress link for p.Dst, so
+	// gateway.Receive always dispatches onto a local link. A link needs the
+	// hook unless every such egress is on src; it then hands each delivery
+	// to the barrier, possibly back to its own shard, which is why its
+	// delay joins the lookahead either way.
 	lookahead := cfg.Duration
 	hooks := make(map[[2]int]func(sim.Time, uint64, *packet.Packet))
-	xdeliver := func(src, g int, d sim.Duration) func(sim.Time, uint64, *packet.Packet) {
-		if k == 1 || src == place.gw[g] && (k <= t.gateways || !attached[g]) {
+	xdeliver := func(local bool, src, g int, d sim.Duration) func(sim.Time, uint64, *packet.Packet) {
+		if local {
 			return nil
 		}
 		lookahead = min(lookahead, d)
@@ -315,8 +317,11 @@ func buildTopology(t topology) (*network, error) {
 		}
 		var dst link.Receiver
 		var xd func(sim.Time, uint64, *packet.Packet)
-		if tl.to.gateway {
-			dst, xd = gateways[tl.to.index], xdeliver(s, tl.to.index, tl.delay)
+		if g := tl.to.index; tl.to.gateway {
+			// A fixed link into g carries packets for any node, so it stays
+			// local only when g and every client attached there share s.
+			local := s == place.gw[g] && (k <= t.gateways || !attached[g])
+			dst, xd = gateways[g], xdeliver(local, s, g, tl.delay)
 		} else {
 			dst = hosts[tl.to.index]
 		}
@@ -362,7 +367,11 @@ func buildTopology(t topology) (*network, error) {
 				delay += sim.Duration(jitter.Uniform(0, float64(cfg.ClientDelayJitter)))
 			}
 			pair := topoLink{name: fmt.Sprintf("client%d->gw", j+1), rateBps: cfg.ClientRateBps, delay: delay, buffer: cfg.AccessBufferPackets}
-			access, err := newLink(cs, pair, gateways[grp.attach], xdeliver(cs, grp.attach, delay), overprov)
+			// An access link carries only packets for the group's sink host,
+			// whose egress at the gateway lives on the gateway's shard: it
+			// crosses exactly when the client sits elsewhere.
+			xd := xdeliver(cs == place.gw[grp.attach], cs, grp.attach, delay)
+			access, err := newLink(cs, pair, gateways[grp.attach], xd, overprov)
 			if err != nil {
 				return nil, err
 			}

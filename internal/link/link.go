@@ -425,10 +425,11 @@ func (l *Link) vPush(e vEntry) {
 	}
 	if l.vAppended-head == uint64(len(l.vBuf)) {
 		// Slots are lazy like the queue rings: the first push allocates a
-		// small ring, and growth doubles it, so idle links cost nothing.
+		// two-entry ring, enough for a lightly loaded access link, and
+		// growth doubles it, so idle links cost nothing.
 		size := len(l.vBuf) * 2
 		if size == 0 {
-			size = 8
+			size = 2
 		}
 		//burst:alloc-ok lazy virtual-slot ring growth is amortized doubling; idle links never allocate
 		grown := make([]vEntry, size)
@@ -477,6 +478,13 @@ func (l *Link) FinishVirtual(horizon sim.Time) uint64 {
 	}
 	return n
 }
+
+// Pipelined reports whether the link runs serialization pipelining.
+func (l *Link) Pipelined() bool { return l.virtual }
+
+// CrossesShards reports whether the link hands its deliveries to an
+// XDeliver hook.
+func (l *Link) CrossesShards() bool { return l.cfg.XDeliver != nil }
 
 // DeliverFn exposes the link's prebound delivery trampoline (it calls
 // Dst.Receive on its argument). The sharded harness injects it into the

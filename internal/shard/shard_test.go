@@ -2,6 +2,8 @@ package shard
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -163,4 +165,212 @@ func TestGroupLookaheadViolationPanics(t *testing.T) {
 		}
 	}()
 	_ = g.Run(sim.Time(100 * ms))
+}
+
+// ring builds a K-shard ping-pong: a token hops from shard i to shard
+// i+1 mod K one lookahead later, so every window carries one crossing and
+// every shard waits at every barrier. It returns the hop counter.
+func ring(g *Group, lookahead sim.Duration) *atomic.Int64 {
+	k := g.Shards()
+	lanes := sim.NewLanes()
+	out := make([]*sim.Lane, k)
+	for i := range out {
+		out[i] = lanes.Next()
+	}
+	var hops atomic.Int64
+	bounce := make([]func(any), k)
+	for i := range bounce {
+		bounce[i] = func(any) {
+			hops.Add(1)
+			next := (i + 1) % k
+			at := g.Scheduler(i).Now().Add(lookahead)
+			g.Cross(i, next, at, out[i].Take(), bounce[next], nil)
+		}
+	}
+	g.Scheduler(0).AtCall(0, bounce[0], nil)
+	return &hops
+}
+
+// withProcs runs fn under GOMAXPROCS = n.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// Thousands of windows through the polling and parking handoffs: a lost
+// wake-up deadlocks, a window run twice or skipped miscounts the hops, and
+// a missing happens-before edge fails under -race.
+func TestGroupManyWindows(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		g := newGroup(t, k, 1*ms)
+		hops := ring(g, 1*ms)
+		if err := g.Run(sim.Time(5_000 * ms)); err != nil {
+			t.Fatalf("K=%d: Run: %v", k, err)
+		}
+		if got := hops.Load(); got != 5_001 {
+			t.Errorf("K=%d: hops = %d, want 5001", k, got)
+		}
+		if got := g.Windows(); got != 5_001 {
+			t.Errorf("K=%d: windows = %d, want 5001", k, got)
+		}
+		if g.Parks() > uint64(k)*g.Windows() {
+			t.Errorf("K=%d: %d parks over %d windows, more than K per window", k, g.Parks(), g.Windows())
+		}
+	}
+}
+
+// With more shards than GOMAXPROCS, polling would hold a core the awaited
+// shard needs, so waits park. In each window the first goroutine to
+// finish has to wait for the others; allowing for a goroutine descheduled
+// between reporting a window and waiting for the next, at least every
+// other window must park.
+func TestGroupOversubscribedParks(t *testing.T) {
+	withProcs(2, func() {
+		g := newGroup(t, 3, 1*ms)
+		hops := ring(g, 1*ms)
+		if err := g.Run(sim.Time(1_000 * ms)); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if got := hops.Load(); got != 1_001 {
+			t.Errorf("hops = %d, want 1001", got)
+		}
+		t.Logf("K=3 on 2 procs: %d parks over %d windows", g.Parks(), g.Windows())
+		if 2*g.Parks() < g.Windows() {
+			t.Errorf("K=3 on 2 procs: %d parks over %d windows, want the park path", g.Parks(), g.Windows())
+		}
+	})
+	if n := inFlight.Load(); n != 0 {
+		t.Errorf("inFlight = %d after Run, want 0", n)
+	}
+}
+
+// Two K=2 groups fit GOMAXPROCS=2 alone but not together. A rendezvous in
+// the first window makes their runs overlap; until the first of them
+// finishes, both must take the park path rather than poll past the cores.
+func TestGroupConcurrentGroupsPark(t *testing.T) {
+	withProcs(2, func() {
+		var meet sync.WaitGroup
+		meet.Add(2)
+		groups := [2]*Group{}
+		var mu sync.Mutex
+		var finished []int
+		var wg sync.WaitGroup
+		for i := range groups {
+			g := newGroup(t, 2, 1*ms)
+			ring(g, 1*ms)
+			g.Scheduler(0).At(0, func() {
+				meet.Done()
+				meet.Wait()
+				// Both groups are inside Run: all four goroutines count.
+				if n := inFlight.Load(); n != 4 {
+					t.Errorf("inFlight = %d while two K=2 groups run, want 4", n)
+				}
+			})
+			groups[i] = g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := g.Run(sim.Time(2_000 * ms)); err != nil {
+					t.Errorf("group %d: Run: %v", i, err)
+				}
+				mu.Lock()
+				finished = append(finished, i)
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+		first := groups[finished[0]]
+		t.Logf("first group to finish: %d parks over %d windows", first.Parks(), first.Windows())
+		if 2*first.Parks() < first.Windows() {
+			t.Errorf("first group to finish parked %d times over %d windows while another group held the cores",
+				first.Parks(), first.Windows())
+		}
+	})
+	if n := inFlight.Load(); n != 0 {
+		t.Errorf("inFlight = %d after both runs, want 0", n)
+	}
+}
+
+// awaitParked runs gt.await on a counter one step ahead of c, advancing c
+// once the goroutine has parked, and returns await's result.
+func awaitParked(gt *gate, c *atomic.Uint64, procs int64) bool {
+	target := c.Load() + 1
+	go func() {
+		for !gt.sleeping.Load() {
+			runtime.Gosched()
+		}
+		c.Add(1)
+		gt.release()
+	}()
+	return gt.await(c, target, procs)
+}
+
+// A wait that polls in vain halves its gate's budget, down to guardPolls,
+// and a wait that succeeds doubles it back.
+func TestGateBudgetAdapts(t *testing.T) {
+	gt := &gate{wake: make(chan struct{}, 1), budget: spinPolls}
+	var c atomic.Uint64
+	if !awaitParked(gt, &c, 1) {
+		t.Fatal("a wait on an unreached counter did not park")
+	}
+	if gt.budget != spinPolls/2 {
+		t.Errorf("budget after a failed wait = %d, want %d", gt.budget, spinPolls/2)
+	}
+	if gt.await(&c, c.Load(), 1) {
+		t.Fatal("a wait on a reached counter parked")
+	}
+	if gt.budget != spinPolls {
+		t.Errorf("budget after a successful wait = %d, want %d", gt.budget, spinPolls)
+	}
+	for i := 0; i < 12; i++ {
+		awaitParked(gt, &c, 1)
+	}
+	if gt.budget != guardPolls {
+		t.Errorf("budget after repeated failures = %d, want the floor %d", gt.budget, guardPolls)
+	}
+}
+
+// With more shard goroutines in flight than procs, a wait parks without
+// polling, so it leaves the budget alone.
+func TestGateParksAtOnceWhenOversubscribed(t *testing.T) {
+	inFlight.Add(3)
+	defer inFlight.Add(-3)
+	gt := &gate{wake: make(chan struct{}, 1), budget: spinPolls}
+	var c atomic.Uint64
+	if !awaitParked(gt, &c, 2) {
+		t.Fatal("an oversubscribed wait on an unreached counter did not park")
+	}
+	if gt.budget != spinPolls {
+		t.Errorf("budget = %d after an oversubscribed wait, want %d: it polled", gt.budget, spinPolls)
+	}
+}
+
+// A release meant for an earlier wait can land while the goroutine is
+// parked in a later one. Its token must only cause a re-check: the
+// goroutine stays parked until its own counter is reached.
+func TestGateIgnoresStaleRelease(t *testing.T) {
+	gt := &gate{wake: make(chan struct{}, 1)}
+	var c atomic.Uint64
+	var returned atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		gt.park(&c, 1)
+		returned.Store(true)
+		close(done)
+	}()
+	for !gt.sleeping.Load() {
+		runtime.Gosched()
+	}
+	gt.release() // c has not advanced
+	// The release cleared sleeping: the goroutine either parks again,
+	// setting it, or wrongly returns.
+	for !gt.sleeping.Load() && !returned.Load() {
+		runtime.Gosched()
+	}
+	if returned.Load() {
+		t.Fatal("a stale release let the goroutine leave before its counter was reached")
+	}
+	c.Store(1)
+	gt.release()
+	<-done
 }

@@ -89,7 +89,9 @@ func (tr *Train) Add(at Time, arg any) {
 func (tr *Train) grow() {
 	size := len(tr.buf) * 2
 	if size == 0 {
-		size = 16
+		// Most trains belong to lightly loaded access links that rarely
+		// hold more than a packet or two, and there is one per link.
+		size = 2
 	}
 	//burst:alloc-ok train-ring growth is amortized doubling, bounded by the longest coalesced burst
 	buf := make([]trainElem, size)
