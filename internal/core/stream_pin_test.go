@@ -33,7 +33,7 @@ func TestTelemetryStreamsPinned(t *testing.T) {
 			cfg.Duration = 20 * time.Second
 			cfg.Shards = 2
 			return cfg
-		}, "df0fc63fc156890f3e708b8a9de13c727a0c3b818624e67fd6f849740118ed29"},
+		}, "c9e7d60871c77855f22b0002aa26358c0b3108c06e3de51281b3eed3cbd8891a"},
 		{"fluid-red-n1000", func() Config {
 			cfg := DefaultConfig(1000, Reno, RED)
 			cfg.Backend = FluidBackend
