@@ -21,10 +21,13 @@ race:
 ## FuzzRNGMatchesMathRand checks sim.RNG against math/rand's stream;
 ## FuzzParseSpec checks that queue specs round-trip through their canonical
 ## string and that building one never panics; FuzzJSONL checks that every
-## line the JSONL telemetry sink writes decodes as JSON.
+## line the JSONL telemetry sink writes decodes as JSON;
+## FuzzSolveREDMatchesReference checks that the screened RED closure stays
+## bit-identical to the every-step-dense reference.
 fuzz:
 	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s ./internal/sim
 	go test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/queue
+	go test -run '^$$' -fuzz FuzzSolveREDMatchesReference -fuzztime 20s ./internal/meanfield
 	go test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s ./internal/telemetry
 
 ## shard-smoke: run the parking-lot example serially and at 4 shards and

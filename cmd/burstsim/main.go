@@ -171,6 +171,7 @@ func run(w io.Writer, args []string) error {
 	if *stats {
 		fmt.Fprint(os.Stderr, batchStats.Table())
 		fmt.Fprint(os.Stderr, barrierStats(res))
+		fmt.Fprint(os.Stderr, solverStats(res))
 	}
 	if *asJSON {
 		raw, err := res.MarshalSummaryJSON()
@@ -194,6 +195,18 @@ func barrierStats(res *core.Result) string {
 	w := float64(res.ShardWindows)
 	return fmt.Sprintf("shard barrier: %d windows, %.1f events/window, %.1f%% of waits parked\n",
 		res.ShardWindows, float64(res.SimEvents)/w, 100*float64(res.ShardParks)/(w*float64(res.Config.Shards)))
+}
+
+// solverStats describes a fluid run's queue-closure work: dense chain
+// solves, RED comparisons the cut recursion screened, and cache hits. It
+// is empty for packet and cached runs.
+func solverStats(res *core.Result) string {
+	if res.Fluid == nil || res.Fluid.Counts.DenseSolves == 0 {
+		return ""
+	}
+	c := res.Fluid.Counts
+	return fmt.Sprintf("fluid solver: %d dense chain solves, %d screened comparisons, %d cache hits\n",
+		c.DenseSolves, c.Screened, c.CacheHits)
 }
 
 func printResult(w io.Writer, res *core.Result, perFlow bool) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tcpburst/internal/core"
+	"tcpburst/internal/meanfield"
 )
 
 func TestRunPrintsMetrics(t *testing.T) {
@@ -195,5 +196,21 @@ func TestBarrierStats(t *testing.T) {
 	want := "shard barrier: 100 windows, 64.0 events/window, 25.0% of waits parked\n"
 	if got := barrierStats(&res); got != want {
 		t.Errorf("barrier stats %q, want %q", got, want)
+	}
+}
+
+func TestSolverStats(t *testing.T) {
+	var res core.Result
+	if got := solverStats(&res); got != "" {
+		t.Errorf("packet run: solver stats %q, want none", got)
+	}
+	res.Fluid = &core.FluidStats{}
+	if got := solverStats(&res); got != "" {
+		t.Errorf("cached fluid run: solver stats %q, want none", got)
+	}
+	res.Fluid.Counts = meanfield.SolveCounts{DenseSolves: 533, Screened: 1262, CacheHits: 250}
+	want := "fluid solver: 533 dense chain solves, 1262 screened comparisons, 250 cache hits\n"
+	if got := solverStats(&res); got != want {
+		t.Errorf("solver stats %q, want %q", got, want)
 	}
 }

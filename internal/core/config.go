@@ -349,11 +349,8 @@ func (c Config) WithDefaults() Config {
 		c.Protocol = c.Mix[0].Protocol
 	}
 	if c.Queue == nil {
-		gw := c.Gateway
-		if gw == 0 {
-			gw = FIFO
-		}
-		c.Queue = &queue.Spec{Name: gw.String()}
+		spec := c.queueSpec()
+		c.Queue = &spec
 		c.Gateway = 0
 	}
 	d := DefaultConfig(c.Clients, c.Protocol, 0)
@@ -538,15 +535,32 @@ func (c Config) scratchQueue() (queue.Discipline, error) {
 	return c.buildQueue(func() *sim.RNG { return sim.NewRNG(0) }, queue.Metrics{})
 }
 
+// queueSpec returns the run's discipline: Queue when set, otherwise the
+// one WithDefaults raises from the Gateway shorthand (fifo when neither is
+// set).
+func (c Config) queueSpec() queue.Spec {
+	if c.Queue != nil {
+		return *c.Queue
+	}
+	gw := c.Gateway
+	if gw == 0 {
+		gw = FIFO
+	}
+	return queue.Spec{Name: gw.String()}
+}
+
 // QueueName returns the canonical spec string of the run's discipline,
-// e.g. "red", "red?ecn=true" or "codel?target=5ms".
-func (c Config) QueueName() string { return c.Queue.String() }
+// e.g. "red", "red?ecn=true" or "codel?target=5ms". A config that has not
+// been defaulted names the discipline WithDefaults would pick.
+func (c Config) QueueName() string { return c.queueSpec().String() }
 
 // Label names the configuration the way the runner's progress lines do:
 // "protocol/gateway n=N seed=S", omitting a plain "/fifo" as the paper's
 // legends do. Sweeps use it to tag per-run telemetry streams sharing one
-// writer.
+// writer. A config that has not been defaulted is labelled as
+// WithDefaults would leave it.
 func (c Config) Label() string {
+	c = c.WithDefaults()
 	name := c.Protocol.String()
 	if q := c.QueueName(); q != FIFO.String() {
 		name += "/" + q

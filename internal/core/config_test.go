@@ -154,6 +154,32 @@ func TestWithDefaultsFillsZeroFields(t *testing.T) {
 	}
 }
 
+// TestLabelBeforeDefaults checks that Label and QueueName name the
+// discipline WithDefaults would pick on a config that has not been
+// defaulted, instead of dereferencing its nil Queue.
+func TestLabelBeforeDefaults(t *testing.T) {
+	ecn, err := queue.ParseSpec("red?ecn=true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]Config{
+		"base":        BaseConfig(),
+		"base reno":   BaseConfig(WithClients(20), WithProtocol(Reno), WithSeed(3)),
+		"gateway red": {Clients: 39, Protocol: Vegas, Gateway: RED},
+		"gateway drr": {Clients: 5, Protocol: Reno, Gateway: DRR},
+		"spec":        BaseConfig(WithClients(7), WithGatewayDiscipline(ecn)),
+	}
+	for name, cfg := range cases {
+		d := cfg.WithDefaults()
+		if got, want := cfg.Label(), d.Label(); got != want {
+			t.Errorf("%s: Label() = %q, want %q", name, got, want)
+		}
+		if got, want := cfg.QueueName(), d.QueueName(); got != want {
+			t.Errorf("%s: QueueName() = %q, want %q", name, got, want)
+		}
+	}
+}
+
 func TestProtocolParsingRoundTrip(t *testing.T) {
 	for _, p := range Protocols() {
 		got, err := ParseProtocol(p.String())

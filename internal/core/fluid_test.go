@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tcpburst/internal/meanfield"
 	"tcpburst/internal/queue"
 	"tcpburst/internal/runcache"
 	"tcpburst/internal/sim"
@@ -104,6 +105,10 @@ func TestFluidRun(t *testing.T) {
 	if res.Fluid.Iterations <= 0 {
 		t.Errorf("Iterations = %d, want > 0", res.Fluid.Iterations)
 	}
+	if res.Fluid.Counts.DenseSolves < res.Fluid.Iterations {
+		t.Errorf("Counts.DenseSolves = %d, want at least one chain solve per iteration (%d)",
+			res.Fluid.Counts.DenseSolves, res.Fluid.Iterations)
+	}
 	if res.Utilization <= 0 || res.Utilization > 1 {
 		t.Errorf("Utilization = %v outside (0, 1]", res.Utilization)
 	}
@@ -136,8 +141,11 @@ func TestFluidRun(t *testing.T) {
 		t.Fatalf("unmarshal summary: %v", err)
 	}
 	rt := ResultFromSummary(cfg, back)
-	if rt.Fluid == nil || *rt.Fluid != *res.Fluid {
-		t.Errorf("ResultFromSummary fluid stats = %+v, want %+v", rt.Fluid, res.Fluid)
+	// The solver counts measure cost, so the summary leaves them out.
+	want := *res.Fluid
+	want.Counts = meanfield.SolveCounts{}
+	if rt.Fluid == nil || *rt.Fluid != want {
+		t.Errorf("ResultFromSummary fluid stats = %+v, want %+v", rt.Fluid, want)
 	}
 	rtRaw, err := json.Marshal(rt.Summary())
 	if err != nil {

@@ -246,17 +246,14 @@ func (e classEnv) moments(g grid, f []float64) classMoments {
 // class: the density f with generator(f) = 0 and Σf = 1. The discrete
 // generator is assembled column by column from applyGenerator (so the
 // stationary state is exactly the RK4 dynamics' rest point) and the linear
-// system is solved densely with partial pivoting.
-func (e classEnv) stationaryDensity(g grid) []float64 {
+// system is solved densely with partial pivoting in sys.
+func (e classEnv) stationaryDensity(g grid, sys *linSystem) []float64 {
 	n := g.n
 	if n == 1 {
 		return []float64{1}
 	}
-	// a[i][j] = d(df_i/dt)/d f_j — columns of the generator.
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n+1)
-	}
+	// Row i, column j holds d(df_i/dt)/d f_j — columns of the generator.
+	sys.reset(n)
 	basis := make([]float64, n)
 	col := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -267,16 +264,16 @@ func (e classEnv) stationaryDensity(g grid) []float64 {
 		e.applyGenerator(g, basis, col)
 		basis[j] = 0
 		for i := 0; i < n; i++ {
-			a[i][j] = col[i]
+			sys.row(i)[j] = col[i]
 		}
 	}
 	// Replace the last balance equation (redundant: columns sum to zero)
 	// with the normalization Σf = 1.
-	for j := 0; j < n; j++ {
-		a[n-1][j] = 1
+	last := sys.row(n - 1)
+	for j := range last {
+		last[j] = 1
 	}
-	a[n-1][n] = 1
-	f := solveLinear(a)
+	f := append([]float64(nil), sys.solve()...)
 	// Clamp tiny negative round-off and renormalize.
 	var sum float64
 	for i := range f {
@@ -300,50 +297,96 @@ func (e classEnv) stationaryDensity(g grid) []float64 {
 	return f
 }
 
-// solveLinear solves the augmented system a·x = b where each row is
-// [coefficients..., rhs], by Gaussian elimination with partial pivoting.
-// Rows of a are modified in place.
-func solveLinear(a [][]float64) []float64 {
-	n := len(a)
+// linSystem is a dense augmented system [A | b] of order n, stored row-major
+// with stride n+1 in one backing array that every solve of a fixed-point run
+// reuses. Partial pivoting permutes perm, which maps a pivot position to the
+// stored row, instead of moving rows.
+type linSystem struct {
+	n    int
+	a    []float64
+	perm []int
+	x    []float64
+}
+
+// reset sizes the system to order n, zeroes it and clears the permutation.
+func (s *linSystem) reset(n int) {
+	s.n = n
+	s.a = resize(s.a, n*(n+1))
+	clear(s.a)
+	s.x = resize(s.x, n)
+	if cap(s.perm) < n {
+		s.perm = make([]int, n)
+	}
+	s.perm = s.perm[:n]
+	for i := range s.perm {
+		s.perm[i] = i
+	}
+}
+
+// row returns stored row i: n coefficients, then the right-hand side.
+func (s *linSystem) row(i int) []float64 {
+	w := s.n + 1
+	return s.a[i*w : (i+1)*w]
+}
+
+// solve runs Gauss–Jordan elimination with partial pivoting and returns the
+// solution, which aliases s and is overwritten by the next solve. A column
+// without a usable pivot leaves its unknown at zero for the caller to
+// renormalize.
+func (s *linSystem) solve() []float64 {
+	n, w := s.n, s.n+1
+	a, perm := s.a, s.perm
 	for col := 0; col < n; col++ {
 		// Pivot: largest magnitude in this column at or below the diagonal.
 		best := col
-		bestAbs := abs(a[col][col])
+		bestAbs := abs(a[perm[col]*w+col])
 		for r := col + 1; r < n; r++ {
-			if v := abs(a[r][col]); v > bestAbs {
+			if v := abs(a[perm[r]*w+col]); v > bestAbs {
 				best, bestAbs = r, v
 			}
 		}
-		a[col], a[best] = a[best], a[col]
-		piv := a[col][col]
+		perm[col], perm[best] = perm[best], perm[col]
 		if bestAbs < 1e-300 {
 			continue // singular column: leave zeros, caller renormalizes
 		}
-		inv := 1 / piv
-		for r := 0; r < n; r++ {
-			if r == col {
+		// Each row's update reads only itself and the pivot row, so the
+		// stored order of the other rows does not change a result.
+		pivot := perm[col]*w + col
+		prow := a[pivot : pivot+w-col]
+		inv := 1 / prow[0]
+		for start := col; start < len(a); start += w {
+			if start == pivot {
 				continue
 			}
-			factor := a[r][col] * inv
+			row := a[start : start+len(prow)]
+			factor := row[0] * inv
 			if factor == 0 { //burst:floateq-ok exact-zero factor means the row is already eliminated
 				continue
 			}
-			row, prow := a[r], a[col]
-			for c := col; c <= n; c++ {
-				row[c] -= factor * prow[c]
+			for c, v := range prow {
+				row[c] -= factor * v
 			}
 		}
 	}
-	x := make([]float64, n)
 	for i := 0; i < n; i++ {
-		piv := a[i][i]
+		row := s.row(perm[i])
+		piv := row[i]
 		if abs(piv) < 1e-300 {
-			x[i] = 0
+			s.x[i] = 0
 			continue
 		}
-		x[i] = a[i][n] / piv
+		s.x[i] = row[n] / piv
 	}
-	return x
+	return s.x
+}
+
+// resize returns buf with length n, reallocating only when it is too small.
+// The contents are unspecified.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 func abs(v float64) float64 {

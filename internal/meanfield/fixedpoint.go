@@ -65,6 +65,21 @@ type SteadyState struct {
 	// is the final (p, R) update magnitude.
 	Iterations int
 	Residual   float64
+	// Counts tallies the queue closure's work over the whole solve, every
+	// iteration included. It describes cost, not the equilibrium.
+	Counts SolveCounts
+}
+
+// SolveCounts tallies the queue closure's work over one Solve.
+type SolveCounts struct {
+	// DenseSolves counts the queue chain's dense eliminations.
+	DenseSolves int
+	// Screened counts RED bisection comparisons the cut recursion decided
+	// without a dense solve.
+	Screened int
+	// CacheHits counts RED closure evaluations answered from an exact
+	// evaluation at the same admitted intensity.
+	CacheHits int
 }
 
 // ClassSteady is one class's equilibrium.
@@ -151,16 +166,15 @@ func Solve(params Params) (*SteadyState, error) {
 	stall := 0
 
 	var ec echoCache
+	ws := new(workspace)
 	for iter := 1; iter <= params.MaxIterations; iter++ {
-		st, err := evaluate(params, g, pDrop, pSignal, rtt, &ec)
-		if err != nil {
-			return nil, err
-		}
+		st := evaluate(params, g, pDrop, pSignal, rtt, &ec, ws)
 		residual = abs(st.DropProb-pDrop) + abs(st.SignalProb-pSignal) +
 			abs(st.RTT-rtt)/params.BaseRTT
 		if residual <= params.Tolerance {
 			st.Iterations = iter
 			st.Residual = residual
+			st.Counts = ws.counts
 			return st, nil
 		}
 		if residual < bestResidual {
@@ -172,6 +186,7 @@ func Solve(params Params) (*SteadyState, error) {
 		} else {
 			stall++
 			if stall >= fixedPointStallWindow && bestResidual <= fixedPointStallTol {
+				best.Counts = ws.counts
 				return best, nil
 			}
 		}
@@ -187,6 +202,7 @@ func Solve(params Params) (*SteadyState, error) {
 		rtt += damp * (st.RTT - rtt)
 	}
 	if bestResidual <= fixedPointStallTol {
+		best.Counts = ws.counts
 		return best, nil
 	}
 	return nil, &ConvergenceError{
@@ -201,8 +217,9 @@ func Solve(params Params) (*SteadyState, error) {
 // evaluate runs one sweep of the coupling loop at the iterate
 // (pDrop, pSignal, rtt) and returns the implied steady state — the fixed
 // point is reached when the output reproduces the input. ec memoizes the
-// retransmission-echo transient across sweeps.
-func evaluate(params Params, g grid, pDrop, pSignal, rtt float64, ec *echoCache) (*SteadyState, error) {
+// retransmission-echo transient across sweeps; ws is the solve's scratch
+// space.
+func evaluate(params Params, g grid, pDrop, pSignal, rtt float64, ec *echoCache, ws *workspace) *SteadyState {
 	st := &SteadyState{Classes: make([]ClassSteady, len(params.Classes))}
 
 	// Per-class stationary densities and send rates under the iterate.
@@ -229,7 +246,7 @@ func evaluate(params Params, g grid, pDrop, pSignal, rtt float64, ec *echoCache)
 			vegas:        params.Vegas,
 		}
 		envs[i] = env
-		f := env.stationaryDensity(g)
+		f := env.stationaryDensity(g, &ws.sys)
 		m := env.moments(g, f)
 		cs.SendPPS = m.sendPPS
 		cs.MeanWindow = m.meanW
@@ -250,15 +267,12 @@ func evaluate(params Params, g grid, pDrop, pSignal, rtt float64, ec *echoCache)
 	var chain queueState
 	var pe float64
 	if params.Queue == RED {
-		rc, err := solveRED(a, params.Buffer, params.RED)
-		if err != nil {
-			return nil, err
-		}
+		rc := ws.solveRED(a, params.Buffer, params.RED)
 		chain = rc.queue
 		pe = rc.pEarly
 		st.REDAvgMean = rc.avgMean
 	} else {
-		chain = solveQueueChain(a, params.Buffer)
+		chain = ws.solveQueueChain(a, params.Buffer)
 	}
 	st.EarlyProb = pe
 	st.OverflowProb = chain.lossFrac
@@ -358,5 +372,5 @@ func evaluate(params Params, g grid, pDrop, pSignal, rtt float64, ec *echoCache)
 		// A·τ, so cov = sqrt(D/(A·τ)).
 		st.COV = math.Sqrt(st.Dispersion / (arrival * params.BaseRTT))
 	}
-	return st, nil
+	return st
 }

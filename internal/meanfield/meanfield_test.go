@@ -63,7 +63,7 @@ func TestValidate(t *testing.T) {
 
 func TestQueueChain(t *testing.T) {
 	// Light load: negligible loss, near-empty queue, proper distribution.
-	qs := solveQueueChain(0.5, 50)
+	qs := new(workspace).solveQueueChain(0.5, 50)
 	var sum float64
 	for _, m := range qs.dist {
 		if m < 0 {
@@ -85,7 +85,7 @@ func TestQueueChain(t *testing.T) {
 	// packet per slot.
 	prevLoss, prevMean := -1.0, -1.0
 	for _, a := range []float64{0.5, 0.8, 0.95, 1.0, 1.2, 2.0} {
-		qs := solveQueueChain(a, 50)
+		qs := new(workspace).solveQueueChain(a, 50)
 		if qs.lossFrac < prevLoss-1e-12 {
 			t.Errorf("loss not monotone at a=%v: %v < %v", a, qs.lossFrac, prevLoss)
 		}
@@ -100,7 +100,7 @@ func TestQueueChain(t *testing.T) {
 
 	// Deep overload: the queue pins at B and the accepted rate is the
 	// service rate.
-	qs = solveQueueChain(2.0, 50)
+	qs = new(workspace).solveQueueChain(2.0, 50)
 	if qs.meanQ < 45 {
 		t.Errorf("mean queue %v at 2x overload, want near 50", qs.meanQ)
 	}
@@ -109,7 +109,7 @@ func TestQueueChain(t *testing.T) {
 	}
 
 	// The saturated shortcut stays consistent with the exact chain.
-	qs = solveQueueChain(saturationIntensity+1, 50)
+	qs = new(workspace).solveQueueChain(saturationIntensity+1, 50)
 	if qs.meanQ < 49.9 || qs.lossFrac < 0.9 {
 		t.Errorf("saturated closure: meanQ=%v loss=%v", qs.meanQ, qs.lossFrac)
 	}
@@ -126,7 +126,7 @@ func TestStationaryDensityNoLoss(t *testing.T) {
 		baseRTT:   0.044,
 		minRTO:    0.2,
 	}
-	f := env.stationaryDensity(g)
+	f := env.stationaryDensity(g, new(linSystem))
 	if f[g.n-1] < 0.999 {
 		t.Fatalf("no-loss density has %v mass at the cap, want ~1", f[g.n-1])
 	}
@@ -144,7 +144,7 @@ func TestStationaryDensityShrinksWithLoss(t *testing.T) {
 			pTimeoutLoss: pSignal,
 			minRTO:       0.2,
 		}
-		f := env.stationaryDensity(g)
+		f := env.stationaryDensity(g, new(linSystem))
 		return env.moments(g, f).meanW
 	}
 	prev := math.Inf(1)
@@ -246,6 +246,11 @@ func TestSolveRED(t *testing.T) {
 	}
 	if st.REDAvgMean <= 0 {
 		t.Errorf("RED average %v, want > 0", st.REDAvgMean)
+	}
+	// The screen and the cache must spare most of the 62 dense chain
+	// solves an unscreened bisection spends per iteration.
+	if c := st.Counts; c.Screened == 0 || c.CacheHits == 0 || c.DenseSolves >= 31*st.Iterations {
+		t.Errorf("RED solve counts %+v over %d iterations: the screen or the cache is idle", c, st.Iterations)
 	}
 	// ECN marks instead of dropping: signal rate at least the drop rate of
 	// the drop-mode run, drop rate lower.
@@ -448,5 +453,34 @@ func TestTrajectoryCSV(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("identical trajectories produced different CSV bytes")
+	}
+}
+
+// solveSink keeps BenchmarkSolve's result live.
+var solveSink *SteadyState
+
+// BenchmarkSolve times one steady-state solve at a fluid-sweep cell: the
+// paper's bottleneck with its 50-packet buffer and 16,000 Reno flows at
+// 100 pkts/s each, under drop-tail and under RED with the paper's
+// parameters (thresholds 10/40, weight 0.002, max-p 0.1).
+func BenchmarkSolve(b *testing.B) {
+	for _, q := range []struct {
+		name string
+		kind QueueKind
+	}{{"fifo", FIFO}, {"red", RED}} {
+		b.Run(q.name, func(b *testing.B) {
+			p := paperParams(16000, 100)
+			p.Duration = 60
+			p.Queue = q.kind
+			p.RED = REDParams{MinThreshold: 10, MaxThreshold: 40, Weight: 0.002, MaxProb: 0.1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := Solve(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				solveSink = st
+			}
+		})
 	}
 }

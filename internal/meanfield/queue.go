@@ -39,9 +39,19 @@ type queueState struct {
 // before 50× overload — but it keeps intermediate iterates finite.
 const saturationIntensity = 50.0
 
+// workspace is one Solve's scratch space: the dense system that both
+// stationary solves (window densities and the queue chain) fill, the chain
+// operator and cut-law buffers of the RED screen, and the solver's counts.
+type workspace struct {
+	sys    linSystem
+	op     chainOp
+	cut    []float64
+	counts SolveCounts
+}
+
 // solveQueueChain computes the stationary law of the slotted chain with
 // buffer B and admitted intensity a.
-func solveQueueChain(a float64, b int) queueState {
+func (ws *workspace) solveQueueChain(a float64, b int) queueState {
 	qs := queueState{a: a}
 	if a <= 0 {
 		qs.dist = make([]float64, b+1)
@@ -55,14 +65,12 @@ func solveQueueChain(a float64, b int) queueState {
 		qs.lossFrac = 1 - 1/a
 		return qs
 	}
+	ws.counts.DenseSolves++
 
 	// Poisson batch pmf r_k, truncated where the tail is negligible.
-	kmax := int(a + 12*math.Sqrt(a) + 25)
-	r := make([]float64, kmax+1)
-	r[0] = math.Exp(-a)
-	for k := 1; k <= kmax; k++ {
-		r[k] = r[k-1] * a / float64(k)
-	}
+	ws.op.reset(a, b)
+	r := ws.op.r
+	kmax := len(r) - 1
 
 	// Transition operator: from q, the slot serves one packet (if any),
 	// admits K, clips at B. P(q→j): for qs = max(q−1,0), j = min(qs+K, B).
@@ -70,10 +78,8 @@ func solveQueueChain(a float64, b int) queueState {
 	// normalization — B+1 states, skip-free to the left, so the system is
 	// small and well conditioned (core caps fluid buffers at 512).
 	n := b + 1
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n+1)
-	}
+	m := &ws.sys
+	m.reset(n)
 	for q := 0; q < n; q++ {
 		base := q - 1
 		if base < 0 {
@@ -84,21 +90,21 @@ func solveQueueChain(a float64, b int) queueState {
 			j := base + k
 			if j >= b {
 				// All remaining batch mass lands in the full state.
-				m[b][q] += tail
+				m.row(b)[q] += tail
 				break
 			}
-			m[j][q] += r[k]
+			m.row(j)[q] += r[k]
 			tail -= r[k]
 		}
 	}
 	for i := 0; i < n; i++ {
-		m[i][i]--
+		m.row(i)[i]--
 	}
-	for j := 0; j < n; j++ {
-		m[n-1][j] = 1
+	last := m.row(n - 1)
+	for j := range last {
+		last[j] = 1
 	}
-	m[n-1][n] = 1
-	pi := solveLinear(m)
+	pi := append([]float64(nil), m.solve()...)
 
 	var sum float64
 	for i := range pi {
@@ -171,17 +177,66 @@ type chainOp struct {
 }
 
 func newChainOp(a float64, b int) chainOp {
+	var op chainOp
+	op.reset(a, b)
+	return op
+}
+
+// reset rebuilds op for intensity a and buffer b, reusing its slices.
+func (op *chainOp) reset(a float64, b int) {
 	kmax := int(a + 12*math.Sqrt(a) + 25)
-	r := make([]float64, kmax+1)
-	r[0] = math.Exp(-a)
+	op.a, op.b = a, b
+	op.r = resize(op.r, kmax+1)
+	op.r[0] = math.Exp(-a)
 	for k := 1; k <= kmax; k++ {
-		r[k] = r[k-1] * a / float64(k)
+		op.r[k] = op.r[k-1] * a / float64(k)
 	}
-	tail := make([]float64, kmax+2)
+	op.tail = resize(op.tail, kmax+2)
+	op.tail[kmax+1] = 0
 	for k := kmax; k >= 0; k-- {
-		tail[k] = tail[k+1] + r[k]
+		op.tail[k] = op.tail[k+1] + op.r[k]
 	}
-	return chainOp{a: a, b: b, r: r, tail: tail}
+}
+
+// cutLaw fills pi (length B+1) with the chain's stationary law from the
+// cut equations. Across the cut between {0..j} and {j+1..B} the only
+// downward move is j+1 → j (an empty batch), so
+//
+//	π_{j+1}·r_0 = Σ_{q≤j} π_q·P(K > j − max(q−1, 0)),
+//
+// an O(B²) recursion of positive terms. It agrees with the dense solve to
+// round-off, not bit for bit, so solveRED uses it only to screen
+// comparisons.
+func (op chainOp) cutLaw(pi []float64) {
+	pi[0] = 1
+	for j := 0; j < op.b; j++ {
+		var up float64
+		for q := 0; q <= j; q++ {
+			k := j + 2 - q // P(K >= k) = P(K > j − (q−1))
+			if q == 0 {
+				k = j + 1
+			}
+			if k < len(op.tail) {
+				up += pi[q] * op.tail[k]
+			}
+		}
+		pi[j+1] = up / op.r[0]
+		// r_0 = e^−a, so π grows by up to e^a per state: rescale before
+		// the recursion overflows.
+		if pi[j+1] > 1e200 {
+			s := 1 / pi[j+1]
+			for q := 0; q <= j+1; q++ {
+				pi[q] *= s
+			}
+		}
+	}
+	var sum float64
+	for _, v := range pi {
+		sum += v
+	}
+	for q := range pi {
+		pi[q] /= sum
+	}
 }
 
 // step advances dist by one service slot (serve one, admit a Poisson
@@ -397,6 +452,21 @@ type redClosure struct {
 	avgMean, avgStd float64
 }
 
+// screenMargin is how far the cut recursion's RED response must sit from a
+// bisection threshold, beyond the dense solve's round-off band (see
+// screenRED), for the screen to decide the comparison. Then a comparison
+// the screen decides comes out as the dense solve's would, and the
+// bisection walks the same brackets.
+const screenMargin = 1e-9
+
+// denseRoundoff bounds the absolute round-off the dense elimination leaves
+// in each state's stationary mass. Measured against the cut recursion over
+// buffers up to 512, the error is about 3e-17 of unit mass at light load
+// and larger near a = 1, where the chain mixes slowly; with 1e-14, every
+// measured dense response, steep and gentle RED laws included, fell inside
+// screenRED's band or within 1e-12 of it.
+const denseRoundoff = 1e-14
+
 // solveRED solves the inner RED fixed point for gross arrival intensity a
 // (packets per slot before early drops). Under ECN the early action never
 // thins the stream, so the closure is a single evaluation. Without ECN the
@@ -406,41 +476,147 @@ type redClosure struct {
 // so φ(pe) − pe has exactly one sign change on [0, 1] and bisection finds
 // it unconditionally; a damped iteration would limit-cycle in the heavily
 // overloaded regimes where φ is steep.
-func solveRED(a float64, b int, red REDParams) (redClosure, error) {
-	eval := func(pe float64) (redClosure, float64) {
-		admitted := a
-		if !red.ECN {
-			admitted = a * (1 - pe)
-		}
-		var rc redClosure
-		rc.queue = solveQueueChain(admitted, b)
-		rc.avgMean = rc.queue.meanQ
-		rc.avgStd = math.Sqrt(rc.queue.varQ * red.Weight / (2 - red.Weight))
-		return rc, redRampMean(rc.avgMean, rc.avgStd, red)
-	}
+//
+// Only the bracket's comparisons use the screen and the cache; the
+// returned closure always comes from the dense solve.
+func (ws *workspace) solveRED(a float64, b int, red REDParams) redClosure {
+	rs := redSolve{ws: ws, a: a, b: b, red: red}
 	if red.ECN {
-		rc, pe := eval(0)
+		rc, pe := rs.eval(0)
 		rc.pEarly = pe
-		return rc, nil
+		return rc
 	}
-	if rc, pe := eval(0); pe <= 0 {
+	if !rs.above(0, 0) {
 		// Queue too light to ever reach the ramp: pe = 0 is the fixed point.
+		rc, _ := rs.eval(0)
 		rc.pEarly = 0
-		return rc, nil
+		return rc
 	}
 	lo, hi := 0.0, 1.0
 	for i := 0; i < 60; i++ {
 		mid := 0.5 * (lo + hi)
-		if _, pe := eval(mid); pe > mid {
+		if rs.above(mid, mid) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	pe := 0.5 * (lo + hi)
-	rc, _ := eval(pe)
+	rc, _ := rs.eval(pe)
 	rc.pEarly = pe
-	return rc, nil
+	return rc
+}
+
+// redSolve is one solveRED call: its inputs and a two-entry cache of exact
+// evaluations. Once the bracket is narrower than about 2⁻⁵³, a·(1−pe)
+// stops changing, so the last steps repeat an admitted intensity.
+type redSolve struct {
+	ws    *workspace
+	a     float64
+	b     int
+	red   REDParams
+	cache [2]redEval
+	next  int
+}
+
+// redEval is one exact closure evaluation, keyed by the bits of its
+// admitted intensity.
+type redEval struct {
+	ok  bool
+	key uint64
+	rc  redClosure
+	pe  float64
+}
+
+// admitted returns the intensity entering the chain at early-action
+// probability pe.
+func (rs *redSolve) admitted(pe float64) float64 {
+	if rs.red.ECN {
+		return rs.a
+	}
+	return rs.a * (1 - pe)
+}
+
+// lookup returns the cached exact evaluation at an admitted intensity.
+func (rs *redSolve) lookup(admitted float64) (redEval, bool) {
+	key := math.Float64bits(admitted)
+	for _, e := range rs.cache {
+		if e.ok && e.key == key {
+			rs.ws.counts.CacheHits++
+			return e, true
+		}
+	}
+	return redEval{}, false
+}
+
+// eval returns the closure and its response φ(pe) from the dense solve.
+func (rs *redSolve) eval(pe float64) (redClosure, float64) {
+	admitted := rs.admitted(pe)
+	if e, ok := rs.lookup(admitted); ok {
+		return e.rc, e.pe
+	}
+	var rc redClosure
+	rc.queue = rs.ws.solveQueueChain(admitted, rs.b)
+	rc.avgMean = rc.queue.meanQ
+	rc.avgStd = avgStd(rc.queue.varQ, rs.red.Weight)
+	resp := redRampMean(rc.avgMean, rc.avgStd, rs.red)
+	rs.cache[rs.next] = redEval{ok: true, key: math.Float64bits(admitted), rc: rc, pe: resp}
+	rs.next ^= 1
+	return rc, resp
+}
+
+// above reports whether φ(pe) > threshold. A cached exact evaluation
+// answers first; then the cut recursion, when its whole round-off band
+// clears the threshold by more than screenMargin; the dense solve
+// otherwise.
+func (rs *redSolve) above(pe, threshold float64) bool {
+	admitted := rs.admitted(pe)
+	if e, ok := rs.lookup(admitted); ok {
+		return e.pe > threshold
+	}
+	if admitted > 0 && admitted < saturationIntensity {
+		lo, hi := rs.ws.screenRED(admitted, rs.b, rs.red)
+		if lo > threshold+screenMargin || hi < threshold-screenMargin {
+			rs.ws.counts.Screened++
+			return lo > threshold
+		}
+	}
+	_, resp := rs.eval(pe)
+	return resp > threshold
+}
+
+// screenRED bounds the RED response the dense solve would return at an
+// admitted intensity, from the cut recursion's stationary law. With up to
+// denseRoundoff of error in each of the B+1 masses, the dense mean can sit
+// ε·(B+1)² away and the variance, a q²-weighted sum less the squared mean,
+// ε·((B+1)³ + E[Q²]) away. The response rises with the mean, so the bounds
+// take the low mean for lo and the high mean for hi, each at both ends of
+// the variance range.
+func (ws *workspace) screenRED(admitted float64, b int, red REDParams) (lo, hi float64) {
+	ws.op.reset(admitted, b)
+	ws.cut = resize(ws.cut, b+1)
+	ws.op.cutLaw(ws.cut)
+	var mean, mean2 float64
+	for q, p := range ws.cut {
+		fq := float64(q)
+		mean += p * fq
+		mean2 += p * fq * fq
+	}
+	n := float64(b + 1)
+	dm := denseRoundoff * n * n
+	dv := denseRoundoff * (n*n*n + mean2)
+	varQ := mean2 - mean*mean
+	sLo := avgStd(math.Max(varQ-dv, 0), red.Weight)
+	sHi := avgStd(varQ+dv, red.Weight)
+	lo = math.Min(redRampMean(mean-dm, sLo, red), redRampMean(mean-dm, sHi, red))
+	hi = math.Max(redRampMean(mean+dm, sLo, red), redRampMean(mean+dm, sHi, red))
+	return lo, hi
+}
+
+// avgStd is the standard deviation √(Var[Q]·w/(2−w)) of RED's averaged
+// queue, the EWMA's variance reduction of the occupancy (DESIGN.md §10).
+func avgStd(varQ, weight float64) float64 {
+	return math.Sqrt(varQ * weight / (2 - weight))
 }
 
 // redRampMean returns E[ramp(X)] for X ~ Normal(m, s²), where ramp is the
