@@ -23,16 +23,19 @@ race:
 ## string and that building one never panics; FuzzJSONL checks that every
 ## line the JSONL telemetry sink writes decodes as JSON;
 ## FuzzSolveREDMatchesReference checks that the screened RED closure stays
-## bit-identical to the every-step-dense reference.
+## bit-identical to the every-step-dense reference; FuzzNewConfig checks
+## that every config NewConfig accepts runs 100 ms without panicking.
 fuzz:
 	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s ./internal/sim
 	go test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/queue
 	go test -run '^$$' -fuzz FuzzSolveREDMatchesReference -fuzztime 20s ./internal/meanfield
 	go test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s ./internal/telemetry
+	go test -run '^$$' -fuzz FuzzNewConfig -fuzztime 20s ./internal/core
 
 ## shard-smoke: run the parking-lot example serially and at 4 shards and
-## diff the two tables, which must be byte-identical. It covers Vegas and
-## DRR over 60 s, beyond the 2 s Reno/FIFO golden cell. Then diff a
+## diff both tables against the committed examples/parkinglot/testdata/
+## table.txt, so a change that moves both runs alike fails too. It covers
+## Vegas and DRR over 60 s, beyond the 2 s Reno golden rows. Then diff a
 ## dumbbell burstsim summary (CoDel, 2000 clients) at 0, 2 and 3 shards:
 ## 2 shards split the clients between the gateway's shard and the other,
 ## and with 3 shards on two cores the window barrier takes its park path.
@@ -41,7 +44,8 @@ shard-smoke:
 	@tmp=$$(mktemp -d); \
 	go run ./examples/parkinglot -shards 0 > $$tmp/serial.txt && \
 	go run ./examples/parkinglot -shards 4 > $$tmp/sharded.txt && \
-	diff $$tmp/serial.txt $$tmp/sharded.txt && \
+	diff examples/parkinglot/testdata/table.txt $$tmp/serial.txt && \
+	diff examples/parkinglot/testdata/table.txt $$tmp/sharded.txt && \
 	go build -o $$tmp/burstsim ./cmd/burstsim && \
 	$$tmp/burstsim $(SMOKE_DUMBBELL) -shards 0 > $$tmp/dumbbell0.json && \
 	$$tmp/burstsim $(SMOKE_DUMBBELL) -shards 2 > $$tmp/dumbbell2.json && \

@@ -304,25 +304,19 @@ func BenchmarkAblationRTTJitter(b *testing.B) {
 
 // BenchmarkAblationParkingLot extends the study to two bottlenecks: long
 // flows crossing both hops versus single-hop cross traffic (the
-// distributed-system topology the paper's introduction motivates).
+// distributed-system topology the paper's introduction motivates). The
+// long flows' share of hop 2 is the multi-bottleneck fairness headline.
 func BenchmarkAblationParkingLot(b *testing.B) {
 	for _, p := range []core.Protocol{core.Reno, core.Vegas} {
 		b.Run(p.String(), func(b *testing.B) {
-			cfg := core.ChainConfig{
-				LongClients: 20, Hop1Clients: 20, Hop2Clients: 20,
-				Protocol: p, Duration: benchDuration,
-			}
-			var res *core.ChainResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = core.RunParkingLot(cfg)
-				if err != nil {
-					b.Fatalf("run: %v", err)
-				}
-			}
-			b.ReportMetric(res.LongShareHop2, "long_share_hop2")
-			b.ReportMetric(res.COVHop1, "cov_hop1")
-			b.ReportMetric(res.COVHop2, "cov_hop2")
+			res := runBench(b, core.Config{
+				ParkingLot: &core.ParkingLot{Long: 20, Hop1: 20, Hop2: 20},
+				Protocol:   p,
+			})
+			long, hop2 := res.Groups[0].Delivered, res.Groups[2].Delivered
+			b.ReportMetric(float64(long)/float64(long+hop2), "long_share_hop2")
+			b.ReportMetric(res.Bottlenecks[0].COV, "cov_hop1")
+			b.ReportMetric(res.Bottlenecks[1].COV, "cov_hop2")
 		})
 	}
 }

@@ -5,13 +5,17 @@
 // flows, (b) how Vegas vs Reno changes it, and (c) that TCP-induced
 // burstiness appears at both gateways.
 //
+// The parking lot is a topology of core.Config: setting Config.ParkingLot
+// runs it through core.RunBatch like any dumbbell experiment, and the
+// Result reports each bottleneck and each client group.
+//
 // Run with: go run ./examples/parkinglot [-shards K]
 //
 // -shards K spreads each run over K schedulers, placed by the topology
 // compiler: at 2 the split is the inter-gateway cut, and from 3 on the
 // clients spread over the shards beyond the two gateways'. Results are
-// bit-identical at every K (see DESIGN.md §11; make shard-smoke diffs
-// 0 against 4).
+// bit-identical at every K (see DESIGN.md §11); make shard-smoke diffs
+// the tables at 0 and 4 against testdata/table.txt.
 package main
 
 import (
@@ -25,7 +29,7 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 0, "schedulers per run (0 or 1 serial; up to one per host, bit-identical at every count)")
+	shards := flag.Int("shards", 0, "schedulers per run (0 or 1 serial; up to one per client, bit-identical at every count)")
 	flag.Parse()
 
 	fmt.Println("Two-bottleneck parking lot: 20 long + 20 per-hop cross clients")
@@ -35,28 +39,29 @@ func main() {
 
 	// The four protocol/queue combinations are independent, so run them
 	// through the parallel batch engine instead of a serial loop.
-	var cfgs []core.ChainConfig
+	var cfgs []core.Config
 	for _, p := range []core.Protocol{core.Reno, core.Vegas} {
 		for _, q := range []core.GatewayQueue{core.FIFO, core.DRR} {
-			cfgs = append(cfgs, core.ChainConfig{
-				LongClients: 20,
-				Hop1Clients: 20,
-				Hop2Clients: 20,
-				Protocol:    p,
-				Base:        core.Config{Gateway: q},
-				Duration:    60 * time.Second,
-				Shards:      *shards,
+			cfgs = append(cfgs, core.Config{
+				ParkingLot: &core.ParkingLot{Long: 20, Hop1: 20, Hop2: 20},
+				Protocol:   p,
+				Gateway:    q,
+				Duration:   60 * time.Second,
+				Shards:     *shards,
 			})
 		}
 	}
-	results, _, err := core.RunChainBatch(context.Background(), cfgs, core.ExecOptions{})
+	results, _, err := core.RunBatch(context.Background(), cfgs, core.ExecOptions{})
 	if err != nil {
 		log.Fatalf("run: %v", err)
 	}
-	for i, res := range results {
+	for _, res := range results {
+		// Groups are long, hop-1 and hop-2 clients; bottleneck 1 is hop 2,
+		// which the long and hop-2 clients share.
+		long, hop1, hop2 := res.Groups[0].Delivered, res.Groups[1].Delivered, res.Groups[2].Delivered
 		fmt.Printf("%-8s %8s %10d %10d %10d %9.1f%% %9.4f\n",
-			cfgs[i].Protocol, cfgs[i].Base.Gateway, res.Long.Delivered, res.Hop1.Delivered, res.Hop2.Delivered,
-			res.LongShareHop2*100, res.COVHop2)
+			res.Config.Protocol, res.Config.QueueName(), long, hop1, hop2,
+			float64(long)/float64(long+hop2)*100, res.Bottlenecks[1].COV)
 	}
 
 	fmt.Println()

@@ -46,8 +46,8 @@ type Config struct {
 	// plus every HotPathFuncs-named method in a SimPackage.
 	HotPathRoots map[string][]string
 	// CorePackage is the experiment-harness package whose Config feeds the
-	// runcache key derivation and whose Summary/ChainResult encodings the
-	// schema lock pins.
+	// runcache key derivation and whose Summary encoding the schema lock
+	// pins.
 	CorePackage string
 	// CmdPackagePrefix marks the CLI packages where configdrift's
 	// flag-round-trip rule applies: flag-bound values reach core.Config

@@ -42,15 +42,13 @@ func withLock(t *testing.T, lock string, fn func()) {
 	fn()
 }
 
-// The drift fixture's Summary gained COV while version and kinds still
+// The drift fixture's Summary gained COV while version and kind still
 // match the lock: the analyzer must demand a bump.
 func TestSchemaDriftWithoutBump(t *testing.T) {
 	withLock(t, `{
 		"schema_version": 3,
 		"result_cache_kind": "result/v9/",
-		"chain_cache_kind": "chain/v9",
-		"summary": ["SchemaVersion int `+"`json:\\\"schemaVersion\\\"`"+`"],
-		"chain_result": ["SchemaVersion int `+"`json:\\\"schemaVersion\\\"`"+`"]
+		"summary": ["SchemaVersion int `+"`json:\\\"schemaVersion\\\"`"+`"]
 	}`, func() {
 		analysistest.Run(t, configdrift.Analyzer, "testdata/drift", "tcpburst/internal/core")
 	})
@@ -62,26 +60,25 @@ func TestSchemaLockStaleAfterBump(t *testing.T) {
 	withLock(t, `{
 		"schema_version": 2,
 		"result_cache_kind": "result/v9/",
-		"chain_cache_kind": "chain/v9",
-		"summary": ["SchemaVersion int `+"`json:\\\"schemaVersion\\\"`"+`"],
-		"chain_result": ["SchemaVersion int `+"`json:\\\"schemaVersion\\\"`"+`"]
+		"summary": ["SchemaVersion int `+"`json:\\\"schemaVersion\\\"`"+`"]
 	}`, func() {
 		analysistest.Run(t, configdrift.Analyzer, "testdata/stale", "tcpburst/internal/core")
 	})
 }
 
-// A lock exactly matching the stale fixture's surface must be clean; reuse
+// A lock exactly matching the clean fixture's surface, including the
+// fields of the struct its Summary.Groups holds, must be clean; reuse
 // Regenerate-shaped JSON to prove the match path reports nothing.
 func TestSchemaLockClean(t *testing.T) {
 	withLock(t, `{
 		"schema_version": 3,
 		"result_cache_kind": "result/v9/",
-		"chain_cache_kind": "chain/v9",
 		"summary": [
 			"SchemaVersion int `+"`json:\\\"schemaVersion\\\"`"+`",
-			"COV float64 `+"`json:\\\"cov\\\"`"+`"
-		],
-		"chain_result": ["SchemaVersion int `+"`json:\\\"schemaVersion\\\"`"+`"]
+			"COV float64 `+"`json:\\\"cov\\\"`"+`",
+			"Groups []tcpburst/internal/core.Group `+"`json:\\\"groups,omitempty\\\"`"+`",
+			"Groups.Clients int `+"`json:\\\"clients\\\"`"+`"
+		]
 	}`, func() {
 		// The stale fixture has want comments; a clean run over the drift
 		// tree would fail them. Load it directly instead.

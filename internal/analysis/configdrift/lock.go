@@ -37,12 +37,10 @@ func Regenerate(pkg *types.Package) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsing embedded schema_lock.json: %w", err)
 	}
-	fieldsChanged := !sliceEq(cur.Summary, old.Summary) || !sliceEq(cur.ChainResult, old.ChainResult)
-	bumped := cur.SchemaVersion != old.SchemaVersion ||
-		cur.ResultCacheKind != old.ResultCacheKind ||
-		cur.ChainCacheKind != old.ChainCacheKind
+	fieldsChanged := !sliceEq(cur.Summary, old.Summary)
+	bumped := cur.SchemaVersion != old.SchemaVersion || cur.ResultCacheKind != old.ResultCacheKind
 	if fieldsChanged && !bumped {
-		return nil, fmt.Errorf("refusing to repin: Summary/ChainResult fields changed but neither SummarySchemaVersion nor a cache kind was bumped")
+		return nil, fmt.Errorf("refusing to repin: Summary fields changed but neither SummarySchemaVersion nor the cache kind was bumped")
 	}
 	data, err := json.MarshalIndent(cur, "", "  ")
 	if err != nil {

@@ -4,19 +4,17 @@ package core
 
 const SummarySchemaVersion = 3
 
-const (
-	resultCacheKindPrefix = "result/v9/"
-	chainCacheKind        = "chain/v9"
-)
+const resultCacheKindPrefix = "result/v9/"
 
 type Summary struct {
 	SchemaVersion int     `json:"schemaVersion"`
 	COV           float64 `json:"cov"`
+	Groups        []Group `json:"groups,omitempty"`
 }
 
-type ChainResult struct {
-	SchemaVersion int `json:"schemaVersion"`
+// Group is pinned field by field under Summary.Groups.
+type Group struct {
+	Clients int `json:"clients"`
 }
 
 var _ = resultCacheKindPrefix
-var _ = chainCacheKind

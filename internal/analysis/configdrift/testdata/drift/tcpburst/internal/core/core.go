@@ -1,23 +1,15 @@
 // Fixture for configdrift rule 2: the Summary field set differs from the
-// pinned lock (COV is new) while SummarySchemaVersion and both cache kinds
+// pinned lock (COV is new) while SummarySchemaVersion and the cache kind
 // match it — the un-bumped drift the analyzer must refuse.
 package core
 
 const SummarySchemaVersion = 3
 
-const (
-	resultCacheKindPrefix = "result/v9/"
-	chainCacheKind        = "chain/v9"
-)
+const resultCacheKindPrefix = "result/v9/"
 
-type Summary struct { // want `Summary/ChainResult fields changed without a SummarySchemaVersion or cache-kind bump`
+type Summary struct { // want `Summary fields changed without a SummarySchemaVersion or cache-kind bump`
 	SchemaVersion int     `json:"schemaVersion"`
 	COV           float64 `json:"cov"`
 }
 
-type ChainResult struct {
-	SchemaVersion int `json:"schemaVersion"`
-}
-
 var _ = resultCacheKindPrefix
-var _ = chainCacheKind

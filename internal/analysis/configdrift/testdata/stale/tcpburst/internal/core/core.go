@@ -5,19 +5,11 @@ package core
 
 const SummarySchemaVersion = 3
 
-const (
-	resultCacheKindPrefix = "result/v9/"
-	chainCacheKind        = "chain/v9"
-)
+const resultCacheKindPrefix = "result/v9/"
 
 type Summary struct { // want `schema lock is stale`
 	SchemaVersion int     `json:"schemaVersion"`
 	COV           float64 `json:"cov"`
 }
 
-type ChainResult struct {
-	SchemaVersion int `json:"schemaVersion"`
-}
-
 var _ = resultCacheKindPrefix
-var _ = chainCacheKind

@@ -127,40 +127,13 @@ func compareBatchedUnbatched(t *testing.T, cfg Config) {
 
 // TestBatchingMatchesUnbatchedParkingLot extends the contract to the
 // two-hop topology, whose chain links and cross-traffic sinks have
-// their own train wiring and whose shard-window edges split trains.
+// their own train wiring and whose shard-window edges split trains. The
+// summary includes the per-bottleneck and per-group measurements.
 func TestBatchingMatchesUnbatchedParkingLot(t *testing.T) {
-	base := DefaultConfig(1, Reno, FIFO)
-	base.Duration = 2 * time.Second
-	mk := func(disable bool) ChainConfig {
-		b := base
-		b.DisableBatching = disable
-		return ChainConfig{
-			LongClients: 4, Hop1Clients: 3, Hop2Clients: 3,
-			Protocol: Reno,
-			Duration: 2 * time.Second,
-			Base:     b,
-		}
-	}
-	batched, err := RunParkingLot(mk(false))
-	if err != nil {
-		t.Fatalf("batched run: %v", err)
-	}
-	unbatched, err := RunParkingLot(mk(true))
-	if err != nil {
-		t.Fatalf("unbatched run: %v", err)
-	}
-	// Blank out the configs (they differ in the debug flag by design).
-	batched.Config = ChainConfig{}
-	unbatched.Config = ChainConfig{}
-	bj, err := json.Marshal(batched)
-	if err != nil {
-		t.Fatalf("marshal batched: %v", err)
-	}
-	uj, err := json.Marshal(unbatched)
-	if err != nil {
-		t.Fatalf("marshal unbatched: %v", err)
-	}
-	if string(bj) != string(uj) {
-		t.Errorf("parking-lot batched and unbatched results differ:\nbatched:   %s\nunbatched: %s", bj, uj)
-	}
+	compareBatchedUnbatched(t, Config{
+		ParkingLot: &ParkingLot{Long: 4, Hop1: 3, Hop2: 3},
+		Protocol:   Reno,
+		Gateway:    FIFO,
+		Duration:   2 * time.Second,
+	})
 }

@@ -164,6 +164,10 @@ type MixEntry struct {
 	Clients int
 }
 
+// ParkingLot sizes the parking lot's client groups: Long clients cross
+// both bottlenecks, Hop1 and Hop2 clients only their own.
+type ParkingLot struct{ Long, Hop1, Hop2 int }
+
 type Config struct {
 	// Backend selects the execution engine: PacketBackend (the zero value,
 	// event-by-event simulation) or FluidBackend (the internal/meanfield
@@ -180,6 +184,11 @@ type Config struct {
 	// block sizes (WithDefaults fills it in when left zero), and
 	// Protocol is ignored except as the label of the run.
 	Mix []MixEntry
+	// ParkingLot, when set, replaces the paper's dumbbell with the
+	// two-gateway parking lot. Clients must equal the sum of its counts
+	// (WithDefaults fills it in when left zero). Nil is the dumbbell,
+	// omitted from JSON so dumbbell configs encode as before.
+	ParkingLot *ParkingLot `json:",omitempty"`
 	// Gateway is shorthand for Queue naming fifo, red or drr. WithDefaults
 	// raises it into Queue and zeroes it; setting both is an error.
 	Gateway GatewayQueue `json:",omitempty"`
@@ -345,6 +354,9 @@ func (c Config) WithDefaults() Config {
 			c.Clients += m.Clients
 		}
 	}
+	if lot := c.ParkingLot; lot != nil && c.Clients == 0 {
+		c.Clients = lot.Long + lot.Hop1 + lot.Hop2
+	}
 	if len(c.Mix) > 0 && c.Protocol == 0 {
 		c.Protocol = c.Mix[0].Protocol
 	}
@@ -458,6 +470,11 @@ func (c Config) Validate() error {
 	case c.CwndSampleInterval < 0:
 		return fmt.Errorf("config: cwnd sample interval %v < 0", c.CwndSampleInterval)
 	}
+	if c.ParkingLot != nil {
+		if err := c.validateParkingLot(); err != nil {
+			return err
+		}
+	}
 	traced := make(map[int]bool, len(c.TraceClients))
 	for _, i := range c.TraceClients {
 		if i < 1 || i > c.Clients {
@@ -513,6 +530,38 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// validateParkingLot checks the parking lot's counts and rejects, by
+// name, the fields only the dumbbell honors: the fluid backend, Mix, wire
+// loss and the reverse-path overrides have no meaning on its links, and
+// telemetry would add both bottlenecks into one gw.* series.
+func (c Config) validateParkingLot() error {
+	lot := c.ParkingLot
+	switch {
+	case lot.Long < 1:
+		return fmt.Errorf("config: parking lot long clients %d < 1", lot.Long)
+	case lot.Hop1 < 0 || lot.Hop2 < 0:
+		return fmt.Errorf("config: parking lot hop clients %d/%d < 0", lot.Hop1, lot.Hop2)
+	case lot.Long+lot.Hop1+lot.Hop2 != c.Clients:
+		return fmt.Errorf("config: parking lot totals %d clients but Clients = %d", lot.Long+lot.Hop1+lot.Hop2, c.Clients)
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Backend", c.Backend != PacketBackend},
+		{"Mix", len(c.Mix) > 0},
+		{"WireLossProb", c.WireLossProb > 0},
+		{"ReverseRateBps", c.ReverseRateBps > 0},
+		{"ReverseBufferPackets", c.ReverseBufferPackets != 0},
+		{"TelemetryInterval", c.TelemetryInterval != 0},
+	} {
+		if f.set {
+			return fmt.Errorf("config: %s is not supported by the parking lot", f.name)
+		}
+	}
+	return nil
+}
+
 // buildQueue builds the configured gateway discipline through the
 // registry. rng lazily forks the discipline's random stream: only a
 // discipline that draws randomness calls it, so a deterministic one leaves
@@ -556,14 +605,18 @@ func (c Config) QueueName() string { return c.queueSpec().String() }
 
 // Label names the configuration the way the runner's progress lines do:
 // "protocol/gateway n=N seed=S", omitting a plain "/fifo" as the paper's
-// legends do. Sweeps use it to tag per-run telemetry streams sharing one
-// writer. A config that has not been defaulted is labelled as
-// WithDefaults would leave it.
+// legends do; a parking lot adds its counts as "lot=long/hop1/hop2".
+// Sweeps use it to tag per-run telemetry streams sharing one writer. A
+// config that has not been defaulted is labelled as WithDefaults would
+// leave it.
 func (c Config) Label() string {
 	c = c.WithDefaults()
 	name := c.Protocol.String()
 	if q := c.QueueName(); q != FIFO.String() {
 		name += "/" + q
+	}
+	if lot := c.ParkingLot; lot != nil {
+		name += fmt.Sprintf(" lot=%d/%d/%d", lot.Long, lot.Hop1, lot.Hop2)
 	}
 	return fmt.Sprintf("%s n=%d seed=%d", name, c.Clients, c.Seed)
 }

@@ -32,12 +32,10 @@ type ExecOptions struct {
 	OnEvent func(runner.Event)
 }
 
-// Cache-key namespaces. Bump the version suffix when the stored encoding
-// changes incompatibly; old entries simply stop hitting.
-const (
-	resultCacheKindPrefix = "result/v4/"
-	chainCacheKind        = "chain/v3"
-)
+// resultCacheKindPrefix namespaces cached summaries. Bump its version
+// suffix when the stored encoding changes incompatibly; old entries simply
+// stop hitting.
+const resultCacheKindPrefix = "result/v5/"
 
 // resultCacheKind namespaces result digests by execution engine: a packet
 // and a fluid run of byte-identical configurations measure different
@@ -104,53 +102,6 @@ func RunBatch(ctx context.Context, cfgs []Config, exec ExecOptions) ([]*Result, 
 				return nil, fmt.Errorf("cache entry schema %d, want %d", s.SchemaVersion, SummarySchemaVersion)
 			}
 			return ResultFromSummary(defaulted[i], s), nil
-		}
-	}
-	return runner.Run(ctx, opts, jobs)
-}
-
-// RunChainBatch is RunBatch for parking-lot topologies. ChainResult is
-// fully JSON-serializable, so cache entries store the whole result rather
-// than a digest.
-func RunChainBatch(ctx context.Context, cfgs []ChainConfig, exec ExecOptions) ([]*ChainResult, runner.Stats, error) {
-	jobs := make([]runner.Job[*ChainResult], len(cfgs))
-	for i, cfg := range cfgs {
-		c := cfg.withDefaults()
-		key := ""
-		if exec.Cache != nil {
-			if k, err := runcache.Key(chainCacheKind, c); err == nil {
-				key = k
-			}
-		}
-		jobs[i] = runner.Job[*ChainResult]{
-			Label: fmt.Sprintf("chain %s/%s long=%d hop1=%d hop2=%d seed=%d",
-				c.Protocol, c.Base.QueueName(), c.LongClients, c.Hop1Clients, c.Hop2Clients, c.Seed),
-			Key: key,
-			Do: func(ctx context.Context) (*ChainResult, error) {
-				return RunParkingLotContext(ctx, c)
-			},
-		}
-	}
-	opts := runner.Options[*ChainResult]{
-		Jobs:       exec.Jobs,
-		JobTimeout: exec.JobTimeout,
-		OnEvent:    exec.OnEvent,
-		Weigh:      func(r *ChainResult) uint64 { return r.SimEvents },
-	}
-	if exec.Cache != nil {
-		opts.Cache = exec.Cache
-		opts.Encode = func(r *ChainResult) ([]byte, error) {
-			return json.Marshal(r)
-		}
-		opts.Decode = func(_ int, data []byte) (*ChainResult, error) {
-			var r ChainResult
-			if err := json.Unmarshal(data, &r); err != nil {
-				return nil, err
-			}
-			if r.SchemaVersion != SummarySchemaVersion {
-				return nil, fmt.Errorf("cache entry schema %d, want %d", r.SchemaVersion, SummarySchemaVersion)
-			}
-			return &r, nil
 		}
 	}
 	return runner.Run(ctx, opts, jobs)

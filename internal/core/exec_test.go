@@ -209,32 +209,38 @@ func TestRunReplicationsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestChainBatchCacheRoundTrip: parking-lot results cache whole.
+// TestChainBatchCacheRoundTrip: a parking-lot run caches through RunBatch
+// like any dumbbell run, and its cached summary, per-bottleneck and
+// per-group slices included, equals the fresh run's.
 func TestChainBatchCacheRoundTrip(t *testing.T) {
 	store, err := runcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	exec := ExecOptions{Jobs: 1, Cache: store}
-	cfg := ChainConfig{LongClients: 4, Hop1Clients: 4, Hop2Clients: 4,
+	cfg := Config{ParkingLot: &ParkingLot{Long: 4, Hop1: 4, Hop2: 4},
 		Protocol: Reno, Duration: 10 * time.Second}
 	ctx := context.Background()
 
-	cold, stats, err := RunChainBatch(ctx, []ChainConfig{cfg}, exec)
+	cold, stats, err := RunBatch(ctx, []Config{cfg}, exec)
 	if err != nil {
-		t.Fatalf("cold RunChainBatch: %v", err)
+		t.Fatalf("cold RunBatch: %v", err)
 	}
 	if stats.Ran != 1 {
 		t.Fatalf("cold stats = %+v", stats)
 	}
-	warm, stats, err := RunChainBatch(ctx, []ChainConfig{cfg}, exec)
+	warm, stats, err := RunBatch(ctx, []Config{cfg}, exec)
 	if err != nil {
-		t.Fatalf("warm RunChainBatch: %v", err)
+		t.Fatalf("warm RunBatch: %v", err)
 	}
 	if stats.Cached != 1 || stats.Ran != 0 {
 		t.Fatalf("warm stats = %+v, want cache hit", stats)
 	}
-	if !reflect.DeepEqual(cold[0], warm[0]) {
-		t.Errorf("cached chain result differs:\ncold: %+v\nwarm: %+v", cold[0], warm[0])
+	if len(warm[0].Bottlenecks) != 2 || len(warm[0].Groups) != 3 {
+		t.Fatalf("cached result has %d bottlenecks and %d groups, want 2 and 3",
+			len(warm[0].Bottlenecks), len(warm[0].Groups))
+	}
+	if c, w := cold[0].Summary(), warm[0].Summary(); !reflect.DeepEqual(c, w) {
+		t.Errorf("cached parking-lot summary differs:\ncold: %+v\nwarm: %+v", c, w)
 	}
 }

@@ -71,10 +71,12 @@ type Result struct {
 	Config Config
 
 	// COV is the measured coefficient of variation of data-packet
-	// arrivals at the gateway per round-trip propagation delay (Figure 2).
+	// arrivals at the gateway per round-trip propagation delay (Figure 2),
+	// or per the topology's c.o.v. window at its first bottleneck.
 	COV float64
 	// AnalyticCOV is the c.o.v. of the unmodulated aggregated Poisson
-	// process, 1/sqrt(N·λ·RTT) — the reference curve in Figure 2.
+	// process, 1/sqrt(N·λ·RTT) — the reference curve in Figure 2. N counts
+	// every client and RTT is the c.o.v. window.
 	AnalyticCOV float64
 	// WindowCounts is the per-RTT arrival count series behind COV.
 	WindowCounts []float64
@@ -178,6 +180,32 @@ type Result struct {
 	// Config it has a single entry, under Config.Mix one per block
 	// protocol (extension: protocol-competition studies).
 	ByProtocol map[Protocol]ProtocolTotals
+
+	// Bottlenecks reports each bottleneck link and Groups each client
+	// group, in topology order, when the topology has more than one
+	// bottleneck: for the parking lot, hop 1 and hop 2, and the long,
+	// hop-1 and hop-2 clients. Nil for the dumbbell, whose one bottleneck
+	// the top-level fields report.
+	Bottlenecks []BottleneckStats
+	Groups      []GroupStats
+}
+
+// BottleneckStats measures one bottleneck of a multi-bottleneck topology.
+type BottleneckStats struct {
+	// COV is the c.o.v. of the data arrivals at the link per window.
+	COV float64 `json:"cov"`
+	// Drops counts the link's queue drops.
+	Drops uint64 `json:"drops"`
+}
+
+// GroupStats totals one client group of a multi-bottleneck topology.
+type GroupStats struct {
+	Clients   int    `json:"clients"`
+	Generated uint64 `json:"generated"`
+	Delivered uint64 `json:"delivered"`
+	Timeouts  uint64 `json:"timeouts"`
+	// JainFairness is Jain's index within the group.
+	JainFairness float64 `json:"jainFairness"`
 }
 
 // ProtocolTotals aggregates the flows of one protocol in a (possibly
@@ -212,23 +240,22 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return runFluidContext(ctx, cfg)
 	}
 
-	n, err := buildTopology(dumbbell(cfg))
+	t := dumbbell(cfg)
+	if cfg.ParkingLot != nil {
+		t = parkingLot(cfg)
+	}
+	n, err := buildTopology(t)
 	if err != nil {
 		return nil, err
 	}
-	bottleneck, serverOut := n.links[0], n.links[1]
-	// The gateway's shard holds the bottleneck, its taps, the queue probe
-	// and (shard 0) the context watchdog.
+	bottleneck := n.bottlenecks[0]
+	// The shard of gateway 0 holds the first bottleneck, its taps, the
+	// queue probe and (shard 0) the context watchdog.
 	gw := n.place.gw[0]
 	sched := n.scheds[gw]
 
-	// The paper's measurement point: data packets entering the gateway,
-	// binned per round-trip propagation delay.
-	counter, err := stats.NewWindowCounter(cfg.RTT())
-	if err != nil {
-		return nil, err
-	}
-	counter.Open(sim.TimeZero)
+	// The paper's measurement point: data packets entering each
+	// bottleneck, binned per the topology's c.o.v. window.
 	var pktLog *trace.PacketLog
 	if cfg.PacketLogCapacity > 0 {
 		pktLog = trace.NewPacketLog(cfg.PacketLogCapacity)
@@ -236,17 +263,30 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			pktLog.RecordPacket(now, trace.EventDrop, bottleneck.Name(), p)
 		})
 	}
-	bottleneck.OnArrival(func(now sim.Time, p *packet.Packet) {
-		if p.IsData() {
-			counter.Observe(now)
+	counters := make([]*stats.WindowCounter, len(n.bottlenecks))
+	for i, b := range n.bottlenecks {
+		counter, err := stats.NewWindowCounter(t.window)
+		if err != nil {
+			return nil, err
 		}
-		if pktLog != nil {
-			pktLog.RecordPacket(now, trace.EventArrival, bottleneck.Name(), p)
+		counter.Open(sim.TimeZero)
+		counters[i] = counter
+		log := pktLog
+		if i > 0 {
+			log = nil
 		}
-	})
+		b.OnArrival(func(now sim.Time, p *packet.Packet) {
+			if p.IsData() {
+				counter.Observe(now)
+			}
+			if log != nil {
+				log.RecordPacket(now, trace.EventArrival, b.Name(), p)
+			}
+		})
+	}
 
-	// Always-on queue-occupancy probe (10 ms grain); read-only, so it
-	// cannot perturb the experiment. Lives on the gateway shard.
+	// Always-on queue-occupancy probe (10 ms grain) at the first
+	// bottleneck; read-only, so it cannot perturb the experiment.
 	queueSamples := make([]float64, 0, int(cfg.Duration/(10*time.Millisecond))+1)
 	var sampleQueue func()
 	sampleQueue = func() {
@@ -259,7 +299,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rings, err := startTelemetry(cfg, n, counter)
+	rings, err := startTelemetry(cfg, n, counters[0])
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +324,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		tracer.Stop()
 	}
 
-	res := collect(cfg, n.flows, counter, horizon, bottleneck, serverOut, traceRing)
+	res := collect(t, n, counters, horizon, traceRing)
 	res.Queue = summarizeQueue(queueSamples, cfg.BufferPackets)
 	res.PacketLog = pktLog
 	res.SimEvents, res.SchedOps = n.settle(horizon)
@@ -295,45 +335,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// dumbbell describes the paper's Figure 1: N clients on one gateway,
-// sending over the bottleneck to one server. Mix blocks become client
-// groups; client i always draws traffic stream i+1.
-func dumbbell(cfg Config) topology {
-	// The reverse bottleneck carries the acknowledgments. The paper keeps
-	// it uncongested, but its rate and buffer are overridable for
-	// ACK-compression studies.
-	reverseRate := cfg.BottleneckRateBps
-	if cfg.ReverseRateBps > 0 {
-		reverseRate = cfg.ReverseRateBps
-	}
-	reverseBuf := cfg.AccessBufferPackets
-	if cfg.ReverseBufferPackets > 0 {
-		reverseBuf = cfg.ReverseBufferPackets
-	}
-	server, gateway := hostRef(0), gatewayRef(0)
-	t := topology{
-		cfg:      cfg,
-		hosts:    1,
-		gateways: 1,
-		links: []topoLink{
-			{name: "gw->server", from: gateway, to: server, rateBps: cfg.BottleneckRateBps,
-				delay: cfg.BottleneckDelay, bottleneck: true, lossProb: cfg.WireLossProb},
-			{name: "server->gw", from: server, to: gateway, rateBps: reverseRate,
-				delay: cfg.BottleneckDelay, buffer: reverseBuf},
-		},
-	}
-	mix := cfg.Mix
-	if len(mix) == 0 {
-		mix = []MixEntry{{Protocol: cfg.Protocol, Clients: cfg.Clients}}
-	}
-	stream := int64(1)
-	for _, m := range mix {
-		t.groups = append(t.groups, topoGroup{clients: m.Clients, proto: m.Protocol, stream: stream})
-		stream += int64(m.Clients)
-	}
-	return t
 }
 
 // watchContext wires ctx into the single-threaded event loop: a recurring
@@ -564,29 +565,30 @@ func defaultTraceClients(n int) []int {
 	}
 }
 
-// collect assembles the Result from the finished simulation.
+// collect assembles the Result from the finished simulation. The first
+// bottleneck feeds the top-level c.o.v., drop, queue, utilization and
+// discipline fields; a topology with more than one bottleneck also
+// reports each one in Bottlenecks and each client group in Groups.
 func collect(
-	cfg Config,
-	flows []*flow,
-	counter *stats.WindowCounter,
+	t topology,
+	n *network,
+	counters []*stats.WindowCounter,
 	horizon sim.Time,
-	bottleneck, serverOut *link.Link,
 	traceRing *telemetry.Ring,
 ) *Result {
-	counts := counter.Close(horizon)
-	if cfg.Warmup > 0 {
-		skip := int(cfg.Warmup / cfg.RTT())
-		if skip > len(counts) {
-			skip = len(counts)
-		}
-		counts = counts[skip:]
+	cfg, flows, bottleneck := t.cfg, n.flows, n.bottlenecks[0]
+	skip := int(cfg.Warmup / t.window)
+	measure := func(c *stats.WindowCounter) ([]float64, stats.Welford) {
+		counts := c.Close(horizon)
+		counts = counts[min(skip, len(counts)):]
+		return counts, stats.Summarize(counts)
 	}
-	countStats := stats.Summarize(counts)
+	counts, countStats := measure(counters[0])
 
 	res := &Result{
 		Config:          cfg,
 		COV:             countStats.COV(),
-		AnalyticCOV:     stats.PoissonAggregateCOV(cfg.Clients, cfg.Lambda(), cfg.RTT().Seconds()),
+		AnalyticCOV:     stats.PoissonAggregateCOV(cfg.Clients, cfg.Lambda(), t.window.Seconds()),
 		WindowCounts:    counts,
 		MeanWindowCount: countStats.Mean(),
 		Hurst:           stats.HurstVarianceTime(counts),
@@ -643,10 +645,17 @@ func collect(
 	res.DelayMeanSec = delays.Mean()
 	res.DelayP95Sec = delays.P95()
 
+	// The bottlenecks and the links into sink hosts carry data; every
+	// other fixed link carries acknowledgments back toward the clients.
+	for i, l := range n.links {
+		if tl := t.links[i]; tl.bottleneck || !tl.to.gateway {
+			res.ForwardDrops += l.Stats().Drops + l.Stats().WireLosses
+		} else {
+			res.AckDrops += l.Stats().Drops
+		}
+	}
 	res.BottleneckDrops = bottleneck.Stats().Drops
 	res.WireLosses = bottleneck.Stats().WireLosses
-	res.ForwardDrops = res.BottleneckDrops + res.WireLosses
-	res.AckDrops = serverOut.Stats().Drops
 	for _, f := range flows {
 		res.ForwardDrops += f.access.Stats().Drops
 		res.AckDrops += f.reverse.Stats().Drops
@@ -664,5 +673,31 @@ func collect(
 	res.JainFairness = stats.JainIndex(perFlowDelivered)
 
 	res.RED, res.AQM = disciplineStats(bottleneck.Queue())
+
+	if len(n.bottlenecks) > 1 {
+		for i, b := range n.bottlenecks {
+			_, w := measure(counters[i])
+			res.Bottlenecks = append(res.Bottlenecks, BottleneckStats{COV: w.COV(), Drops: b.Stats().Drops})
+		}
+		from := 0
+		for _, g := range t.groups {
+			res.Groups = append(res.Groups, groupStats(res.Flows[from:from+g.clients]))
+			from += g.clients
+		}
+	}
 	return res
+}
+
+// groupStats totals one client group's flows.
+func groupStats(flows []FlowResult) GroupStats {
+	g := GroupStats{Clients: len(flows)}
+	delivered := make([]float64, len(flows))
+	for i, f := range flows {
+		g.Generated += f.Generated
+		g.Delivered += f.Delivered
+		g.Timeouts += f.Counters.Timeouts
+		delivered[i] = float64(f.Delivered)
+	}
+	g.JainFairness = stats.JainIndex(delivered)
+	return g
 }

@@ -74,36 +74,20 @@ func goldenCases(shards int) []goldenCase {
 					}
 					cfg.Duration = goldenDuration
 					cfg.Shards = shards
-					res, err := Run(cfg)
-					if err != nil {
-						return nil, err
-					}
-					// The schema stamp is encoding metadata, not behavior;
-					// exclude it so the digest survives version bumps.
-					s := res.Summary()
-					s.SchemaVersion = 0
-					return json.Marshal(s)
+					return goldenSummary(cfg)
 				},
 			})
 		}
 	}
-	codel, err := queue.ParseSpec("codel")
-	if err != nil {
-		panic(err)
-	}
 	for _, lot := range []struct {
 		name string
-		cfg  ChainConfig
+		cfg  Config
 	}{
-		{"parkinglot", ChainConfig{
-			LongClients: 4, Hop1Clients: 3, Hop2Clients: 3, Base: Config{Gateway: FIFO},
-		}},
+		{"parkinglot", Config{ParkingLot: &ParkingLot{Long: 4, Hop1: 3, Hop2: 3}, Gateway: FIFO}},
 		// A registry discipline at both bottlenecks, loaded enough that
 		// CoDel's control law drops at each (the light lot above never
 		// queues, so it would replay the FIFO digest).
-		{"parkinglot/codel", ChainConfig{
-			LongClients: 20, Hop1Clients: 20, Hop2Clients: 20, Base: Config{Queue: &codel},
-		}},
+		{"parkinglot/codel", Config{ParkingLot: &ParkingLot{Long: 20, Hop1: 20, Hop2: 20}, Queue: &queue.Spec{Name: "codel"}}},
 	} {
 		lot := lot
 		cases = append(cases, goldenCase{
@@ -111,23 +95,7 @@ func goldenCases(shards int) []goldenCase {
 			run: func() ([]byte, error) {
 				cfg := lot.cfg
 				cfg.Protocol, cfg.Duration, cfg.Shards = Reno, goldenDuration, shards
-				res, err := RunParkingLot(cfg)
-				if err != nil {
-					return nil, err
-				}
-				// The config echo and schema stamp are excluded so the digest
-				// tracks behavior, not the shape of the encoding itself.
-				res.SchemaVersion = 0
-				raw, err := json.Marshal(res)
-				if err != nil {
-					return nil, err
-				}
-				var fields map[string]json.RawMessage
-				if err := json.Unmarshal(raw, &fields); err != nil {
-					return nil, err
-				}
-				delete(fields, "Config")
-				return json.Marshal(fields)
+				return goldenSummary(cfg)
 			},
 		})
 	}
@@ -141,6 +109,19 @@ func goldenCases(shards int) []goldenCase {
 		seen[c.name] = true
 	}
 	return cases
+}
+
+// goldenSummary runs cfg and encodes its summary. The schema stamp is
+// encoding metadata, not behavior; it is excluded so the digest survives
+// version bumps.
+func goldenSummary(cfg Config) ([]byte, error) {
+	res, err := Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := res.Summary()
+	s.SchemaVersion = 0
+	return json.Marshal(s)
 }
 
 // computeGoldenDigests runs every case on a worker pool and returns

@@ -40,7 +40,8 @@ type Replicated struct {
 
 // RunReplications runs cfg once per seed and aggregates the headline
 // metrics with 95% confidence intervals. At least one seed is required;
-// two or more are needed for non-zero interval widths. Replications run
+// two or more are needed for non-zero interval widths. Seeds must be
+// distinct and nonzero. Replications run
 // across the default worker pool; use RunReplicationsContext to control
 // parallelism, caching, and cancellation.
 func RunReplications(cfg Config, seeds []int64) (*Replicated, error) {
@@ -54,8 +55,18 @@ func RunReplicationsContext(ctx context.Context, cfg Config, seeds []int64, exec
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("replications: no seeds")
 	}
+	// Seed 0 means unset and runs as WithDefaults' seed 1, so it, like a
+	// repeated seed, would count one sample twice.
+	seen := make(map[int64]bool, len(seeds))
 	cfgs := make([]Config, len(seeds))
 	for i, seed := range seeds {
+		switch {
+		case seed == 0:
+			return nil, fmt.Errorf("replications: seed 0 is unset and runs as seed 1; use nonzero seeds")
+		case seen[seed]:
+			return nil, fmt.Errorf("replications: seed %d listed twice", seed)
+		}
+		seen[seed] = true
 		c := cfg
 		c.Seed = seed
 		cfgs[i] = c

@@ -11,6 +11,18 @@ func TestRunReplicationsRequiresSeeds(t *testing.T) {
 	}
 }
 
+// TestRunReplicationsRejectsAliasedSeeds: seed 0 runs as seed 1, so
+// {0, 1} and a repeated seed would report an interval over identical
+// samples as if they were independent.
+func TestRunReplicationsRejectsAliasedSeeds(t *testing.T) {
+	cfg := shortConfig(5, Reno, FIFO, time.Second)
+	for _, seeds := range [][]int64{{0, 1}, {0}, {2, 3, 2}} {
+		if rep, err := RunReplications(cfg, seeds); err == nil {
+			t.Errorf("seeds %v accepted (ran %v)", seeds, rep.Seeds)
+		}
+	}
+}
+
 func TestRunReplicationsAggregates(t *testing.T) {
 	cfg := shortConfig(20, Reno, FIFO, 15*time.Second)
 	rep, err := RunReplications(cfg, Seeds1ToN(4))

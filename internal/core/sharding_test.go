@@ -49,8 +49,8 @@ func TestPlanShardsPlacement(t *testing.T) {
 
 	// The chain's K=2 cut: gw1 and its long and hop-1 clients | gw2, the
 	// server, exit1 and the hop-2 clients.
-	chain := ChainConfig{LongClients: 4, Hop1Clients: 3, Hop2Clients: 3, Shards: 2}.withDefaults()
-	p = place(chain.topology())
+	lot := Config{ParkingLot: &ParkingLot{Long: 4, Hop1: 3, Hop2: 3}, Shards: 2}.WithDefaults()
+	p = place(parkingLot(lot))
 	if !reflect.DeepEqual(p.gw, []int{0, 1}) || !reflect.DeepEqual(p.host, []int{1, 1}) {
 		t.Errorf("chain K=2: gateways on %v, server/exit1 on %v; want [0 1] and [1 1]", p.gw, p.host)
 	}
@@ -101,8 +101,8 @@ func TestLookaheadFromCrossingLinks(t *testing.T) {
 		{"dumbbell/K=1", dumbbell(DefaultConfig(8, Reno, FIFO).WithDefaults()), 0},
 		{"dumbbell/K=2", dumbbell(Config{Clients: 8, Shards: 2}.WithDefaults()), 2 * time.Millisecond},
 		{"dumbbell/K=4", dumbbell(Config{Clients: 8, Shards: 4}.WithDefaults()), 2 * time.Millisecond},
-		{"chain/K=2", ChainConfig{LongClients: 2, Hop2Clients: 2, Shards: 2}.withDefaults().topology(), 20 * time.Millisecond},
-		{"chain/K=3", ChainConfig{LongClients: 2, Hop2Clients: 2, Shards: 3}.withDefaults().topology(), 2 * time.Millisecond},
+		{"chain/K=2", parkingLot(Config{ParkingLot: &ParkingLot{Long: 2, Hop2: 2}, Shards: 2}.WithDefaults()), 20 * time.Millisecond},
+		{"chain/K=3", parkingLot(Config{ParkingLot: &ParkingLot{Long: 2, Hop2: 2}, Shards: 3}.WithDefaults()), 2 * time.Millisecond},
 	} {
 		n, err := buildTopology(tc.top)
 		if err != nil {

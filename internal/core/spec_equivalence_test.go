@@ -77,13 +77,13 @@ func TestLegacyCacheKeysPinned(t *testing.T) {
 		want string
 	}{
 		{DefaultConfig(20, Reno, FIFO),
-			"ee733e6fab0ba26ece3ca9e465df515c8b0940c9ee4f4a05f07a126fb705b1ed"},
+			"a8b4683f8901414140d68cef78dbd826f83e1004839bf54f449403e863da23b5"},
 		{DefaultConfig(20, Reno, RED),
-			"c503aa20b412aa314b06072f76d7e719c585625cae11b302eb46754bfd284aeb"},
+			"fdef99e93c7ab524be162cbc11cc6a9ea2ef2d0bcf9bd4dac102ed14eaf50d91"},
 		{DefaultConfig(20, Reno, DRR),
-			"bcde2261bf4cd7dcbeae496ab3b38b89f59ee8fd0a209a53cb6d6f6454de1a97"},
+			"214f488fe761eab092fc6f335caa3f4a1d81cc610fefd995dbe0767db4c031f8"},
 		{redECN,
-			"249b3bf4f983755c9ec305e7a8ac14f20cba1cdf5419f28b799602c8203478f6"},
+			"6dc227b03bdfd3c49d50fe8efb44ab0d5c86d1e33f76b8ca38e9c3bbb40e8986"},
 	}
 	for _, tc := range cases {
 		cfg := tc.cfg.WithDefaults()

@@ -2,8 +2,7 @@ package core
 
 import "encoding/json"
 
-// SummarySchemaVersion stamps the serialized encodings of Summary and
-// ChainResult. Bump it whenever the JSON shape changes incompatibly; the
+// SummarySchemaVersion stamps the serialized encoding of Summary. Bump it whenever the JSON shape changes incompatibly; the
 // run cache treats entries stored under any other version as misses.
 const SummarySchemaVersion = 2
 
@@ -82,6 +81,11 @@ type Summary struct {
 	FluidDispersion float64 `json:"fluidDispersion,omitempty"`
 	FluidArrivalPPS float64 `json:"fluidArrivalPps,omitempty"`
 	FluidGoodputPPS float64 `json:"fluidGoodputPps,omitempty"`
+
+	// Bottlenecks and Groups mirror Result's per-bottleneck and per-group
+	// measurements; omitted for single-bottleneck runs.
+	Bottlenecks []BottleneckStats `json:"bottlenecks,omitempty"`
+	Groups      []GroupStats      `json:"groups,omitempty"`
 }
 
 // Summary flattens the result for serialization.
@@ -120,6 +124,8 @@ func (r *Result) Summary() Summary {
 		AckDrops:           r.AckDrops,
 		SimEvents:          r.SimEvents,
 		TelemetryRecords:   r.TelemetryRecords,
+		Bottlenecks:        r.Bottlenecks,
+		Groups:             r.Groups,
 	}
 	if r.RED != nil {
 		s.REDEarlyDrops = r.RED.EarlyDrops
@@ -191,6 +197,8 @@ func ResultFromSummary(cfg Config, s Summary) *Result {
 		},
 		SimEvents:        s.SimEvents,
 		TelemetryRecords: s.TelemetryRecords,
+		Bottlenecks:      s.Bottlenecks,
+		Groups:           s.Groups,
 	}
 	// The family (RED, generic AQM or neither) is the one a fresh run of
 	// cfg's discipline reports. cfg passed validation before its result

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if back != res.Summary() {
+	if !reflect.DeepEqual(back, res.Summary()) {
 		t.Error("JSON round trip lost data")
 	}
 	if !strings.Contains(string(raw), `"protocol": "vegas"`) {
@@ -61,7 +62,7 @@ func TestSummaryOmitsEmptyExtensionFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MarshalSummaryJSON: %v", err)
 	}
-	for _, absent := range []string{"wireLosses", "redEarlyDrops", "redMarks"} {
+	for _, absent := range []string{"wireLosses", "redEarlyDrops", "redMarks", "bottlenecks", "groups"} {
 		if strings.Contains(string(raw), absent) {
 			t.Errorf("JSON contains %q for a run without that feature", absent)
 		}

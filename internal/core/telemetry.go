@@ -99,7 +99,7 @@ func (t *telem) start(cfg Config, n *network, counter *stats.WindowCounter, shar
 	sched := n.scheds[shard]
 	var bottleneck *link.Link
 	if shard == n.place.gw[0] {
-		bottleneck = n.links[0]
+		bottleneck = n.bottlenecks[0]
 	}
 	if b := bottleneck; b != nil {
 		reg.Probe("queue.depth", func() float64 {

@@ -15,14 +15,15 @@ import (
 	"tcpburst/internal/transport"
 )
 
-// Topologies are data. RunContext describes the paper's dumbbell and
-// RunParkingLotContext the two-gateway chain as a topology, and
-// buildTopology compiles either into schedulers, pools, links, routes and
-// transport endpoints. The compiler alone owns the rules that keep a
-// sharded run bit-identical to the serial one (DESIGN.md §11): placement,
-// lookahead, lane and RNG fork order, cross-shard delivery hooks, the
-// overprovisioning proofs behind serialization pipelining, and
-// FinishVirtual settlement over every link.
+// Topologies are data. Config.ParkingLot selects a description, the
+// paper's dumbbell or the two-gateway parking lot, and buildTopology
+// compiles it into schedulers, pools, links, routes and transport
+// endpoints; RunContext then measures every topology with the same taps.
+// The compiler alone owns the rules that keep a sharded run bit-identical
+// to the serial one (DESIGN.md §11): placement, lookahead, lane and RNG
+// fork order, cross-shard delivery hooks, the overprovisioning proofs
+// behind serialization pipelining, and FinishVirtual settlement over every
+// link.
 
 // nodeRef names a sink host or a gateway of a topology.
 type nodeRef struct {
@@ -83,8 +84,105 @@ type topology struct {
 	cfg      Config
 	hosts    int
 	gateways int
-	links    []topoLink
-	groups   []topoGroup
+	// links lists the fixed links. The first bottleneck among them leaves
+	// gateway 0: its shard holds the queue probe and the watchdog.
+	links  []topoLink
+	groups []topoGroup
+	// window bins the data arrivals at every bottleneck for the c.o.v.
+	window sim.Duration
+}
+
+// dumbbell describes the paper's Figure 1: N clients on one gateway,
+// sending over the bottleneck to one server. Mix blocks become client
+// groups; client i always draws traffic stream i+1. The c.o.v. window is
+// the round-trip propagation delay.
+func dumbbell(cfg Config) topology {
+	// The reverse bottleneck carries the acknowledgments. The paper keeps
+	// it uncongested, but its rate and buffer are overridable for
+	// ACK-compression studies.
+	reverseRate := cfg.BottleneckRateBps
+	if cfg.ReverseRateBps > 0 {
+		reverseRate = cfg.ReverseRateBps
+	}
+	reverseBuf := cfg.AccessBufferPackets
+	if cfg.ReverseBufferPackets > 0 {
+		reverseBuf = cfg.ReverseBufferPackets
+	}
+	server, gateway := hostRef(0), gatewayRef(0)
+	t := topology{
+		cfg:      cfg,
+		hosts:    1,
+		gateways: 1,
+		links: []topoLink{
+			{name: "gw->server", from: gateway, to: server, rateBps: cfg.BottleneckRateBps,
+				delay: cfg.BottleneckDelay, bottleneck: true, lossProb: cfg.WireLossProb},
+			{name: "server->gw", from: server, to: gateway, rateBps: reverseRate,
+				delay: cfg.BottleneckDelay, buffer: reverseBuf},
+		},
+		window: cfg.RTT(),
+	}
+	mix := cfg.Mix
+	if len(mix) == 0 {
+		mix = []MixEntry{{Protocol: cfg.Protocol, Clients: cfg.Clients}}
+	}
+	stream := int64(1)
+	for _, m := range mix {
+		t.groups = append(t.groups, topoGroup{clients: m.Clients, proto: m.Protocol, stream: stream})
+		stream += int64(m.Clients)
+	}
+	return t
+}
+
+// parkingLot generalizes the paper's single gateway to a two-hop
+// distributed system, the multi-bottleneck shape of the computational
+// grids the paper's introduction motivates:
+//
+//	long clients ──► gw1 ══hop1══► gw2 ══hop2══► server
+//	hop1 clients ──► gw1 ══hop1══► exit1 (host at gw2)
+//	hop2 clients ────────────────► gw2 ══hop2══► server
+//
+// Long flows cross both bottlenecks and compete with single-hop cross
+// traffic on each; the classic outcome is that multi-hop flows receive
+// less than their single-hop competitors. Both bottlenecks run the
+// configured discipline on their own fork of the root stream (1<<23 and
+// 1<<24); the long, hop-1 and hop-2 groups draw traffic streams from 1000,
+// 2000 and 3000. The reverse path and the hop-1 exit are amply
+// provisioned. The c.o.v. window is 2·(2τc+2τs).
+func parkingLot(cfg Config) topology {
+	const (
+		gw1, gw2      = 0, 1
+		server, exit1 = 0, 1
+	)
+	fixed := func(name string, from, to nodeRef) topoLink {
+		return topoLink{name: name, from: from, to: to, rateBps: cfg.BottleneckRateBps,
+			delay: cfg.BottleneckDelay, buffer: cfg.AccessBufferPackets}
+	}
+	hop1 := fixed("gw1->gw2", gatewayRef(gw1), gatewayRef(gw2))
+	hop1.bottleneck, hop1.queueStream = true, 1<<23
+	hop2 := fixed("gw2->server", gatewayRef(gw2), hostRef(server))
+	hop2.bottleneck, hop2.queueStream = true, 1<<24
+	toExit1 := fixed("gw2->exit1", gatewayRef(gw2), hostRef(exit1))
+	toExit1.rateBps, toExit1.delay = cfg.ClientRateBps, cfg.ClientDelay
+	lot, p := cfg.ParkingLot, cfg.Protocol
+	return topology{
+		cfg:      cfg,
+		hosts:    2,
+		gateways: 2,
+		links: []topoLink{
+			hop1,
+			hop2,
+			fixed("server->gw2", hostRef(server), gatewayRef(gw2)),
+			fixed("gw2->gw1", gatewayRef(gw2), gatewayRef(gw1)),
+			fixed("exit1->gw2", hostRef(exit1), gatewayRef(gw2)),
+			toExit1,
+		},
+		groups: []topoGroup{
+			{clients: lot.Long, proto: p, attach: gw1, dst: server, stream: 1000},
+			{clients: lot.Hop1, proto: p, attach: gw1, dst: exit1, stream: 2000},
+			{clients: lot.Hop2, proto: p, attach: gw2, dst: server, stream: 3000},
+		},
+		window: 2 * (2*cfg.ClientDelay + 2*cfg.BottleneckDelay),
+	}
 }
 
 // placement maps a topology onto shards.
@@ -106,7 +204,8 @@ type placement struct {
 //
 // At K=2 this puts the dumbbell's gateway, server and first half of the
 // clients on shard 0 and the other half on shard 1, and cuts the chain
-// into gw1 and its clients | gw2, its hosts and the hop-2 clients.
+// into gw1 and its clients | gw2, its hosts and the hop-2 clients of the
+// parking lot.
 // Links live on the shard of their source node, except a client's reverse
 // link, which lives with the client; so deliveries cross shards only into
 // gateways.
@@ -171,7 +270,9 @@ type network struct {
 	// whose deliveries cross shards; zero when serial.
 	lookahead sim.Duration
 	links     []*link.Link // the fixed links, in description order
-	flows     []*flow      // the clients, in group order
+	// bottlenecks are the links flagged bottleneck, in description order.
+	bottlenecks []*link.Link
+	flows       []*flow // the clients, in group order
 }
 
 // buildTopology compiles t. Nothing is scheduled yet: the caller attaches
@@ -328,6 +429,9 @@ func buildTopology(t topology) (*network, error) {
 		var err error
 		if n.links[i], err = newLink(s, tl, dst, xd, proof); err != nil {
 			return nil, err
+		}
+		if tl.bottleneck {
+			n.bottlenecks = append(n.bottlenecks, n.links[i])
 		}
 	}
 	for h, l := range feed {
