@@ -21,7 +21,8 @@ race:
 ## FuzzRNGMatchesMathRand checks sim.RNG against math/rand's stream;
 ## FuzzParseSpec checks that queue specs round-trip through their canonical
 ## string and that building one never panics; FuzzJSONL checks that every
-## line the JSONL telemetry sink writes decodes as JSON;
+## line the JSONL telemetry sink writes decodes as JSON; FuzzCSV checks that
+## encoding/csv reads the CSV sink's header and rows back field for field;
 ## FuzzSolveREDMatchesReference checks that the screened RED closure stays
 ## bit-identical to the every-step-dense reference; FuzzNewConfig checks
 ## that every config NewConfig accepts runs 100 ms without panicking.
@@ -30,6 +31,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/queue
 	go test -run '^$$' -fuzz FuzzSolveREDMatchesReference -fuzztime 20s ./internal/meanfield
 	go test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s ./internal/telemetry
+	go test -run '^$$' -fuzz FuzzCSV -fuzztime 20s ./internal/telemetry
 	go test -run '^$$' -fuzz FuzzNewConfig -fuzztime 20s ./internal/core
 
 ## shard-smoke: run the parking-lot example serially and at 4 shards and

@@ -335,7 +335,7 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 
 func BenchmarkKernelTimerResetStop(b *testing.B) {
 	sched := sim.NewScheduler()
-	tm := sim.NewTimer(sched, func() {})
+	tm := sim.NewTimer(sched, func(any) {}, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

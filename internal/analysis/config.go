@@ -123,21 +123,27 @@ var Default = Config{
 	// Per-package hot-path entry points beyond the method-name roots: the
 	// event kernel's dispatch loop and per-event scheduling surface, the
 	// lazy-timer and burst-train kernels, the RNG draws every traffic
-	// emit makes (and the source under them), and the packet pool. Everything
-	// transitively reachable from these inside their package must stay
-	// allocation-free (or carry a //burst:alloc-ok waiver with a reason).
+	// emit makes (and the source under them), the packet pool, and the
+	// trampolines every per-client event is filed under (a scheduled
+	// function value hides its callee from the call graph, so each one is
+	// a root of its own). Everything transitively reachable from these
+	// inside their package must stay allocation-free (or carry a
+	// //burst:alloc-ok waiver with a reason).
 	HotPathRoots: map[string][]string{
 		"tcpburst/internal/sim": {
 			"Scheduler.Step", "Scheduler.Run", "Scheduler.RunAll",
 			"Scheduler.At", "Scheduler.After", "Scheduler.AtCall", "Scheduler.AfterCall",
 			"Scheduler.AtOn", "Scheduler.AfterOn", "Scheduler.AtCallOn", "Scheduler.AfterCallOn",
 			"Scheduler.InjectAt", "Scheduler.Cancel",
-			"Timer.Reset", "Timer.ResetAt", "Timer.Stop", "Timer.fire",
-			"Train.Add", "Train.fire",
+			"Timer.Reset", "Timer.ResetAt", "Timer.Stop", "Timer.fire", "timerFire",
+			"Train.Add", "Train.fire", "trainFire",
 			"RNG.Float64", "RNG.Exp", "RNG.ExpDuration", "RNG.Pareto",
 			"alfg.Uint64", "alfg.Int63",
 		},
-		"tcpburst/internal/packet": {"Pool.Get", "Pool.Put"},
+		"tcpburst/internal/link":    {"serializeDone", "deliver", "deliverCredit"},
+		"tcpburst/internal/tcp":     {"senderTimeout", "sinkDelayTimeout"},
+		"tcpburst/internal/traffic": {"poissonEmit", "paretoEmit", "paretoBeginBurst", "cbrEmit"},
+		"tcpburst/internal/packet":  {"Pool.Get", "Pool.Put"},
 	},
 	CorePackage:      "tcpburst/internal/core",
 	CmdPackagePrefix: "tcpburst/cmd/",

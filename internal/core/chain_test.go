@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tcpburst/internal/stats"
 )
 
 // lotConfig is a parking-lot run of the given counts and duration.
@@ -168,5 +170,28 @@ func TestChainWithREDAndDRR(t *testing.T) {
 		if res.Groups[0].Delivered == 0 || res.Groups[1].Delivered == 0 {
 			t.Errorf("%v: no delivery", q)
 		}
+	}
+}
+
+// TestChainAnalyticCOVCountsFirstHop pins the Poisson reference of a lot
+// to the clients that cross its first bottleneck: hop 1 carries the long
+// and hop-1 clients, not the hop-2 ones, so N is Long+Hop1, and the
+// dumbbell's one bottleneck carries every client.
+func TestChainAnalyticCOVCountsFirstHop(t *testing.T) {
+	cfg := lotConfig(4, 3, 5, Reno, time.Second).WithDefaults()
+	res := runLot(t, cfg)
+	window := 2 * (2*cfg.ClientDelay + 2*cfg.BottleneckDelay)
+	if want := stats.PoissonAggregateCOV(4+3, cfg.Lambda(), window.Seconds()); res.AnalyticCOV != want {
+		t.Errorf("lot AnalyticCOV = %v, want %v (N = long + hop1 = 7)", res.AnalyticCOV, want)
+	}
+	lot := parkingLot(cfg)
+	for i, want := range map[int]int{0: 7, 1: 9} {
+		if got := lot.clientsThrough(i); got != want {
+			t.Errorf("clients through %s = %d, want %d", lot.links[i].name, got, want)
+		}
+	}
+	bell := dumbbell(DefaultConfig(12, Reno, FIFO).WithDefaults())
+	if got := bell.clientsThrough(bell.firstBottleneck()); got != 12 {
+		t.Errorf("clients through the dumbbell bottleneck = %d, want 12", got)
 	}
 }

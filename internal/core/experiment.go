@@ -76,7 +76,8 @@ type Result struct {
 	COV float64
 	// AnalyticCOV is the c.o.v. of the unmodulated aggregated Poisson
 	// process, 1/sqrt(N·λ·RTT) — the reference curve in Figure 2. N counts
-	// every client and RTT is the c.o.v. window.
+	// the clients whose data crosses the first bottleneck (every client of
+	// the dumbbell) and RTT is the c.o.v. window.
 	AnalyticCOV float64
 	// WindowCounts is the per-RTT arrival count series behind COV.
 	WindowCounts []float64
@@ -456,39 +457,6 @@ func disciplineStats(q queue.Discipline) (*REDStats, *AQMStats) {
 	return nil, nil
 }
 
-// buildGenerator constructs one client's workload source per the traffic
-// model.
-func buildGenerator(cfg Config, sched *sim.Scheduler, rng *sim.RNG, dst transport.Source, generated telemetry.Counter) (traffic.Generator, error) {
-	switch cfg.Traffic {
-	case TrafficParetoOnOff:
-		// Derive the in-burst interval so the long-run mean rate still
-		// equals 1/MeanInterval: rate = dutyCycle / burstInterval.
-		duty := float64(cfg.MeanOnTime) / float64(cfg.MeanOnTime+cfg.MeanOffTime)
-		burstInterval := sim.Duration(float64(cfg.MeanInterval) * duty)
-		if burstInterval < 1 {
-			burstInterval = 1
-		}
-		return traffic.NewParetoOnOff(traffic.ParetoOnOffConfig{
-			PacketInterval: burstInterval,
-			MeanOn:         cfg.MeanOnTime,
-			MeanOff:        cfg.MeanOffTime,
-			Shape:          cfg.ParetoShape,
-			Dst:            dst,
-			Sched:          sched,
-			RNG:            rng,
-			Generated:      generated,
-		})
-	default:
-		return traffic.NewPoisson(traffic.PoissonConfig{
-			MeanInterval: cfg.MeanInterval,
-			Dst:          dst,
-			Sched:        sched,
-			RNG:          rng,
-			Generated:    generated,
-		})
-	}
-}
-
 // queueTraceName names the bottleneck queue-length trace; every other
 // traced series is a client's congestion window, "client<i>".
 const queueTraceName = "gateway_queue"
@@ -588,7 +556,7 @@ func collect(
 	res := &Result{
 		Config:          cfg,
 		COV:             countStats.COV(),
-		AnalyticCOV:     stats.PoissonAggregateCOV(cfg.Clients, cfg.Lambda(), t.window.Seconds()),
+		AnalyticCOV:     stats.PoissonAggregateCOV(t.clientsThrough(t.firstBottleneck()), cfg.Lambda(), t.window.Seconds()),
 		WindowCounts:    counts,
 		MeanWindowCount: countStats.Mean(),
 		Hurst:           stats.HurstVarianceTime(counts),

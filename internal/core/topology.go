@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"tcpburst/internal/link"
 	"tcpburst/internal/node"
@@ -12,6 +13,8 @@ import (
 	"tcpburst/internal/shard"
 	"tcpburst/internal/sim"
 	"tcpburst/internal/tcp"
+	"tcpburst/internal/telemetry"
+	"tcpburst/internal/traffic"
 	"tcpburst/internal/transport"
 )
 
@@ -185,6 +188,37 @@ func parkingLot(cfg Config) topology {
 	}
 }
 
+// firstBottleneck returns the index of the first bottleneck among the
+// fixed links.
+func (t topology) firstBottleneck() int {
+	for i, l := range t.links {
+		if l.bottleneck {
+			return i
+		}
+	}
+	panic("core: topology without a bottleneck")
+}
+
+// clientsThrough counts the clients whose data crosses fixed link i. A
+// group's data takes the link into its sink host and, when it attaches
+// to a gateway other than the one serving that host, the direct link
+// between the two gateways first.
+func (t topology) clientsThrough(i int) int {
+	via, n := t.links[i], 0
+	for _, g := range t.groups {
+		attach := gatewayRef(g.attach)
+		for k, feed := range t.links {
+			if feed.to != hostRef(g.dst) {
+				continue
+			}
+			if k == i || (feed.from != attach && via.from == attach && via.to == feed.from) {
+				n += g.clients
+			}
+		}
+	}
+	return n
+}
+
 // placement maps a topology onto shards.
 type placement struct {
 	k      int
@@ -259,6 +293,77 @@ func (p placement) egress(g int, dst packet.Addr) int {
 	return p.gw[g]
 }
 
+// linkSlot is a link with the FIFO and lane it owns, held by value. A
+// bottleneck runs the gateway discipline instead and leaves fifo unused.
+type linkSlot struct {
+	link link.Link
+	fifo queue.FIFO
+	lane sim.Lane
+}
+
+// client is one client's state, held by value in the block buildTopology
+// allocates for the whole run: its host, its access and reverse links with
+// their FIFOs, trains and lanes, its TCP sender with the RTO timer, the
+// RNG its traffic draws from, and its flow record. Every part of it is
+// written only by the client's shard. The traffic source sits in a
+// per-run slab of the run's one traffic model (sourceSlab), so a client
+// carries no space for a model it does not run; the sinks run on the sink
+// host's shard and live in a slab of their own.
+type client struct {
+	flow            flow
+	host            node.Host
+	access, reverse linkSlot
+	sender          tcp.Sender // unused by a UDP client
+	rng             sim.RNG
+}
+
+// sourceSlab holds every client's traffic source, in a slab of the model
+// the run uses.
+type sourceSlab struct {
+	poisson []traffic.Poisson
+	pareto  []traffic.ParetoOnOff
+}
+
+func newSourceSlab(cfg Config, n int) sourceSlab {
+	if cfg.Traffic == TrafficParetoOnOff {
+		return sourceSlab{pareto: make([]traffic.ParetoOnOff, n)}
+	}
+	return sourceSlab{poisson: make([]traffic.Poisson, n)}
+}
+
+// init builds client j's source per the traffic model, submitting to dst
+// and drawing from rng.
+func (sl sourceSlab) init(j int, cfg Config, sched *sim.Scheduler, rng *sim.RNG, dst transport.Source, generated telemetry.Counter) (traffic.Generator, error) {
+	if sl.pareto != nil {
+		// Derive the in-burst interval so the long-run mean rate still
+		// equals 1/MeanInterval: rate = dutyCycle / burstInterval.
+		duty := float64(cfg.MeanOnTime) / float64(cfg.MeanOnTime+cfg.MeanOffTime)
+		burstInterval := sim.Duration(float64(cfg.MeanInterval) * duty)
+		if burstInterval < 1 {
+			burstInterval = 1
+		}
+		g := &sl.pareto[j]
+		return g, traffic.InitParetoOnOff(g, traffic.ParetoOnOffConfig{
+			PacketInterval: burstInterval,
+			MeanOn:         cfg.MeanOnTime,
+			MeanOff:        cfg.MeanOffTime,
+			Shape:          cfg.ParetoShape,
+			Dst:            dst,
+			Sched:          sched,
+			RNG:            rng,
+			Generated:      generated,
+		})
+	}
+	g := &sl.poisson[j]
+	return g, traffic.InitPoisson(g, traffic.PoissonConfig{
+		MeanInterval: cfg.MeanInterval,
+		Dst:          dst,
+		Sched:        sched,
+		RNG:          rng,
+		Generated:    generated,
+	})
+}
+
 // network is a compiled topology, ready to run.
 type network struct {
 	place  placement
@@ -272,7 +377,7 @@ type network struct {
 	links     []*link.Link // the fixed links, in description order
 	// bottlenecks are the links flagged bottleneck, in description order.
 	bottlenecks []*link.Link
-	flows       []*flow // the clients, in group order
+	flows       []*flow // the clients' flow records, in group order
 }
 
 // buildTopology compiles t. Nothing is scheduled yet: the caller attaches
@@ -299,7 +404,7 @@ func buildTopology(t topology) (*network, error) {
 		pools:  make([]*packet.Pool, k),
 		tels:   make([]*telem, k),
 		links:  make([]*link.Link, len(t.links)),
-		flows:  make([]*flow, 0, place.clients),
+		flows:  make([]*flow, place.clients),
 	}
 	for s := 0; s < k; s++ {
 		n.scheds[s] = sim.NewScheduler()
@@ -363,14 +468,15 @@ func buildTopology(t topology) (*network, error) {
 	}
 
 	rng := sim.NewRNG(cfg.Seed)
-	lanes := sim.NewLanes()
-	// newLink builds tl on shard s, delivering to dst (through xd when it
-	// crosses shards).
-	newLink := func(s int, tl topoLink, dst link.Receiver, xd func(sim.Time, uint64, *packet.Packet), overprov bool) (*link.Link, error) {
+	var lanes sim.Lanes
+	// initLink builds tl on shard s into ls, delivering to dst (through xd
+	// when it crosses shards).
+	initLink := func(ls *linkSlot, s int, tl topoLink, dst link.Receiver, xd func(sim.Time, uint64, *packet.Packet), overprov bool) error {
 		var q queue.Discipline
 		var metrics link.Metrics
 		if !tl.bottleneck {
-			q = queue.NewFIFO(tl.buffer)
+			queue.InitFIFO(&ls.fifo, tl.buffer)
+			q = &ls.fifo
 		} else {
 			qrng := rng
 			if tl.queueStream != 0 {
@@ -382,7 +488,7 @@ func buildTopology(t topology) (*network, error) {
 			var err error
 			fork := func() *sim.RNG { return qrng.Fork(1 << 20) }
 			if q, err = cfg.buildQueue(fork, n.tels[s].aqm); err != nil {
-				return nil, err
+				return err
 			}
 			if drr, ok := q.(*queue.DRR); ok {
 				// Longest-queue eviction consumes the displaced packet
@@ -391,6 +497,7 @@ func buildTopology(t topology) (*network, error) {
 			}
 			metrics = n.tels[s].link
 		}
+		lanes.NextInto(&ls.lane)
 		lc := link.Config{
 			Name:    tl.name,
 			RateBps: tl.rateBps,
@@ -399,7 +506,7 @@ func buildTopology(t topology) (*network, error) {
 			Dst:     dst,
 			Pool:    n.pools[s],
 			Metrics: metrics,
-			Lane:    lanes.Next(),
+			Lane:    &ls.lane,
 
 			XDeliver:        xd,
 			DisableBatching: cfg.DisableBatching,
@@ -408,9 +515,10 @@ func buildTopology(t topology) (*network, error) {
 		if tl.lossProb > 0 {
 			lc.LossProb, lc.LossRNG = tl.lossProb, rng.Fork(1<<21)
 		}
-		return link.New(n.scheds[s], lc)
+		return link.Init(&ls.link, n.scheds[s], lc)
 	}
 
+	fixed := make([]linkSlot, len(t.links))
 	for i, tl := range t.links {
 		s, proof := place.gw[tl.from.index], false
 		if !tl.from.gateway {
@@ -426,10 +534,10 @@ func buildTopology(t topology) (*network, error) {
 		} else {
 			dst = hosts[tl.to.index]
 		}
-		var err error
-		if n.links[i], err = newLink(s, tl, dst, xd, proof); err != nil {
+		if err := initLink(&fixed[i], s, tl, dst, xd, proof); err != nil {
 			return nil, err
 		}
+		n.links[i] = &fixed[i].link
 		if tl.bottleneck {
 			n.bottlenecks = append(n.bottlenecks, n.links[i])
 		}
@@ -447,6 +555,18 @@ func buildTopology(t topology) (*network, error) {
 	if cfg.ClientDelayJitter > 0 {
 		jitter = rng.Fork(1 << 22)
 	}
+	// One block holds every client, one slab every TCP sink and one every
+	// traffic source. Each client is built into them in the order the
+	// digest contract fixes: its two lanes, then its traffic fork.
+	tcpClients := 0
+	for _, grp := range t.groups {
+		if grp.proto.IsTCP() {
+			tcpClients += grp.clients
+		}
+	}
+	clients := make([]client, place.clients)
+	sinks := make([]tcp.Sink, 0, tcpClients)
+	sources := newSourceSlab(cfg, place.clients)
 	j := 0
 	for _, grp := range t.groups {
 		srv, ss := hosts[grp.dst], place.host[grp.dst]
@@ -459,36 +579,39 @@ func buildTopology(t topology) (*network, error) {
 		// backlog — so their links keep the per-event path.
 		overprov := grp.proto.IsTCP() && cfg.AccessBufferPackets >= 2*cfg.MaxWindow
 		for c := 0; c < grp.clients; c, j = c+1, j+1 {
+			cl := &clients[j]
 			addr := packet.Addr(1 + t.hosts + j)
 			flowID := packet.FlowID(j + 1)
 			cs := place.client(j)
 			sched, pool, tel := n.scheds[cs], n.pools[cs], n.tels[cs]
-			host := node.NewHost(addr)
+			host := &cl.host
+			node.InitHost(host, addr)
 			host.SetPool(pool)
 
 			delay := cfg.ClientDelay
 			if jitter != nil {
 				delay += sim.Duration(jitter.Uniform(0, float64(cfg.ClientDelayJitter)))
 			}
-			pair := topoLink{name: fmt.Sprintf("client%d->gw", j+1), rateBps: cfg.ClientRateBps, delay: delay, buffer: cfg.AccessBufferPackets}
+			toGW, fromGW := clientLinkNames(j + 1)
+			pair := topoLink{name: toGW, rateBps: cfg.ClientRateBps, delay: delay, buffer: cfg.AccessBufferPackets}
 			// An access link carries only packets for the group's sink host,
 			// whose egress at the gateway lives on the gateway's shard: it
 			// crosses exactly when the client sits elsewhere.
 			xd := xdeliver(cs == place.gw[grp.attach], cs, grp.attach, delay)
-			access, err := newLink(cs, pair, gateways[grp.attach], xd, overprov)
-			if err != nil {
+			if err := initLink(&cl.access, cs, pair, gateways[grp.attach], xd, overprov); err != nil {
 				return nil, err
 			}
-			pair.name = fmt.Sprintf("gw->client%d", j+1)
-			reverse, err := newLink(cs, pair, host, nil, overprov)
-			if err != nil {
+			pair.name = fromGW
+			if err := initLink(&cl.reverse, cs, pair, host, nil, overprov); err != nil {
 				return nil, err
 			}
+			access, reverse := &cl.access.link, &cl.reverse.link
 			if err := route(addr, grp.attach, reverse); err != nil {
 				return nil, err
 			}
 
-			f := &flow{proto: grp.proto, access: access, reverse: reverse}
+			f := &cl.flow
+			*f = flow{proto: grp.proto, access: access, reverse: reverse}
 			var src transport.Source
 			if grp.proto.IsTCP() {
 				tcpCfg := tcp.Config{
@@ -510,15 +633,16 @@ func buildTopology(t topology) (*network, error) {
 				}
 				sendCfg := tcpCfg
 				sendCfg.Out = access
-				sender, err := tcp.NewSender(sendCfg)
-				if err != nil {
+				sender := &cl.sender
+				if err := tcp.InitSender(sender, sendCfg); err != nil {
 					return nil, err
 				}
 				sinkCfg := tcpCfg
 				sinkCfg.Out = n.links[out[grp.dst]]
 				sinkCfg.Sched, sinkCfg.Pool, sinkCfg.Metrics = n.scheds[ss], n.pools[ss], n.tels[ss].tcp
-				sink, err := tcp.NewSink(sinkCfg)
-				if err != nil {
+				sinks = sinks[:len(sinks)+1]
+				sink := &sinks[len(sinks)-1]
+				if err := tcp.InitSink(sink, sinkCfg); err != nil {
 					return nil, err
 				}
 				host.Bind(flowID, sender)
@@ -532,13 +656,13 @@ func buildTopology(t topology) (*network, error) {
 					Dst:        srv.Addr(),
 					PacketSize: cfg.PacketSize,
 					Out:        access,
-					Now:        sched.Now,
+					Sched:      sched,
 					Pool:       pool,
 				})
 				if err != nil {
 					return nil, err
 				}
-				sink := transport.NewUDPSinkWithClock(n.scheds[ss].Now)
+				sink := transport.NewUDPSinkWithClock(n.scheds[ss])
 				sink.SetPool(n.pools[ss])
 				host.Bind(flowID, sender)
 				srv.Bind(flowID, sink)
@@ -546,12 +670,13 @@ func buildTopology(t topology) (*network, error) {
 				src = sender
 			}
 
-			gen, err := buildGenerator(cfg, sched, rng.Fork(grp.stream+int64(c)), src, tel.appGenerated)
+			rng.ForkInto(&cl.rng, grp.stream+int64(c))
+			gen, err := sources.init(j, cfg, sched, &cl.rng, src, tel.appGenerated)
 			if err != nil {
 				return nil, err
 			}
 			f.gen = gen
-			n.flows = append(n.flows, f)
+			n.flows[j] = f
 		}
 	}
 
@@ -562,6 +687,17 @@ func buildTopology(t topology) (*network, error) {
 		n.group, n.lookahead = shard.NewGroup(n.scheds, lookahead), lookahead
 	}
 	return n, nil
+}
+
+// clientLinkNames returns the names of client i's access and reverse
+// links, "client<i>->gw" and "gw->client<i>", as two views of the one
+// string "gw->client<i>->gw", so naming a client costs one allocation.
+func clientLinkNames(i int) (access, reverse string) {
+	var buf [32]byte
+	b := append(buf[:0], "gw->client"...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	both := string(append(b, "->gw"...))
+	return both[len("gw->"):], both[:len(both)-len("->gw")]
 }
 
 // crossing hands a link's deliveries from shard src into gateway gw (index

@@ -113,16 +113,15 @@ type Link struct {
 	stats Stats
 
 	// inflight is the packet currently being serialized. Exactly one
-	// packet occupies the transmitter at a time, so a single field (plus
-	// the prebound callbacks below) replaces a heap-allocated closure per
+	// packet occupies the transmitter at a time, so a single field and the
+	// (serializeDone, link) event replace a heap-allocated closure per
 	// departure.
-	inflight        *packet.Packet
-	serializeDoneFn func()    // prebound l.serializeDone
-	deliverFn       func(any) // prebound l.deliver
+	inflight *packet.Packet
 
-	// train coalesces back-to-back deliveries into one scheduled event
-	// (nil when batching is disabled or deliveries cross shards).
-	train *sim.Train
+	// train carries the deliveries: it coalesces back-to-back ones into
+	// one scheduled event, or files each as its own when batching is
+	// disabled. Unused when deliveries cross shards.
+	train sim.Train
 	// fastFIFO is the queue downcast to the plain FIFO discipline, when
 	// that is what it is; it enables the idle-transmitter bypass in Send.
 	fastFIFO *queue.FIFO
@@ -163,27 +162,36 @@ type Link struct {
 // New returns a link bound to the scheduler, or an error for an invalid
 // configuration.
 func New(sched *sim.Scheduler, cfg Config) (*Link, error) {
+	l := new(Link)
+	if err := Init(l, sched, cfg); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// Init is New in place: it makes l a link bound to the scheduler, or
+// returns an error for an invalid configuration. Builders embed links in
+// larger blocks and initialize them here.
+func Init(l *Link, sched *sim.Scheduler, cfg Config) error {
 	switch {
 	case sched == nil:
-		return nil, fmt.Errorf("link %q: nil scheduler", cfg.Name)
+		return fmt.Errorf("link %q: nil scheduler", cfg.Name)
 	case cfg.RateBps <= 0:
-		return nil, fmt.Errorf("link %q: rate %v <= 0", cfg.Name, cfg.RateBps)
+		return fmt.Errorf("link %q: rate %v <= 0", cfg.Name, cfg.RateBps)
 	case cfg.Delay < 0:
-		return nil, fmt.Errorf("link %q: negative delay %v", cfg.Name, cfg.Delay)
+		return fmt.Errorf("link %q: negative delay %v", cfg.Name, cfg.Delay)
 	case cfg.Queue == nil:
-		return nil, fmt.Errorf("link %q: nil queue", cfg.Name)
+		return fmt.Errorf("link %q: nil queue", cfg.Name)
 	case cfg.Dst == nil:
-		return nil, fmt.Errorf("link %q: nil destination", cfg.Name)
+		return fmt.Errorf("link %q: nil destination", cfg.Name)
 	case cfg.LossProb < 0 || cfg.LossProb >= 1:
-		return nil, fmt.Errorf("link %q: loss probability %v outside [0,1)", cfg.Name, cfg.LossProb)
+		return fmt.Errorf("link %q: loss probability %v outside [0,1)", cfg.Name, cfg.LossProb)
 	case cfg.LossProb > 0 && cfg.LossRNG == nil:
-		return nil, fmt.Errorf("link %q: loss probability without RNG", cfg.Name)
+		return fmt.Errorf("link %q: loss probability without RNG", cfg.Name)
 	case cfg.XDeliver != nil && cfg.Lane == nil:
-		return nil, fmt.Errorf("link %q: cross-shard delivery without a lane", cfg.Name)
+		return fmt.Errorf("link %q: cross-shard delivery without a lane", cfg.Name)
 	}
-	l := &Link{sched: sched, cfg: cfg}
-	l.serializeDoneFn = l.serializeDone
-	l.deliverFn = l.deliver
+	*l = Link{sched: sched, cfg: cfg}
 	if dd, ok := cfg.Queue.(queue.DequeueDropper); ok {
 		// Disciplines that head-drop inside Dequeue (CoDel) consume packets
 		// the Send path never sees rejected; route them through the same
@@ -199,27 +207,27 @@ func New(sched *sim.Scheduler, cfg Config) (*Link, error) {
 	}
 	if !cfg.DisableBatching {
 		l.fastFIFO, _ = cfg.Queue.(*queue.FIFO)
-		if cfg.XDeliver == nil {
-			fn := l.deliverFn
-			if l.fastFIFO != nil && cfg.Overprovisioned && cfg.Lane != nil &&
-				cfg.LossProb == 0 &&
-				!cfg.Metrics.Departures.Enabled() && !cfg.Metrics.QueueDepth.Enabled() {
-				// Serialization pipelining needs every serialize-done
-				// side effect to be provably absorbable: no drops
-				// (Overprovisioned FIFO), no wire-loss RNG draw, no
-				// cross-shard handoff, no time-sampled departure
-				// telemetry whose snapshots could observe the elision,
-				// and a private Lane — admission-time ordinals reorder
-				// same-instant deliveries against other default-lane
-				// events, but within a lane the link owns they are the
-				// exact ordinals the per-event path would draw.
-				l.virtual = true
-				fn = l.deliverCredit
-			}
-			l.train = sim.NewTrain(sched, cfg.Lane, fn)
-		}
+		// Serialization pipelining needs every serialize-done side effect
+		// to be provably absorbable: no drops (Overprovisioned FIFO), no
+		// wire-loss RNG draw, no cross-shard handoff, no time-sampled
+		// departure telemetry whose snapshots could observe the elision,
+		// and a private Lane — admission-time ordinals reorder
+		// same-instant deliveries against other default-lane events, but
+		// within a lane the link owns they are the exact ordinals the
+		// per-event path would draw.
+		l.virtual = l.fastFIFO != nil && cfg.XDeliver == nil &&
+			cfg.Overprovisioned && cfg.Lane != nil && cfg.LossProb == 0 &&
+			!cfg.Metrics.Departures.Enabled() && !cfg.Metrics.QueueDepth.Enabled()
 	}
-	return l, nil
+	if cfg.XDeliver == nil {
+		fn := deliver
+		if l.virtual {
+			fn = deliverCredit
+		}
+		l.train.Init(sched, cfg.Lane, fn, l)
+		l.train.SetEager(cfg.DisableBatching)
+	}
+	return nil
 }
 
 // vEntry is one pipelined packet's elided serialization: transmission
@@ -318,8 +326,11 @@ func (l *Link) startTransmit(p *packet.Packet) {
 		l.lastSize = p.Size
 		l.lastDelay = sim.SerializationDelay(p.Size, l.cfg.RateBps)
 	}
-	l.sched.After(l.lastDelay, l.serializeDoneFn)
+	l.sched.AfterCall(l.lastDelay, serializeDone, l)
 }
+
+// serializeDone is the trampoline the serialize-done event is filed under.
+func serializeDone(a any) { a.(*Link).serializeDone() }
 
 // serializeDone fires when the inflight packet's last bit leaves the
 // transmitter: count the departure, launch propagation (or lose the packet
@@ -339,24 +350,23 @@ func (l *Link) serializeDone() {
 		// The destination lives on another shard: stamp the delivery
 		// with this link's lane ordinal and hand it to the barrier.
 		l.cfg.XDeliver(l.sched.Now().Add(l.cfg.Delay), l.cfg.Lane.Take(), p)
-	} else if l.train != nil {
-		// Burst-train coalescing: append the delivery to the link's
-		// train instead of scheduling it. The train draws the same lane
-		// ordinal the per-event path would, and only its head occupies
-		// the scheduler — back-to-back departures of a burst collapse
-		// into one wheel/heap op. A wire-lost packet above simply never
-		// joins the train, which is how loss splits trains.
-		l.train.Add(l.sched.Now().Add(l.cfg.Delay), p)
 	} else {
-		// The wire is pipelined: propagation of this packet
-		// overlaps serialization of the next.
-		l.sched.AfterCallOn(l.cfg.Lane, l.cfg.Delay, l.deliverFn, p)
+		// The wire is pipelined: propagation of this packet overlaps
+		// serialization of the next. The train draws the delivery's lane
+		// ordinal here, as a per-event schedule would, and with batching
+		// only its head occupies the scheduler — back-to-back departures
+		// of a burst collapse into one wheel/heap op. A wire-lost packet
+		// above simply never joins the train, which is how loss splits
+		// trains.
+		l.train.Add(l.sched.Now().Add(l.cfg.Delay), p)
 	}
 	l.transmitNext()
 }
 
-func (l *Link) deliver(arg any) {
-	l.cfg.Dst.Receive(arg.(*packet.Packet))
+// deliver is the train's delivery callback: it hands the packet to the
+// link's destination.
+func deliver(recv, arg any) {
+	recv.(*Link).cfg.Dst.Receive(arg.(*packet.Packet))
 }
 
 // vSend admits p through the virtual pipeline: the FIFO recurrence
@@ -443,15 +453,16 @@ func (l *Link) vPush(e vEntry) {
 	l.vAppended++
 }
 
-// deliverCredit is the virtual pipeline's delivery trampoline: it settles
+// deliverCredit is the virtual pipeline's delivery callback: it settles
 // the elided serialize-done's fired-event credit (the departure stats
 // settled at admission), advances the credit cursor, and delivers.
 // Deliveries fire in admission order, so the cursor walks the ring front
 // to back without ever reading it.
-func (l *Link) deliverCredit(arg any) {
+func deliverCredit(recv, arg any) {
+	l := recv.(*Link)
 	l.vCredited++
 	l.sched.CreditFired()
-	l.deliver(arg)
+	l.cfg.Dst.Receive(arg.(*packet.Packet))
 }
 
 // FinishVirtual settles elided serializations still pending at the end of
@@ -485,9 +496,3 @@ func (l *Link) Pipelined() bool { return l.virtual }
 // CrossesShards reports whether the link hands its deliveries to an
 // XDeliver hook.
 func (l *Link) CrossesShards() bool { return l.cfg.XDeliver != nil }
-
-// DeliverFn exposes the link's prebound delivery trampoline (it calls
-// Dst.Receive on its argument). The sharded harness injects it into the
-// destination shard's scheduler for cross-shard deliveries; it reads only
-// immutable link configuration, so executing it on another shard is safe.
-func (l *Link) DeliverFn() func(any) { return l.deliverFn }

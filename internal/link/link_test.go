@@ -487,3 +487,60 @@ func TestLinkVirtualPanicsWhenOverprovisionedLied(t *testing.T) {
 		l.Send(data(i, 1000))
 	}
 }
+
+// poolSink returns every delivered packet to its pool.
+type poolSink struct {
+	pool *packet.Pool
+	n    int
+}
+
+func (d *poolSink) Receive(p *packet.Packet) {
+	d.n++
+	d.pool.Put(p)
+}
+
+// TestLinkSerializeDoneAllocFree covers the per-event path's dispatch, with
+// batching on and off: each packet's (serializeDone, link) event and the
+// train delivery behind it run without allocating.
+func TestLinkSerializeDoneAllocFree(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		sched := sim.NewScheduler()
+		pool := packet.NewPool()
+		dst := &poolSink{pool: pool}
+		l, err := New(sched, Config{
+			Name:            "alloc",
+			RateBps:         8e6,
+			Delay:           time.Millisecond,
+			Queue:           queue.NewFIFO(8),
+			Dst:             dst,
+			Pool:            pool,
+			Lane:            sim.NewLanes().Next(),
+			DisableBatching: disable,
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if l.Pipelined() {
+			t.Fatal("a link without the overprovisioning proof pipelines")
+		}
+		burst := func() {
+			for i := 0; i < 3; i++ {
+				p := pool.Get()
+				p.Kind, p.Size = packet.Data, 1000
+				l.Send(p)
+			}
+			if err := sched.RunAll(); err != nil {
+				t.Fatalf("RunAll: %v", err)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			burst()
+		}
+		if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+			t.Errorf("DisableBatching=%v: a three-packet burst allocates %.1f objects, want 0", disable, allocs)
+		}
+		if want := 3 * (16 + 201); dst.n != want || l.Stats().Departures != uint64(want) {
+			t.Errorf("DisableBatching=%v: delivered %d, departed %d, want %d", disable, dst.n, l.Stats().Departures, want)
+		}
+	}
+}

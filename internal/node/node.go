@@ -33,13 +33,23 @@ type Host struct {
 	base   int
 	agents []Agent
 	pool   *packet.Pool
+	// one backs agents for the first bound flow, so a client host, which
+	// terminates a single flow, needs no slice of its own.
+	one [1]Agent
 }
 
 var _ link.Receiver = (*Host)(nil)
 
 // NewHost returns a host with the given address and no agents.
 func NewHost(addr packet.Addr) *Host {
-	return &Host{addr: addr}
+	h := new(Host)
+	InitHost(h, addr)
+	return h
+}
+
+// InitHost is NewHost in place, for hosts embedded in a larger block.
+func InitHost(h *Host, addr packet.Addr) {
+	*h = Host{addr: addr}
 }
 
 // Addr returns the host's node address.
@@ -50,6 +60,7 @@ func (h *Host) Bind(flow packet.FlowID, a Agent) {
 	f := int(flow)
 	if len(h.agents) == 0 {
 		h.base = f
+		h.agents = h.one[:0]
 	}
 	if f < h.base {
 		shift := h.base - f

@@ -118,10 +118,17 @@ var _ Discipline = (*FIFO)(nil)
 // NewFIFO returns a drop-tail queue holding at most capacity packets.
 // Capacities below one are clamped to one.
 func NewFIFO(capacity int) *FIFO {
+	q := new(FIFO)
+	InitFIFO(q, capacity)
+	return q
+}
+
+// InitFIFO is NewFIFO in place, for queues embedded in a larger block.
+func InitFIFO(q *FIFO, capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &FIFO{ring: newFIFORing(capacity), cap: capacity}
+	*q = FIFO{ring: newFIFORing(capacity), cap: capacity}
 }
 
 // Enqueue accepts p unless the buffer is full.

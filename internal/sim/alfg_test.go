@@ -138,12 +138,35 @@ func TestRNGAllocBudgets(t *testing.T) {
 			t.Errorf("%s on a materialized stream: %v allocs/op, want 0", name, a)
 		}
 	}
+	// A stream is one object, its rand.Rand held by value; forking into
+	// caller-owned storage allocates nothing.
 	root := NewRNG(1)
-	if a := testing.AllocsPerRun(100, func() { NewRNG(7) }); a > 2 {
-		t.Errorf("NewRNG: %v allocs/op, want <= 2", a)
+	if a := testing.AllocsPerRun(100, func() { NewRNG(7) }); a > 1 {
+		t.Errorf("NewRNG: %v allocs/op, want <= 1", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { root.Fork(7) }); a > 2 {
-		t.Errorf("Fork: %v allocs/op, want <= 2", a)
+	if a := testing.AllocsPerRun(100, func() { root.Fork(7) }); a > 1 {
+		t.Errorf("Fork: %v allocs/op, want <= 1", a)
+	}
+	var child RNG
+	if a := testing.AllocsPerRun(100, func() { root.ForkInto(&child, 7) }); a != 0 {
+		t.Errorf("ForkInto: %v allocs/op, want 0", a)
+	}
+}
+
+// TestForkIntoMatchesFork pins ForkInto to Fork: from equal parents, the
+// children draw the same stream and the parents stay in step.
+func TestForkIntoMatchesFork(t *testing.T) {
+	p1, p2 := NewRNG(5), NewRNG(5)
+	a := p1.Fork(9)
+	var b RNG
+	p2.ForkInto(&b, 9)
+	for i := 0; i < 2*alfgLen; i++ {
+		if x, y := a.Float64(), b.Float64(); x != y {
+			t.Fatalf("draw %d: Fork %v, ForkInto %v", i, x, y)
+		}
+	}
+	if x, y := p1.Float64(), p2.Float64(); x != y {
+		t.Fatalf("parents diverge after the fork: %v vs %v", x, y)
 	}
 }
 

@@ -80,12 +80,19 @@ func NewLanes() *Lanes { return &Lanes{} }
 
 // Next allocates the next lane.
 func (ls *Lanes) Next() *Lane {
+	l := new(Lane)
+	ls.NextInto(l)
+	return l
+}
+
+// NextInto allocates the next lane into caller-owned storage; it draws
+// the same id Next would.
+func (ls *Lanes) NextInto(l *Lane) {
 	if ls.n >= defaultLaneID {
 		panic(fmt.Sprintf("sim: lane ids exhausted (%d lanes)", ls.n))
 	}
-	l := newLane(ls.n)
+	*l = newLane(ls.n)
 	ls.n++
-	return &l
 }
 
 // Allocated returns the number of lanes handed out.

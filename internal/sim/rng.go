@@ -10,32 +10,48 @@ import (
 // seed so that identical configurations replay identically.
 //
 // Its stream is exactly rand.New(rand.NewSource(seed))'s, which Go 1 keeps
-// stable; only the source underneath is seeded lazily (see alfg), so a
-// fresh generator costs 72 bytes rather than a 5.4 KB table.
+// stable; only the source underneath is seeded lazily (see alfg), and the
+// rand.Rand is held by value, so a fresh generator is one 64-byte object
+// rather than a 5.4 KB table. The Rand points at the RNG's own source, so
+// an RNG must not be copied once seeded.
 type RNG struct {
-	r   *rand.Rand
+	r   rand.Rand
 	src alfg
 }
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	g := &RNG{}
-	g.src.Seed(seed)
-	g.r = rand.New(&g.src)
+	g := new(RNG)
+	g.seed(seed)
 	return g
+}
+
+// seed (re)initializes g in place to the stream of seed.
+func (g *RNG) seed(seed int64) {
+	g.src.Seed(seed)
+	g.r = *rand.New(&g.src)
 }
 
 // Fork derives an independent child generator. Children are keyed by an
 // arbitrary stream identifier so that, e.g., each traffic source draws from
 // its own stream and adding a source does not perturb the others.
 func (g *RNG) Fork(stream int64) *RNG {
+	child := new(RNG)
+	g.ForkInto(child, stream)
+	return child
+}
+
+// ForkInto is Fork into caller-owned storage: it seeds dst with the child
+// stream Fork would return, consuming the same parent draw, so a builder
+// can keep many streams in one block instead of one object each.
+func (g *RNG) ForkInto(dst *RNG, stream int64) {
 	// SplitMix64-style avalanche of the child seed keeps sibling streams
 	// decorrelated even for adjacent stream ids.
 	z := uint64(g.r.Int63()) + uint64(stream)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return NewRNG(int64(z & math.MaxInt64))
+	dst.seed(int64(z & math.MaxInt64))
 }
 
 // Float64 returns a uniform variate in [0,1).

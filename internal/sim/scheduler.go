@@ -106,9 +106,10 @@ func eventLess(a, b *eventSlot) bool {
 // The kernel is allocation-free in steady state: events live in a slot
 // arena recycled through a free list, near events in a timing wheel, far
 // events in an inline position-indexed min-heap of plain values. Callers
-// that schedule the same callback repeatedly should pass a prebound func
-// value (stored once on their struct) instead of a method value or fresh
-// closure, which the compiler must heap-allocate per call.
+// that schedule the same callback repeatedly file it as (fn, receiver)
+// through AtCall/AfterCall, with fn a package-level trampoline such as
+// func(a any) { a.(*T).fire() }: a method value or fresh closure would be
+// heap-allocated per call, and a prebound one per object.
 type Scheduler struct {
 	now      Time
 	defLane  Lane
@@ -189,10 +190,10 @@ func (s *Scheduler) At(t Time, fn func()) Handle { return s.AtOn(nil, t, fn) }
 // clamp to zero (fire "now", after already-queued same-time events).
 func (s *Scheduler) After(d Duration, fn func()) Handle { return s.AfterOn(nil, d, fn) }
 
-// AtCall schedules fn(arg) at instant t. It exists so hot paths can reuse
-// one prebound fn for many events, threading per-event state through arg
-// instead of a freshly allocated closure (storing a pointer in arg does
-// not allocate).
+// AtCall schedules fn(arg) at instant t. It is the hot paths' one
+// scheduling idiom: fn is a package-level function and arg the receiver or
+// per-event state it acts on, so no closure is allocated (storing a
+// pointer in arg does not allocate).
 func (s *Scheduler) AtCall(t Time, fn func(any), arg any) Handle {
 	return s.AtCallOn(nil, t, fn, arg)
 }
@@ -383,10 +384,10 @@ func (s *Scheduler) resolve(h Handle) bool {
 // freeSlot recycles a slot: bump the generation so stale handles miss and
 // chain it onto the free list. Callback references are deliberately left
 // in place — clearing them costs three GC write barriers per event, and
-// hot paths schedule prebound callbacks that outlive the scheduler
-// anyway. A freed slot therefore keeps its last fn/arg alive until the
-// slot is reused; that is a bounded overhang (one callback per arena
-// slot), not a leak.
+// hot paths schedule package-level trampolines on receivers that outlive
+// the scheduler anyway. A freed slot therefore keeps its last fn/arg
+// alive until the slot is reused; that is a bounded overhang (one
+// callback per arena slot), not a leak.
 func (s *Scheduler) freeSlot(idx int32) {
 	sl := &s.slots[idx]
 	sl.gen++
@@ -694,8 +695,10 @@ func (s *Scheduler) siftDown(i int) {
 
 // Timer is a restartable one-shot timer bound to a scheduler, mirroring the
 // retransmission-timer usage pattern in transport protocols: Reset reschedules,
-// Stop cancels, and the callback runs at expiry. The expiry trampoline is
-// bound once at construction, so Reset/Stop cycles are allocation-free.
+// Stop cancels, and fn(arg) runs at expiry. The timer files its events as
+// (timerFire, timer) and calls its owner through a package-level function
+// and a receiver, so neither side holds a closure and Reset/Stop cycles are
+// allocation-free.
 //
 // A timer has two internal modes with bit-identical observable behavior.
 // The eager mode backs every Reset with a Cancel+schedule pair — one heap
@@ -716,8 +719,8 @@ type Timer struct {
 	sched    *Scheduler
 	h        Handle
 	deadline Time // instant of the standing scheduled event behind h
-	fn       func()
-	fireFn   func()
+	fn       func(any)
+	arg      any
 
 	lazy  bool
 	armed bool // lazy: a logical expiry is pending
@@ -729,12 +732,21 @@ type Timer struct {
 	wantOrd uint64
 }
 
-// NewTimer returns an unarmed timer that runs fn at expiry.
-func NewTimer(sched *Scheduler, fn func()) *Timer {
-	t := &Timer{sched: sched, fn: fn}
-	t.fireFn = t.fire
+// NewTimer returns an unarmed timer that runs fn(arg) at expiry.
+func NewTimer(sched *Scheduler, fn func(any), arg any) *Timer {
+	t := new(Timer)
+	t.Init(sched, fn, arg)
 	return t
 }
+
+// Init makes t an unarmed eager timer that runs fn(arg) at expiry, in
+// place: owners embed their timers and pass themselves as arg.
+func (t *Timer) Init(sched *Scheduler, fn func(any), arg any) {
+	*t = Timer{sched: sched, fn: fn, arg: arg}
+}
+
+// timerFire is the trampoline every timer event is filed under.
+func timerFire(a any) { a.(*Timer).fire() }
 
 // SetLazy switches the timer's rescheduling strategy (see the type
 // comment). Only call it on an unarmed timer, right after construction.
@@ -754,7 +766,7 @@ func (t *Timer) Reset(d Duration) {
 func (t *Timer) ResetAt(at Time) {
 	if !t.lazy {
 		t.Stop()
-		t.h = t.sched.At(at, t.fireFn)
+		t.h = t.sched.AtCall(at, timerFire, t)
 		t.deadline = at
 		return
 	}
@@ -780,7 +792,7 @@ func (t *Timer) ResetAt(at Time) {
 	if t.sched.resolve(t.h) {
 		t.sched.Cancel(t.h)
 	}
-	t.h = t.sched.scheduleOrd(at, ord, t.fireFn, nil, nil)
+	t.h = t.sched.scheduleOrd(at, ord, nil, timerFire, t)
 	t.deadline = at
 	t.exact = true
 }
@@ -825,7 +837,7 @@ func (t *Timer) Deadline() Time {
 func (t *Timer) fire() {
 	t.h = Handle{}
 	if !t.lazy {
-		t.fn()
+		t.fn(t.arg)
 		return
 	}
 	if !t.armed {
@@ -839,11 +851,11 @@ func (t *Timer) fire() {
 		// (want, wantOrd) — the exact key the eager path's event holds —
 		// and uncount the pop. Consumes no ordinal.
 		t.sched.fired--
-		t.h = t.sched.scheduleOrd(t.want, t.wantOrd, t.fireFn, nil, nil)
+		t.h = t.sched.scheduleOrd(t.want, t.wantOrd, nil, timerFire, t)
 		t.deadline = t.want
 		t.exact = true
 		return
 	}
 	t.armed = false
-	t.fn()
+	t.fn(t.arg)
 }

@@ -423,7 +423,7 @@ func TestAfterCallAllocFree(t *testing.T) {
 
 func TestTimerResetStopAllocFree(t *testing.T) {
 	s := NewScheduler()
-	tm := NewTimer(s, func() {})
+	tm := NewTimer(s, func(any) {}, nil)
 	for i := 0; i < 64; i++ {
 		tm.Reset(time.Second)
 		tm.Stop()
@@ -437,10 +437,44 @@ func TestTimerResetStopAllocFree(t *testing.T) {
 	}
 }
 
+// expiryCounter is a timer owner: the timer calls back into it through a
+// package-level function and the owner as receiver, as the transport
+// endpoints do.
+type expiryCounter struct{ n int }
+
+func countExpiry(a any) { a.(*expiryCounter).n++ }
+
+// TestTimerExpiryAllocFree covers the dispatch of an expiry, in both
+// modes: arming files (timerFire, timer), the pop runs the owner's
+// callback, and neither side allocates.
+func TestTimerExpiryAllocFree(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		s := NewScheduler()
+		owner := &expiryCounter{}
+		var tm Timer
+		tm.Init(s, countExpiry, owner)
+		tm.SetLazy(lazy)
+		for i := 0; i < 64; i++ {
+			tm.Reset(time.Microsecond)
+			s.Step()
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			tm.Reset(time.Microsecond)
+			s.Step()
+		})
+		if allocs != 0 {
+			t.Errorf("lazy=%v: Timer Reset+expiry allocates %.1f objects/op, want 0", lazy, allocs)
+		}
+		if want := 64 + 1001; owner.n != want {
+			t.Errorf("lazy=%v: %d expiries, want %d", lazy, owner.n, want)
+		}
+	}
+}
+
 func TestTimerResetReplacesPending(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	tm := NewTimer(s, func() { count++ })
+	tm := NewTimer(s, func(any) { count++ }, nil)
 	tm.Reset(time.Second)
 	tm.Reset(2 * time.Second) // replaces, does not add
 	if err := s.RunAll(); err != nil {
@@ -457,7 +491,7 @@ func TestTimerResetReplacesPending(t *testing.T) {
 func TestTimerStopAndArmed(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	tm := NewTimer(s, func() { fired = true })
+	tm := NewTimer(s, func(any) { fired = true }, nil)
 	if tm.Armed() {
 		t.Error("new timer is armed")
 	}
@@ -488,12 +522,12 @@ func TestTimerRearmInsideCallback(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	var tm *Timer
-	tm = NewTimer(s, func() {
+	tm = NewTimer(s, func(any) {
 		count++
 		if count < 3 {
 			tm.Reset(time.Second)
 		}
-	})
+	}, nil)
 	tm.Reset(time.Second)
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)

@@ -22,11 +22,17 @@ package sim
 // Trains require keys to be appended in increasing order, which holds by
 // construction for link deliveries: serialization completions are monotone
 // in time and lane ordinals are monotone by definition.
+//
+// Each element is delivered as fn(recv, arg): fn is a package-level
+// function and recv its owner (a link), so a train holds no closure. An
+// eager train (SetEager) files every element as its own scheduler event
+// instead of coalescing — the per-event reference the batched schedule is
+// pinned against.
 type Train struct {
-	s      *Scheduler
-	lane   *Lane
-	fn     func(any)
-	fireFn func()
+	s    *Scheduler
+	lane *Lane
+	fn   func(recv, arg any)
+	recv any
 
 	buf  []trainElem
 	mask int
@@ -39,6 +45,7 @@ type Train struct {
 	// pending delivery.
 	scheduled bool
 	firing    bool
+	eager     bool
 }
 
 type trainElem struct {
@@ -47,19 +54,32 @@ type trainElem struct {
 	arg any
 }
 
-// NewTrain returns an empty train delivering each element's arg to fn. A
-// nil lane means the scheduler's default lane.
-func NewTrain(s *Scheduler, lane *Lane, fn func(any)) *Train {
+// NewTrain returns an empty train delivering each element's arg as
+// fn(recv, arg). A nil lane means the scheduler's default lane.
+func NewTrain(s *Scheduler, lane *Lane, fn func(recv, arg any), recv any) *Train {
+	tr := new(Train)
+	tr.Init(s, lane, fn, recv)
+	return tr
+}
+
+// Init makes tr an empty coalescing train in place (see NewTrain).
+func (tr *Train) Init(s *Scheduler, lane *Lane, fn func(recv, arg any), recv any) {
 	if fn == nil {
-		panic("sim: NewTrain requires a callback")
+		panic("sim: Train requires a callback")
 	}
 	if lane == nil {
 		lane = &s.defLane
 	}
-	tr := &Train{s: s, lane: lane, fn: fn}
-	tr.fireFn = tr.fire
-	return tr
+	*tr = Train{s: s, lane: lane, fn: fn, recv: recv}
 }
+
+// SetEager makes the train file every element as its own scheduler event
+// (see the type comment). Only call it on an empty train, right after
+// Init.
+func (tr *Train) SetEager(eager bool) { tr.eager = eager }
+
+// trainFire is the trampoline every train event is filed under.
+func trainFire(a any) { a.(*Train).fire() }
 
 // Len returns the number of buffered elements (including the scheduled head).
 func (tr *Train) Len() int { return tr.n }
@@ -77,11 +97,16 @@ func (tr *Train) Add(at Time, arg any) {
 	if tr.n == len(tr.buf) {
 		tr.grow()
 	}
-	tr.buf[(tr.head+tr.n)&tr.mask] = trainElem{at: at, ord: tr.lane.Take(), arg: arg}
+	ord := tr.lane.Take()
+	tr.buf[(tr.head+tr.n)&tr.mask] = trainElem{at: at, ord: ord, arg: arg}
 	tr.n++
+	if tr.eager {
+		tr.s.scheduleOrd(at, ord, nil, trainFire, tr)
+		return
+	}
 	if !tr.scheduled && !tr.firing {
 		h := &tr.buf[tr.head]
-		tr.s.scheduleOrd(h.at, h.ord, tr.fireFn, nil, nil)
+		tr.s.scheduleOrd(h.at, h.ord, nil, trainFire, tr)
 		tr.scheduled = true
 	}
 }
@@ -114,12 +139,19 @@ func (tr *Train) pop() trainElem {
 // fire is the head element's trampoline. The scheduler has already set the
 // clock to the head's instant and counted it fired; successors chain inline
 // only while per-event execution would have popped them next.
+//
+// An eager train's events pop in element order (their keys are the
+// elements' own), so each one delivers the head and nothing more.
 func (tr *Train) fire() {
+	if tr.eager {
+		tr.fn(tr.recv, tr.pop().arg)
+		return
+	}
 	s := tr.s
 	tr.scheduled = false
 	tr.firing = true
 	e := tr.pop()
-	tr.fn(e.arg)
+	tr.fn(tr.recv, e.arg)
 	for tr.n > 0 {
 		h := &tr.buf[tr.head]
 		if s.stopped || h.at > s.horizon {
@@ -131,12 +163,12 @@ func (tr *Train) fire() {
 		e = tr.pop()
 		s.now = e.at
 		s.fired++
-		tr.fn(e.arg)
+		tr.fn(tr.recv, e.arg)
 	}
 	tr.firing = false
 	if tr.n > 0 {
 		h := &tr.buf[tr.head]
-		s.scheduleOrd(h.at, h.ord, tr.fireFn, nil, nil)
+		s.scheduleOrd(h.at, h.ord, nil, trainFire, tr)
 		tr.scheduled = true
 	}
 }

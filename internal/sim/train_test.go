@@ -13,9 +13,9 @@ type delivery struct {
 }
 
 func collectTrain(s *Scheduler, lane *Lane, log *[]delivery) *Train {
-	return NewTrain(s, lane, func(arg any) {
+	return NewTrain(s, lane, func(_, arg any) {
 		*log = append(*log, delivery{arg.(string), s.Now()})
-	})
+	}, nil)
 }
 
 func TestTrainDeliversInOrderWithOneScheduleOp(t *testing.T) {
@@ -157,9 +157,76 @@ func TestTrainStraddlesRunHorizon(t *testing.T) {
 	}
 }
 
+// deliveryCounter is a train owner; deliveries reach it through a
+// package-level function with the owner as receiver, as links do.
+type deliveryCounter struct{ n int }
+
+func countDelivery(recv, _ any) { recv.(*deliveryCounter).n++ }
+
+// TestTrainDeliveryAllocFree covers the dispatch of a delivery in both
+// modes: Add files (trainFire, train) for the head (every element, when
+// eager), and the pop hands the element to the owner's callback without
+// allocating.
+func TestTrainDeliveryAllocFree(t *testing.T) {
+	for _, eager := range []bool{false, true} {
+		s := NewScheduler()
+		owner := &deliveryCounter{}
+		var tr Train
+		tr.Init(s, NewLanes().Next(), countDelivery, owner)
+		tr.SetEager(eager)
+		arg := &struct{ seq int }{}
+		burst := func() {
+			tr.Add(s.Now().Add(time.Microsecond), arg)
+			tr.Add(s.Now().Add(2*time.Microsecond), arg)
+			for s.Step() {
+			}
+		}
+		for i := 0; i < 64; i++ {
+			burst()
+		}
+		if allocs := testing.AllocsPerRun(1000, burst); allocs != 0 {
+			t.Errorf("eager=%v: Train Add+delivery allocates %.1f objects/op, want 0", eager, allocs)
+		}
+		if want := 2 * (64 + 1001); owner.n != want {
+			t.Errorf("eager=%v: %d deliveries, want %d", eager, owner.n, want)
+		}
+	}
+}
+
+// TestEagerTrainFilesEveryElement pins the eager mode's one scheduler op
+// per element, against one per burst when coalescing.
+func TestEagerTrainFilesEveryElement(t *testing.T) {
+	for _, tc := range []struct {
+		eager bool
+		ops   uint64
+	}{{false, 1}, {true, 3}} {
+		s := NewScheduler()
+		var log []delivery
+		tr := collectTrain(s, nil, &log)
+		tr.SetEager(tc.eager)
+		for i, d := range []Duration{1, 2, 3} {
+			tr.Add(TimeZero.Add(d*Duration(time.Millisecond)), fmt.Sprintf("p%d", i))
+		}
+		if err := s.RunAll(); err != nil {
+			t.Fatalf("RunAll: %v", err)
+		}
+		if got := s.ScheduledOps(); got != tc.ops {
+			t.Errorf("eager=%v: ScheduledOps() = %d, want %d", tc.eager, got, tc.ops)
+		}
+		want := []delivery{
+			{"p0", TimeZero.Add(time.Millisecond)},
+			{"p1", TimeZero.Add(2 * time.Millisecond)},
+			{"p2", TimeZero.Add(3 * time.Millisecond)},
+		}
+		if fmt.Sprint(log) != fmt.Sprint(want) || s.Fired() != 3 {
+			t.Errorf("eager=%v: deliveries %v, Fired() = %d", tc.eager, log, s.Fired())
+		}
+	}
+}
+
 func TestTrainAddOutOfOrderPanics(t *testing.T) {
 	s := NewScheduler()
-	tr := NewTrain(s, nil, func(any) {})
+	tr := NewTrain(s, nil, func(_, _ any) {}, nil)
 	tr.Add(TimeZero.Add(2*time.Millisecond), "late")
 	defer func() {
 		if recover() == nil {
@@ -171,7 +238,7 @@ func TestTrainAddOutOfOrderPanics(t *testing.T) {
 
 func TestTrainAddInPastPanics(t *testing.T) {
 	s := NewScheduler()
-	tr := NewTrain(s, nil, func(any) {})
+	tr := NewTrain(s, nil, func(_, _ any) {}, nil)
 	s.After(time.Second, func() {})
 	if err := s.Run(TimeZero.Add(2 * time.Second)); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -196,7 +263,7 @@ func TestTrainMatchesPerEventExecution(t *testing.T) {
 		var log []delivery
 		record := func(arg any) { log = append(log, delivery{arg.(string), s.Now()}) }
 		if batched {
-			tr := NewTrain(s, lane, record)
+			tr := NewTrain(s, lane, func(_, arg any) { record(arg) }, nil)
 			for i, d := range times {
 				tr.Add(TimeZero.Add(d*Duration(time.Millisecond)), fmt.Sprintf("p%d", i))
 			}
@@ -314,7 +381,7 @@ func TestLazyTimerMatchesEager(t *testing.T) {
 	run := func(lazy bool) ([]firing, uint64, uint64) {
 		s := NewScheduler()
 		var log []firing
-		tm := NewTimer(s, func() { log = append(log, firing{s.Now()}) })
+		tm := NewTimer(s, func(any) { log = append(log, firing{s.Now()}) }, nil)
 		tm.SetLazy(lazy)
 		// Arm at 10ms, then extend twice before expiry — the dominant
 		// ACK-clocked pattern — then let it fire; then rearm once more.
@@ -346,7 +413,7 @@ func TestLazyTimerMatchesEager(t *testing.T) {
 func TestLazyTimerEarlierDeadline(t *testing.T) {
 	s := NewScheduler()
 	var firedAt Time = -1
-	tm := NewTimer(s, func() { firedAt = s.Now() })
+	tm := NewTimer(s, func(any) { firedAt = s.Now() }, nil)
 	tm.SetLazy(true)
 	tm.Reset(100 * time.Millisecond)
 	tm.Reset(20 * time.Millisecond)
@@ -367,7 +434,7 @@ func TestLazyTimerEarlierDeadline(t *testing.T) {
 func TestLazyTimerStopSwallowsStalePop(t *testing.T) {
 	s := NewScheduler()
 	calls := 0
-	tm := NewTimer(s, func() { calls++ })
+	tm := NewTimer(s, func(any) { calls++ }, nil)
 	tm.SetLazy(true)
 	tm.Reset(10 * time.Millisecond)
 	s.At(TimeZero.Add(5*time.Millisecond), func() { tm.Stop() })
@@ -383,5 +450,22 @@ func TestLazyTimerStopSwallowsStalePop(t *testing.T) {
 	// Only the Stop-invoking event counts; the zombie pop is uncounted.
 	if got := s.Fired(); got != 1 {
 		t.Errorf("Fired() = %d, want 1 (stale pop must be uncounted)", got)
+	}
+}
+
+// TestLanesNextIntoContinuesNext pins NextInto to Next's id sequence: a
+// builder may mix the two and still draw consecutive lane ids.
+func TestLanesNextIntoContinuesNext(t *testing.T) {
+	var ls Lanes
+	first := ls.Next()
+	var second Lane
+	ls.NextInto(&second)
+	third := ls.Next()
+	if first.ID() != 0 || second.ID() != 1 || third.ID() != 2 || ls.Allocated() != 3 {
+		t.Errorf("lane ids %d, %d, %d (allocated %d), want 0, 1, 2 (3)",
+			first.ID(), second.ID(), third.ID(), ls.Allocated())
+	}
+	if a, b := second.Take(), second.Take(); b != a+1 {
+		t.Errorf("NextInto lane draws %d then %d, want consecutive ordinals", a, b)
 	}
 }

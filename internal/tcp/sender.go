@@ -79,8 +79,11 @@ type Sender struct {
 	rto     sim.Duration
 	backoff int
 
-	rtxTimer *sim.Timer
+	rtxTimer sim.Timer
 	counters Counters
+	// reno holds the congestion control of the loss-based variants, so
+	// the common case needs no object of its own.
+	reno renoCC
 }
 
 var (
@@ -101,12 +104,22 @@ func windowRingSize(maxWindow int) int64 {
 // NewSender returns a sender for the given connection, or an error for an
 // invalid configuration.
 func NewSender(cfg Config) (*Sender, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	s := new(Sender)
+	if err := InitSender(s, cfg); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// InitSender is NewSender in place, for senders embedded in a larger
+// block.
+func InitSender(s *Sender, cfg Config) error {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return err
+	}
 	ring := windowRingSize(cfg.MaxWindow)
-	s := &Sender{
+	*s = Sender{
 		cfg:      cfg,
 		cwnd:     cfg.InitialCwnd,
 		ssthresh: cfg.InitialSsthresh,
@@ -122,15 +135,19 @@ func NewSender(cfg Config) (*Sender, error) {
 		s.cc = &sackCC{}
 		s.sacked = make([]uint64, (ring+63)/64)
 	default:
-		s.cc = &renoCC{flavor: cfg.Variant}
+		s.reno.flavor = cfg.Variant
+		s.cc = &s.reno
 	}
-	s.rtxTimer = sim.NewTimer(cfg.Sched, s.onTimeout)
+	s.rtxTimer.Init(cfg.Sched, senderTimeout, s)
 	// The RTO deadline is rewritten on essentially every ACK and almost
 	// always moves later; the lazy strategy turns those rewrites into
 	// field stores instead of heap/wheel reschedules.
 	s.rtxTimer.SetLazy(!cfg.DisableBatching)
-	return s, nil
+	return nil
 }
+
+// senderTimeout is the retransmission timer's expiry callback.
+func senderTimeout(a any) { a.(*Sender).onTimeout() }
 
 // Variant returns the sender's congestion-control variant.
 func (s *Sender) Variant() Variant { return s.cfg.Variant }

@@ -40,7 +40,7 @@ type Sink struct {
 	// coalescing partner, bounded by the delayed-ACK timer.
 	pendingAck bool
 	pendingPkt ackEcho
-	delayTimer *sim.Timer
+	delayTimer sim.Timer
 }
 
 // ackEcho carries the fields of a data packet that the ACK must echo.
@@ -57,27 +57,39 @@ var _ transport.Agent = (*Sink)(nil)
 // cfg.Dst back to cfg.Src, so the same Config describes both endpoints;
 // Out must be the server-side egress wire.
 func NewSink(cfg Config) (*Sink, error) {
+	s := new(Sink)
+	if err := InitSink(s, cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// InitSink is NewSink in place, for sinks kept in a slab.
+func InitSink(s *Sink, cfg Config) error {
 	cfg = cfg.withDefaults()
 	if cfg.Sched == nil {
-		return nil, fmt.Errorf("tcp sink flow %d: nil scheduler", cfg.Flow)
+		return fmt.Errorf("tcp sink flow %d: nil scheduler", cfg.Flow)
 	}
 	if cfg.Out == nil {
-		return nil, fmt.Errorf("tcp sink flow %d: nil wire", cfg.Flow)
+		return fmt.Errorf("tcp sink flow %d: nil wire", cfg.Flow)
 	}
 	ring := windowRingSize(cfg.MaxWindow)
-	s := &Sink{
+	*s = Sink{
 		cfg:     cfg,
 		oooBits: make([]uint64, (ring+63)/64),
 		oooMask: ring - 1,
 		oooRing: ring,
 	}
-	s.delayTimer = sim.NewTimer(cfg.Sched, s.onDelayTimeout)
+	s.delayTimer.Init(cfg.Sched, sinkDelayTimeout, s)
 	// Under delayed ACKs the timer restarts on every odd in-order arrival
 	// and is almost always coalesced away before expiring; lazy mode makes
 	// the restart a field store.
 	s.delayTimer.SetLazy(!cfg.DisableBatching)
-	return s, nil
+	return nil
 }
+
+// sinkDelayTimeout is the delayed-ACK timer's expiry callback.
+func sinkDelayTimeout(a any) { a.(*Sink).onDelayTimeout() }
 
 // Delivered returns the number of packets handed to the application in
 // order — the per-flow throughput measure of Figure 3.
@@ -247,11 +259,13 @@ func (s *Sink) Receive(p *packet.Packet) {
 }
 
 // onDelayTimeout fires when an in-order packet has waited the maximum
-// delayed-ACK interval without a partner.
+// delayed-ACK interval without a partner. An ACK is only ever pending
+// over an empty reorder buffer — an out-of-order arrival flushes it
+// before buffering — so the one sent here is purely cumulative.
 func (s *Sink) onDelayTimeout() {
 	if s.pendingAck {
 		s.pendingAck = false
-		s.sendAck(s.pendingPkt)
+		s.cfg.Out.Send(s.cumulativeAck(s.pendingPkt))
 	}
 }
 
@@ -268,6 +282,18 @@ func (s *Sink) flushPending() {
 // timing fields (SentAt and the Karn retransmission mark). A SACK receiver
 // additionally reports its out-of-order holdings.
 func (s *Sink) sendAck(echo ackEcho) {
+	p := s.cumulativeAck(echo)
+	if s.cfg.Variant == SACK && s.oooCnt > 0 {
+		// Append into the packet's own (pooled) block storage: each
+		// packet owns its SACK backing array, so in-flight ACKs never
+		// share blocks and reuse is safe.
+		p.SACK = s.appendSACKBlocks(p.SACK[:0], echo.seq)
+	}
+	s.cfg.Out.Send(p)
+}
+
+// cumulativeAck counts and builds the cumulative acknowledgment of echo.
+func (s *Sink) cumulativeAck(echo ackEcho) *packet.Packet {
 	s.acksSent++
 	s.cfg.Metrics.AcksSent.Inc()
 	p := s.cfg.Pool.Get()
@@ -281,13 +307,7 @@ func (s *Sink) sendAck(echo ackEcho) {
 	p.SentAt = echo.sentAt
 	p.Retransmit = echo.rtxed
 	p.ECE = echo.ece
-	if s.cfg.Variant == SACK && s.oooCnt > 0 {
-		// Append into the packet's own (pooled) block storage: each
-		// packet owns its SACK backing array, so in-flight ACKs never
-		// share blocks and reuse is safe.
-		p.SACK = s.appendSACKBlocks(p.SACK[:0], echo.seq)
-	}
-	s.cfg.Out.Send(p)
+	return p
 }
 
 // maxSACKBlocks bounds the blocks per ACK, as TCP option space does.

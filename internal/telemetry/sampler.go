@@ -7,18 +7,18 @@ import (
 )
 
 // Sampler drives periodic snapshots: every interval of virtual time it
-// polls the registry and hands the row to the sink. The tick callback is
-// prebound and the value slice preallocated, so steady-state sampling into
-// an allocation-free sink (Ring, JSONL, CSV over a buffered writer) does
-// not allocate. Snapshot events only read simulation state, so enabling
-// telemetry cannot perturb an experiment's outcome.
+// polls the registry and hands the row to the sink. Ticks are filed as
+// (samplerTick, sampler) and the value slice is preallocated, so
+// steady-state sampling into an allocation-free sink (Ring, JSONL, CSV
+// over a buffered writer) does not allocate. Snapshot events only read
+// simulation state, so enabling telemetry cannot perturb an experiment's
+// outcome.
 type Sampler struct {
 	sched    *sim.Scheduler
 	reg      *Registry
 	interval sim.Duration
 	sink     Sink
 
-	tickFn  func() // prebound s.tick; a method value would allocate per schedule
 	pending sim.Handle
 	running bool
 	values  []float64
@@ -41,9 +41,7 @@ func NewSampler(sched *sim.Scheduler, reg *Registry, interval sim.Duration, sink
 	case sink == nil:
 		return nil, fmt.Errorf("telemetry: nil sink")
 	}
-	s := &Sampler{sched: sched, reg: reg, interval: interval, sink: sink}
-	s.tickFn = s.tick
-	return s, nil
+	return &Sampler{sched: sched, reg: reg, interval: interval, sink: sink}, nil
 }
 
 // Start announces the column set to the sink, takes the t=0 snapshot, and
@@ -60,7 +58,7 @@ func (s *Sampler) Start() error {
 	s.values = make([]float64, 0, len(fields))
 	s.running = true
 	s.Sample()
-	s.pending = s.sched.After(s.interval, s.tickFn)
+	s.pending = s.sched.AfterCall(s.interval, samplerTick, s)
 	return nil
 }
 
@@ -85,12 +83,15 @@ func (s *Sampler) Sample() {
 	s.records++
 }
 
+// samplerTick is the trampoline a sampler's ticks are filed under.
+func samplerTick(a any) { a.(*Sampler).tick() }
+
 func (s *Sampler) tick() {
 	if !s.running {
 		return
 	}
 	s.Sample()
-	s.pending = s.sched.After(s.interval, s.tickFn)
+	s.pending = s.sched.AfterCall(s.interval, samplerTick, s)
 }
 
 // Stop cancels the pending tick.

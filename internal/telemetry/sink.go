@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -200,7 +201,9 @@ func appendJSONString(b []byte, s string) []byte {
 func (j *JSONL) Flush() error { return flushWriter(j.w) }
 
 // CSV streams records as comma-separated rows under a "t,field..." header.
-// Single-run sinks only: the header is fixed at Begin.
+// Single-run sinks only: the header is fixed at Begin. Header names that
+// hold a comma, a quote or a line break are quoted per RFC 4180, so the
+// header always has one column per row field.
 type CSV struct {
 	w   io.Writer
 	buf []byte
@@ -214,8 +217,12 @@ func (c *CSV) Begin(fields []string) error {
 	if c.buf == nil {
 		c.buf = make([]byte, 0, 256)
 	}
-	_, err := fmt.Fprintf(c.w, "t,%s\n", strings.Join(fields, ","))
-	return err
+	hw := csv.NewWriter(c.w)
+	if err := hw.Write(append([]string{"t"}, fields...)); err != nil {
+		return err
+	}
+	hw.Flush()
+	return hw.Error()
 }
 
 // Record writes one row.

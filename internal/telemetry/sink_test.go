@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"io"
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -188,6 +191,93 @@ func TestCSVStream(t *testing.T) {
 	if sb.String() != want {
 		t.Fatalf("csv = %q, want %q", sb.String(), want)
 	}
+}
+
+// TestCSVQuotesHeaderNames pins the header of names that hold the
+// separator, a quote or a line break: each stays one column.
+func TestCSVQuotesHeaderNames(t *testing.T) {
+	var sb strings.Builder
+	s := NewCSV(&sb)
+	if err := s.Begin([]string{"a,b", `say "hi"`, "two\nlines"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Record(1, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	want := "t,\"a,b\",\"say \"\"hi\"\"\",\"two\nlines\"\n1,1,2,3\n"
+	if sb.String() != want {
+		t.Fatalf("csv = %q, want %q", sb.String(), want)
+	}
+}
+
+// TestCSVRecordAllocFree keeps the per-snapshot row path allocation-free.
+func TestCSVRecordAllocFree(t *testing.T) {
+	s := NewCSV(io.Discard)
+	if err := s.Begin([]string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	values := []float64{1.5, math.NaN()}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Record(0.25, values) }); allocs != 0 {
+		t.Errorf("CSV.Record allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// FuzzCSV checks that encoding/csv reads back whatever the CSV sink
+// writes: the header ["t", names...] and rows of len(names)+1 fields whose
+// values parse to the recorded ones, non-finite values read as 0. The
+// reader folds a quoted field's CRLF into LF, so names compare after the
+// same folding.
+func FuzzCSV(f *testing.F) {
+	f.Add("gw.arrivals", "cov.rtt", 0.5, 42.0, 0.125)
+	f.Add("a,b", "x\"y", 1.0, math.NaN(), math.Inf(-1))
+	f.Add("", "line\r\nbreak", 1e300, math.Inf(1), -0.0)
+	f.Add(" lead", "\\.", 3.0, 1e-300, -7.0)
+	f.Fuzz(func(t *testing.T, name1, name2 string, ts, v1, v2 float64) {
+		names := []string{name1, name2}
+		var sb strings.Builder
+		s := NewCSV(&sb)
+		if err := s.Begin(names); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := s.Record(ts, []float64{v1, v2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := csv.NewReader(strings.NewReader(sb.String()))
+		r.FieldsPerRecord = -1
+		recs, err := r.ReadAll()
+		if err != nil {
+			t.Fatalf("csv %q does not read back: %v", sb.String(), err)
+		}
+		if len(recs) != 3 {
+			t.Fatalf("%d records, want a header and 2 rows: %q", len(recs), sb.String())
+		}
+		want := []string{"t"}
+		for _, n := range names {
+			want = append(want, strings.ReplaceAll(n, "\r\n", "\n"))
+		}
+		if !reflect.DeepEqual(recs[0], want) {
+			t.Fatalf("header = %q, want %q", recs[0], want)
+		}
+		finite := func(v float64) float64 {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0
+			}
+			return v
+		}
+		for _, row := range recs[1:] {
+			if len(row) != len(names)+1 {
+				t.Fatalf("row %q has %d fields, want %d", row, len(row), len(names)+1)
+			}
+			for i, v := range []float64{ts, v1, v2} {
+				got, err := strconv.ParseFloat(row[i], 64)
+				if err != nil || got != finite(v) {
+					t.Fatalf("field %d = %q (%v), want %v", i, row[i], err, finite(v))
+				}
+			}
+		}
+	})
 }
 
 func TestMultiSinkFansOut(t *testing.T) {

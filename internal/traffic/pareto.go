@@ -33,15 +33,13 @@ type ParetoOnOffConfig struct {
 
 // ParetoOnOff is a heavy-tailed on/off packet source.
 type ParetoOnOff struct {
-	cfg          ParetoOnOffConfig
-	running      bool
-	on           bool
-	burstEnds    sim.Time
-	pending      sim.Handle
-	emitFn       func() // prebound g.emit
-	beginBurstFn func() // prebound g.beginBurst
-	generated    uint64
-	bursts       uint64
+	cfg       ParetoOnOffConfig
+	running   bool
+	on        bool
+	burstEnds sim.Time
+	pending   sim.Handle
+	generated uint64
+	bursts    uint64
 }
 
 var _ Generator = (*ParetoOnOff)(nil)
@@ -49,25 +47,37 @@ var _ Generator = (*ParetoOnOff)(nil)
 // NewParetoOnOff returns a stopped source, or an error for an invalid
 // configuration.
 func NewParetoOnOff(cfg ParetoOnOffConfig) (*ParetoOnOff, error) {
-	switch {
-	case cfg.PacketInterval <= 0:
-		return nil, fmt.Errorf("pareto: packet interval %v <= 0", cfg.PacketInterval)
-	case cfg.MeanOn <= 0 || cfg.MeanOff <= 0:
-		return nil, fmt.Errorf("pareto: mean on %v / off %v must be positive", cfg.MeanOn, cfg.MeanOff)
-	case cfg.Shape <= 1:
-		return nil, fmt.Errorf("pareto: shape %v <= 1 has infinite mean", cfg.Shape)
-	case cfg.Dst == nil:
-		return nil, fmt.Errorf("pareto: nil destination")
-	case cfg.Sched == nil:
-		return nil, fmt.Errorf("pareto: nil scheduler")
-	case cfg.RNG == nil:
-		return nil, fmt.Errorf("pareto: nil RNG")
+	g := new(ParetoOnOff)
+	if err := InitParetoOnOff(g, cfg); err != nil {
+		return nil, err
 	}
-	g := &ParetoOnOff{cfg: cfg}
-	g.emitFn = g.emit
-	g.beginBurstFn = g.beginBurst
 	return g, nil
 }
+
+// InitParetoOnOff is NewParetoOnOff in place, for sources kept in a slab.
+func InitParetoOnOff(g *ParetoOnOff, cfg ParetoOnOffConfig) error {
+	switch {
+	case cfg.PacketInterval <= 0:
+		return fmt.Errorf("pareto: packet interval %v <= 0", cfg.PacketInterval)
+	case cfg.MeanOn <= 0 || cfg.MeanOff <= 0:
+		return fmt.Errorf("pareto: mean on %v / off %v must be positive", cfg.MeanOn, cfg.MeanOff)
+	case cfg.Shape <= 1:
+		return fmt.Errorf("pareto: shape %v <= 1 has infinite mean", cfg.Shape)
+	case cfg.Dst == nil:
+		return fmt.Errorf("pareto: nil destination")
+	case cfg.Sched == nil:
+		return fmt.Errorf("pareto: nil scheduler")
+	case cfg.RNG == nil:
+		return fmt.Errorf("pareto: nil RNG")
+	}
+	*g = ParetoOnOff{cfg: cfg}
+	return nil
+}
+
+// paretoEmit and paretoBeginBurst are the trampolines a source's emissions
+// and burst starts are filed under.
+func paretoEmit(a any)       { a.(*ParetoOnOff).emit() }
+func paretoBeginBurst(a any) { a.(*ParetoOnOff).beginBurst() }
 
 // Start begins with an off period so sources started together desynchronize.
 func (g *ParetoOnOff) Start() {
@@ -104,7 +114,7 @@ func (g *ParetoOnOff) paretoDuration(mean sim.Duration) sim.Duration {
 
 func (g *ParetoOnOff) scheduleOff() {
 	g.on = false
-	g.pending = g.cfg.Sched.After(g.paretoDuration(g.cfg.MeanOff), g.beginBurstFn)
+	g.pending = g.cfg.Sched.AfterCall(g.paretoDuration(g.cfg.MeanOff), paretoBeginBurst, g)
 }
 
 func (g *ParetoOnOff) beginBurst() {
@@ -128,5 +138,5 @@ func (g *ParetoOnOff) emit() {
 	g.generated++
 	g.cfg.Generated.Inc()
 	g.cfg.Dst.Submit()
-	g.pending = g.cfg.Sched.After(g.cfg.PacketInterval, g.emitFn)
+	g.pending = g.cfg.Sched.AfterCall(g.cfg.PacketInterval, paretoEmit, g)
 }

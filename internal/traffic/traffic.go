@@ -45,7 +45,6 @@ type Poisson struct {
 	cfg       PoissonConfig
 	running   bool
 	pending   sim.Handle
-	emitFn    func() // prebound g.emit; a method value would allocate per schedule
 	generated uint64
 }
 
@@ -54,20 +53,31 @@ var _ Generator = (*Poisson)(nil)
 // NewPoisson returns a stopped Poisson source, or an error for an invalid
 // configuration.
 func NewPoisson(cfg PoissonConfig) (*Poisson, error) {
-	switch {
-	case cfg.MeanInterval <= 0:
-		return nil, fmt.Errorf("poisson: mean interval %v <= 0", cfg.MeanInterval)
-	case cfg.Dst == nil:
-		return nil, fmt.Errorf("poisson: nil destination")
-	case cfg.Sched == nil:
-		return nil, fmt.Errorf("poisson: nil scheduler")
-	case cfg.RNG == nil:
-		return nil, fmt.Errorf("poisson: nil RNG")
+	g := new(Poisson)
+	if err := InitPoisson(g, cfg); err != nil {
+		return nil, err
 	}
-	g := &Poisson{cfg: cfg}
-	g.emitFn = g.emit
 	return g, nil
 }
+
+// InitPoisson is NewPoisson in place, for sources kept in a slab.
+func InitPoisson(g *Poisson, cfg PoissonConfig) error {
+	switch {
+	case cfg.MeanInterval <= 0:
+		return fmt.Errorf("poisson: mean interval %v <= 0", cfg.MeanInterval)
+	case cfg.Dst == nil:
+		return fmt.Errorf("poisson: nil destination")
+	case cfg.Sched == nil:
+		return fmt.Errorf("poisson: nil scheduler")
+	case cfg.RNG == nil:
+		return fmt.Errorf("poisson: nil RNG")
+	}
+	*g = Poisson{cfg: cfg}
+	return nil
+}
+
+// poissonEmit is the trampoline a Poisson emission is filed under.
+func poissonEmit(a any) { a.(*Poisson).emit() }
 
 // Start schedules the first packet one exponential interval from now.
 func (g *Poisson) Start() {
@@ -89,7 +99,7 @@ func (g *Poisson) Stop() {
 func (g *Poisson) Generated() uint64 { return g.generated }
 
 func (g *Poisson) scheduleNext() {
-	g.pending = g.cfg.Sched.After(g.cfg.RNG.ExpDuration(g.cfg.MeanInterval), g.emitFn)
+	g.pending = g.cfg.Sched.AfterCall(g.cfg.RNG.ExpDuration(g.cfg.MeanInterval), poissonEmit, g)
 }
 
 func (g *Poisson) emit() {
@@ -120,7 +130,6 @@ type CBR struct {
 	cfg       CBRConfig
 	running   bool
 	pending   sim.Handle
-	emitFn    func() // prebound g.emit
 	generated uint64
 }
 
@@ -137,10 +146,11 @@ func NewCBR(cfg CBRConfig) (*CBR, error) {
 	case cfg.Sched == nil:
 		return nil, fmt.Errorf("cbr: nil scheduler")
 	}
-	g := &CBR{cfg: cfg}
-	g.emitFn = g.emit
-	return g, nil
+	return &CBR{cfg: cfg}, nil
 }
+
+// cbrEmit is the trampoline a CBR emission is filed under.
+func cbrEmit(a any) { a.(*CBR).emit() }
 
 // Start schedules the first packet one interval from now.
 func (g *CBR) Start() {
@@ -148,7 +158,7 @@ func (g *CBR) Start() {
 		return
 	}
 	g.running = true
-	g.pending = g.cfg.Sched.After(g.cfg.Interval, g.emitFn)
+	g.pending = g.cfg.Sched.AfterCall(g.cfg.Interval, cbrEmit, g)
 }
 
 // Stop cancels any pending generation.
@@ -168,5 +178,5 @@ func (g *CBR) emit() {
 	g.generated++
 	g.cfg.Generated.Inc()
 	g.cfg.Dst.Submit()
-	g.pending = g.cfg.Sched.After(g.cfg.Interval, g.emitFn)
+	g.pending = g.cfg.Sched.AfterCall(g.cfg.Interval, cbrEmit, g)
 }

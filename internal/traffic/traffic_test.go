@@ -208,3 +208,59 @@ func TestCBRValidationAndStop(t *testing.T) {
 		t.Errorf("generated %d after stop at 100ms, want <= 11", n)
 	}
 }
+
+// tally counts submissions without allocating.
+type tally struct{ n int }
+
+func (t *tally) Submit() { t.n++ }
+
+// emitAllocs returns the allocations per emission of a started source.
+// The warm-up steps run the source's RNG stream past its closed-form
+// prefix, so the measured draws come from the built register.
+func emitAllocs(sched *sim.Scheduler) float64 {
+	for i := 0; i < 256; i++ {
+		sched.Step()
+	}
+	return testing.AllocsPerRun(1000, func() { sched.Step() })
+}
+
+// TestPoissonEmitAllocFree covers the dispatch of an emission: the
+// (poissonEmit, source) event submits and files the next one without
+// allocating.
+func TestPoissonEmitAllocFree(t *testing.T) {
+	sched := sim.NewScheduler()
+	dst := &tally{}
+	var g Poisson
+	if err := InitPoisson(&g, PoissonConfig{MeanInterval: time.Millisecond, Dst: dst, Sched: sched, RNG: sim.NewRNG(1)}); err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	if allocs := emitAllocs(sched); allocs != 0 {
+		t.Errorf("Poisson emission allocates %.1f objects/op, want 0", allocs)
+	}
+	if dst.n == 0 || uint64(dst.n) != g.Generated() {
+		t.Errorf("submitted %d, generated %d", dst.n, g.Generated())
+	}
+}
+
+// TestParetoEmitAllocFree is the same for the on/off source, whose steps
+// alternate (paretoEmit, source) and (paretoBeginBurst, source) events.
+func TestParetoEmitAllocFree(t *testing.T) {
+	sched := sim.NewScheduler()
+	dst := &tally{}
+	var g ParetoOnOff
+	cfg := ParetoOnOffConfig{
+		PacketInterval: time.Millisecond, MeanOn: 5 * time.Millisecond, MeanOff: 5 * time.Millisecond,
+		Shape: 1.5, Dst: dst, Sched: sched, RNG: sim.NewRNG(1),
+	}
+	if err := InitParetoOnOff(&g, cfg); err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	if allocs := emitAllocs(sched); allocs != 0 {
+		t.Errorf("Pareto emission allocates %.1f objects/op, want 0", allocs)
+	}
+	if g.Bursts() < 2 || uint64(dst.n) != g.Generated() {
+		t.Errorf("%d bursts, submitted %d, generated %d", g.Bursts(), dst.n, g.Generated())
+	}
+}

@@ -18,8 +18,9 @@ type UDPConfig struct {
 	PacketSize int
 	// Out carries packets toward Dst. Required.
 	Out Wire
-	// Now, when set, stamps each datagram's SentAt for delay measurement.
-	Now func() sim.Time
+	// Sched, when set, is the clock that stamps each datagram's SentAt
+	// for delay measurement.
+	Sched *sim.Scheduler
 	// Pool, when non-nil, supplies outbound datagrams and reclaims any
 	// packet delivered back to the sender.
 	Pool *packet.Pool
@@ -59,8 +60,8 @@ func (u *UDPSender) Submit() {
 	p.Dst = u.cfg.Dst
 	p.Seq = u.next
 	p.Size = u.cfg.PacketSize
-	if u.cfg.Now != nil {
-		p.SentAt = u.cfg.Now()
+	if u.cfg.Sched != nil {
+		p.SentAt = u.cfg.Sched.Now()
 	}
 	u.next++
 	u.sent++
@@ -78,7 +79,7 @@ func (u *UDPSender) Receive(p *packet.Packet) { u.cfg.Pool.Put(p) }
 // when built with a clock, measures their one-way delays.
 type UDPSink struct {
 	delivered uint64
-	now       func() sim.Time
+	clock     *sim.Scheduler
 	delays    stats.DelayDist
 	pool      *packet.Pool
 }
@@ -89,9 +90,9 @@ var _ Agent = (*UDPSink)(nil)
 func NewUDPSink() *UDPSink { return &UDPSink{} }
 
 // NewUDPSinkWithClock returns a sink that additionally samples one-way
-// delays using the given clock.
-func NewUDPSinkWithClock(now func() sim.Time) *UDPSink {
-	return &UDPSink{now: now}
+// delays on the scheduler's clock.
+func NewUDPSinkWithClock(clock *sim.Scheduler) *UDPSink {
+	return &UDPSink{clock: clock}
 }
 
 // SetPool makes the sink return consumed datagrams to pl. The sink is the
@@ -105,8 +106,8 @@ func (s *UDPSink) Receive(p *packet.Packet) {
 		return
 	}
 	s.delivered++
-	if s.now != nil {
-		s.delays.Observe(s.now().Sub(p.SentAt).Seconds())
+	if s.clock != nil {
+		s.delays.Observe(s.clock.Now().Sub(p.SentAt).Seconds())
 	}
 	s.pool.Put(p)
 }
