@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	_ "embed"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -37,12 +40,37 @@ type ExecOptions struct {
 // stop hitting.
 const resultCacheKindPrefix = "result/v5/"
 
-// resultCacheKind namespaces result digests by execution engine: a packet
-// and a fluid run of byte-identical configurations measure different
-// things and must never share a cache entry, even across versions of the
-// Config type that encode them identically.
-func resultCacheKind(c Config) string {
-	return resultCacheKindPrefix + c.Backend.String()
+// The golden tables pin what the simulator computes: re-pinning a row is
+// how a behaviour change is declared.
+var (
+	//go:embed testdata/golden_summaries.json
+	goldenSummaries []byte
+	//go:embed testdata/golden_fluid.json
+	goldenFluid []byte
+)
+
+// goldenHash stands for the simulator's behaviour in cache keys: the first
+// 16 hex digits of a SHA-256 over both golden tables. A build whose golden
+// rows differ from another's computes different results for some configs,
+// so it must not read that build's cache entries.
+var goldenHash = func() string {
+	h := sha256.New()
+	h.Write(goldenSummaries)
+	h.Write([]byte{0})
+	h.Write(goldenFluid)
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}()
+
+// resultCacheKind namespaces result digests by execution engine and by
+// simulator behaviour: a packet and a fluid run of byte-identical
+// configurations measure different things and must never share a cache
+// entry, even across versions of the Config type that encode them
+// identically, and re-pinning any golden row invalidates every entry.
+func resultCacheKind(c Config) string { return resultCacheKindAt(c, goldenHash) }
+
+// resultCacheKindAt is resultCacheKind under the golden-table hash golden.
+func resultCacheKindAt(c Config, golden string) string {
+	return resultCacheKindPrefix + c.Backend.String() + "/" + golden
 }
 
 // cacheable reports whether cfg's outcome is fully captured by its

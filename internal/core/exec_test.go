@@ -149,6 +149,37 @@ func TestCacheKeyShardIndependent(t *testing.T) {
 	}
 }
 
+// TestCacheMissesAcrossGoldenHash: an entry written by a build with one set
+// of golden tables must not serve a build whose golden rows differ, since
+// the two simulate differently; the writing build still hits it.
+func TestCacheMissesAcrossGoldenHash(t *testing.T) {
+	store, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	exec := ExecOptions{Jobs: 1, Cache: store}
+	cfgs := []Config{{Clients: 4, Protocol: Reno, Gateway: FIFO, Duration: 5 * time.Second}}
+	ctx := context.Background()
+	defer func(h string) { goldenHash = h }(goldenHash)
+	for _, pass := range []struct {
+		golden      string
+		ran, cached int
+	}{
+		{"aaaaaaaaaaaaaaaa", 1, 0},
+		{"bbbbbbbbbbbbbbbb", 1, 0},
+		{"aaaaaaaaaaaaaaaa", 0, 1},
+	} {
+		goldenHash = pass.golden
+		_, stats, err := RunBatch(ctx, cfgs, exec)
+		if err != nil {
+			t.Fatalf("golden %s: %v", pass.golden, err)
+		}
+		if stats.Ran != pass.ran || stats.Cached != pass.cached {
+			t.Fatalf("golden %s: stats = %+v, want %d run and %d cached", pass.golden, stats, pass.ran, pass.cached)
+		}
+	}
+}
+
 // TestRunBatchTracedNeverCached: runs that request series data bypass the
 // cache, because the stored digest cannot reproduce them.
 func TestRunBatchTracedNeverCached(t *testing.T) {

@@ -249,6 +249,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Nothing draws once RunContext returns: the scheduler and its pending
+	// events are dropped with the network.
+	defer n.release()
 	bottleneck := n.bottlenecks[0]
 	// The shard of gateway 0 holds the first bottleneck, its taps, the
 	// queue probe and (shard 0) the context watchdog.
@@ -370,6 +373,7 @@ func decreaseIndicator(values []float64) []float64 {
 }
 
 // summarizeQueue reduces the sampled queue lengths to summary statistics.
+// It takes the percentile last, sorting samples in place.
 func summarizeQueue(samples []float64, capacity int) QueueStats {
 	if len(samples) == 0 {
 		return QueueStats{}
@@ -389,8 +393,8 @@ func summarizeQueue(samples []float64, capacity int) QueueStats {
 	return QueueStats{
 		Mean:     w.Mean(),
 		Max:      max,
-		P95:      stats.Quantile(samples, 0.95),
 		FullFrac: float64(nearFull) / float64(len(samples)),
+		P95:      stats.QuantileInPlace(samples, 0.95),
 	}
 }
 
@@ -570,9 +574,18 @@ func collect(
 		res.CwndSyncIndex = stats.MeanPairwiseCorrelation(series)
 	}
 
+	res.Flows = make([]FlowResult, 0, len(flows))
 	perFlowDelivered := make([]float64, 0, len(flows))
-	perProtoDelivered := make(map[Protocol][]float64)
 	res.ByProtocol = make(map[Protocol]ProtocolTotals)
+	for _, f := range flows {
+		pt := res.ByProtocol[f.proto]
+		pt.Flows++
+		res.ByProtocol[f.proto] = pt
+	}
+	perProtoDelivered := make(map[Protocol][]float64, len(res.ByProtocol))
+	for proto, pt := range res.ByProtocol {
+		perProtoDelivered[proto] = make([]float64, 0, pt.Flows)
+	}
 	for i, f := range flows {
 		c := f.counters()
 		fr := FlowResult{
@@ -591,7 +604,6 @@ func collect(
 		perFlowDelivered = append(perFlowDelivered, float64(fr.Delivered))
 
 		pt := res.ByProtocol[f.proto]
-		pt.Flows++
 		pt.Generated += fr.Generated
 		pt.Delivered += fr.Delivered
 		pt.DataSent += c.DataSent
@@ -606,12 +618,7 @@ func collect(
 		res.ByProtocol[proto] = pt
 	}
 
-	var delays stats.DelayDist
-	for _, f := range flows {
-		delays.Merge(f.delays())
-	}
-	res.DelayMeanSec = delays.Mean()
-	res.DelayP95Sec = delays.P95()
+	res.DelayMeanSec, res.DelayP95Sec = stats.MergeDelays(len(flows), func(i int) *stats.DelayDist { return flows[i].delays() })
 
 	// The bottlenecks and the links into sink hosts carry data; every
 	// other fixed link carries acknowledgments back toward the clients.

@@ -377,7 +377,11 @@ type network struct {
 	links     []*link.Link // the fixed links, in description order
 	// bottlenecks are the links flagged bottleneck, in description order.
 	bottlenecks []*link.Link
-	flows       []*flow // the clients' flow records, in group order
+	flows       []*flow  // the clients' flow records, in group order
+	clients     []client // the block the flow records live in
+	// rngs are the run's generators outside the client block: the root
+	// stream and the discipline, loss and jitter forks.
+	rngs []*sim.RNG
 }
 
 // buildTopology compiles t. Nothing is scheduled yet: the caller attaches
@@ -468,6 +472,12 @@ func buildTopology(t topology) (*network, error) {
 	}
 
 	rng := sim.NewRNG(cfg.Seed)
+	n.rngs = append(n.rngs, rng)
+	fork := func(g *sim.RNG, stream int64) *sim.RNG {
+		child := g.Fork(stream)
+		n.rngs = append(n.rngs, child)
+		return child
+	}
 	var lanes sim.Lanes
 	// initLink builds tl on shard s into ls, delivering to dst (through xd
 	// when it crosses shards).
@@ -480,14 +490,14 @@ func buildTopology(t topology) (*network, error) {
 		} else {
 			qrng := rng
 			if tl.queueStream != 0 {
-				qrng = rng.Fork(tl.queueStream)
+				qrng = fork(rng, tl.queueStream)
 			}
 			// A discipline that draws randomness forks the queue stream
 			// (1<<20) at this point in the build sequence; the others
 			// never call the closure, so no downstream stream shifts.
 			var err error
-			fork := func() *sim.RNG { return qrng.Fork(1 << 20) }
-			if q, err = cfg.buildQueue(fork, n.tels[s].aqm); err != nil {
+			qfork := func() *sim.RNG { return fork(qrng, 1<<20) }
+			if q, err = cfg.buildQueue(qfork, n.tels[s].aqm); err != nil {
 				return err
 			}
 			if drr, ok := q.(*queue.DRR); ok {
@@ -513,7 +523,7 @@ func buildTopology(t topology) (*network, error) {
 			Overprovisioned: overprov,
 		}
 		if tl.lossProb > 0 {
-			lc.LossProb, lc.LossRNG = tl.lossProb, rng.Fork(1<<21)
+			lc.LossProb, lc.LossRNG = tl.lossProb, fork(rng, 1<<21)
 		}
 		return link.Init(&ls.link, n.scheds[s], lc)
 	}
@@ -553,7 +563,7 @@ func buildTopology(t topology) (*network, error) {
 	// streams.
 	var jitter *sim.RNG
 	if cfg.ClientDelayJitter > 0 {
-		jitter = rng.Fork(1 << 22)
+		jitter = fork(rng, 1<<22)
 	}
 	// One block holds every client, one slab every TCP sink and one every
 	// traffic source. Each client is built into them in the order the
@@ -565,6 +575,7 @@ func buildTopology(t topology) (*network, error) {
 		}
 	}
 	clients := make([]client, place.clients)
+	n.clients = clients
 	sinks := make([]tcp.Sink, 0, tcpClients)
 	sources := newSourceSlab(cfg, place.clients)
 	j := 0
@@ -758,6 +769,17 @@ func (n *network) run(ctx context.Context, horizon sim.Time) error {
 		return fmt.Errorf("run simulation: %w", err)
 	}
 	return nil
+}
+
+// release ends every RNG stream of the run, recycling their registers.
+// The caller calls it once nothing will draw again.
+func (n *network) release() {
+	for _, g := range n.rngs {
+		g.Release()
+	}
+	for i := range n.clients {
+		n.clients[i].rng.Release()
+	}
 }
 
 // settle closes the books after run: it returns the events the run

@@ -1,5 +1,7 @@
 package sim
 
+import "sync"
+
 // alfg is math/rand's additive lagged-Fibonacci source, bit for bit: the
 // same register, the same seeding and therefore the same stream as
 // rand.NewSource(seed). It differs only in when the work is done.
@@ -16,7 +18,8 @@ package sim
 // x₀ and its draw count, and answers each early draw from the closed form.
 // The register is built on the first draw past alfgLazy, with the earlier
 // draws' write-backs replayed, and from then on the source runs exactly
-// like the stdlib one.
+// like the stdlib one. Once its run is over, release hands the register to
+// the next stream that builds one.
 type alfg struct {
 	vec  *[alfgLen]int64 // feedback register; nil while the stream is lazy
 	seed uint32          // x₀, the LCG state the register derives from
@@ -43,7 +46,20 @@ const (
 	// largest stream in hand, and costs a paper-sweep client under 1 µs
 	// before it materializes.
 	alfgLazy = 64
+
+	// alfgReleased is pos after release. It lies past every position a
+	// live stream reaches, so the next draw skips the closed form and
+	// reaches materialize, which refuses it.
+	alfgReleased = alfgLen
 )
+
+// alfgRegisters recycles registers from streams whose runs have ended, so
+// a run that builds dozens of them leaves no 4.9 KB register per stream
+// behind as garbage. A recycled register still holds its old stream's
+// words, which is harmless: materialize overwrites all 607 of them before
+// any is read, so a pooled register is as good as a new one, and the pool
+// may drop any of them.
+var alfgRegisters = sync.Pool{New: func() any { return new([alfgLen]int64) }}
 
 // lcgPow[k] is 48271ᵏ mod (2³¹−1), for every k the seeding chain reaches.
 var lcgPow = func() (p [21 + 3*alfgLen]uint32) {
@@ -115,10 +131,14 @@ func mulMod(a, b uint32) uint32 {
 }
 
 // materialize builds the register and replays the write-backs of the n
-// draws the closed form already answered.
+// draws the closed form already answered. Every draw of a released stream
+// lands here (see alfgReleased), so this cold path is where a draw after
+// release panics.
 func (s *alfg) materialize(n int32) {
-	//burst:alloc-ok one register per stream, built once on its first draw past alfgLazy
-	vec := new([alfgLen]int64)
+	if n >= alfgReleased {
+		panic("sim: RNG drawn after Release")
+	}
+	vec := alfgRegisters.Get().(*[alfgLen]int64)
 	for i := range vec {
 		vec[i] = s.initial(int32(i))
 	}
@@ -126,4 +146,14 @@ func (s *alfg) materialize(n int32) {
 		vec[alfgLen-1-alfgTap-j] += vec[alfgLen-1-j]
 	}
 	s.vec = vec
+}
+
+// release returns the register, if the stream built one, to alfgRegisters
+// and leaves the stream unusable until it is seeded again.
+func (s *alfg) release() {
+	if s.vec != nil {
+		alfgRegisters.Put(s.vec)
+		s.vec = nil
+	}
+	s.pos = alfgReleased
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -109,6 +110,49 @@ func TestRNGSeedResets(t *testing.T) {
 		t.Fatal("Seed kept the old register")
 	}
 	matchDraws(t, g, rand.New(rand.NewSource(-9)), 400)
+}
+
+// TestRNGDrawAfterReleasePanics: a released stream, lazy or materialized,
+// refuses every later draw, a Fork included.
+func TestRNGDrawAfterReleasePanics(t *testing.T) {
+	for name, g := range map[string]*RNG{"lazy": NewRNG(4), "materialized": materialized(4)} {
+		g.Release()
+		if g.src.vec != nil {
+			t.Errorf("%s: Release kept the register", name)
+		}
+		for _, draw := range []func(){
+			func() { g.Float64() },
+			func() { g.Exp(1) },
+			func() { g.Fork(3) },
+		} {
+			func() {
+				defer func() {
+					if r, _ := recover().(string); !strings.Contains(r, "after Release") {
+						t.Errorf("%s: a draw after Release panicked with %q, want the release check", name, r)
+					}
+				}()
+				draw()
+			}()
+		}
+	}
+}
+
+// TestRNGRecycledRegistersMatchMathRand: streams that build their
+// registers after others were released, so from recycled registers still
+// holding old words, reproduce math/rand's streams.
+func TestRNGRecycledRegistersMatchMathRand(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		var gs []*RNG
+		for s := int64(1); s <= 8; s++ {
+			seed := s*1000 + int64(round)
+			g := NewRNG(seed)
+			matchDraws(t, g, rand.New(rand.NewSource(seed)), 2*alfgLen)
+			gs = append(gs, g)
+		}
+		for _, g := range gs {
+			g.Release()
+		}
+	}
 }
 
 // TestRNGAllocBudgets pins the allocation cost of streams: draws never

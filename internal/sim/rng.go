@@ -54,6 +54,11 @@ func (g *RNG) ForkInto(dst *RNG, stream int64) {
 	dst.seed(int64(z & math.MaxInt64))
 }
 
+// Release ends g's stream: its register, if it built one, goes back for
+// the next stream to reuse. A run releases its generators once it has
+// drawn its last variate; any later draw from g, a Fork included, panics.
+func (g *RNG) Release() { g.src.release() }
+
 // Float64 returns a uniform variate in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 

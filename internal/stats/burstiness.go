@@ -69,13 +69,19 @@ func PeakToMean(xs []float64) float64 {
 // interpolation between order statistics. It returns 0 for empty input and
 // clamps q into [0,1].
 func Quantile(xs []float64, q float64) float64 {
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	return QuantileInPlace(sorted, q)
+}
+
+// QuantileInPlace is Quantile for a caller that owns xs and needs it no
+// more: it sorts xs instead of a copy.
+func QuantileInPlace(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	sort.Float64s(xs)
+	return quantileSorted(xs, q)
 }
 
 // Quantiles returns several quantiles in one sort.
