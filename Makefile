@@ -19,15 +19,18 @@ race:
 
 ## fuzz: the native fuzz targets, the same budget CI gives them.
 ## FuzzRNGMatchesMathRand checks sim.RNG against math/rand's stream;
-## FuzzParseSpec checks that queue specs round-trip through their canonical
-## string and that building one never panics; FuzzJSONL checks that every
-## line the JSONL telemetry sink writes decodes as JSON; FuzzCSV checks that
-## encoding/csv reads the CSV sink's header and rows back field for field;
+## FuzzTimerMatchesModel checks sim.Timer's Reset/Stop/expiry against a
+## one-deadline reference model; FuzzParseSpec checks that queue specs
+## round-trip through their canonical string and that building one never
+## panics; FuzzJSONL checks that every line the JSONL telemetry sink
+## writes decodes as JSON; FuzzCSV checks that encoding/csv reads the CSV
+## sink's header and rows back field for field;
 ## FuzzSolveREDMatchesReference checks that the screened RED closure stays
 ## bit-identical to the every-step-dense reference; FuzzNewConfig checks
 ## that every config NewConfig accepts runs 100 ms without panicking.
 fuzz:
 	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s ./internal/sim
+	go test -run '^$$' -fuzz FuzzTimerMatchesModel -fuzztime 20s ./internal/sim
 	go test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/queue
 	go test -run '^$$' -fuzz FuzzSolveREDMatchesReference -fuzztime 20s ./internal/meanfield
 	go test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s ./internal/telemetry

@@ -122,7 +122,7 @@ var Default = Config{
 	HotPathFuncs: []string{"Send", "Recv", "Enqueue", "Dequeue", "OnEvent"},
 	// Per-package hot-path entry points beyond the method-name roots: the
 	// event kernel's dispatch loop and per-event scheduling surface, the
-	// lazy-timer and burst-train kernels, the RNG draws every traffic
+	// timer and burst-train kernels, the RNG draws every traffic
 	// emit makes (and the source under them), the packet pool, and the
 	// trampolines every per-client event is filed under (a scheduled
 	// function value hides its callee from the call graph, so each one is
@@ -135,7 +135,7 @@ var Default = Config{
 			"Scheduler.At", "Scheduler.After", "Scheduler.AtCall", "Scheduler.AfterCall",
 			"Scheduler.AtOn", "Scheduler.AfterOn", "Scheduler.AtCallOn", "Scheduler.AfterCallOn",
 			"Scheduler.InjectAt", "Scheduler.Cancel",
-			"Timer.Reset", "Timer.ResetAt", "Timer.Stop", "Timer.fire", "timerFire",
+			"Timer.Reset", "Timer.Stop", "Timer.fire", "timerFire",
 			"Train.Add", "Train.fire", "trainFire",
 			"RNG.Float64", "RNG.Exp", "RNG.ExpDuration", "RNG.Pareto",
 			"alfg.Uint64", "alfg.Int63",

@@ -304,11 +304,12 @@ type Config struct {
 	//burst:nocache sharded execution is bit-identical to serial (TestCacheKeyShardIndependent), so one artifact serves every shard count
 	Shards int `json:"-"`
 
-	// DisableBatching turns off burst-train coalescing, the idle-link
-	// FIFO fast path, and lazy endpoint timers (DESIGN.md §12), forcing
-	// one scheduler event per packet hop. Debug knob: results are
-	// bit-identical either way (the batching equivalence tests enforce
-	// this), so like Shards it is excluded from JSON and cache keys.
+	// DisableBatching selects the per-event reference executor: eager
+	// link trains, no idle-link FIFO bypass and no serialization
+	// pipelining (DESIGN.md §12), forcing one scheduler event per packet
+	// hop. Debug knob: results are bit-identical either way (the batching
+	// equivalence tests enforce this), so like Shards it is excluded from
+	// JSON and cache keys.
 	//burst:nocache batching on and off produce byte-identical results (TestBatchingMatchesUnbatched), so the key must not fork
 	DisableBatching bool `json:"-"`
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -103,6 +105,54 @@ func TestRunBatchCacheRoundTrip(t *testing.T) {
 	}
 	if warm[0].Config.Clients != 6 {
 		t.Errorf("cached result lost its config: %+v", warm[0].Config)
+	}
+}
+
+// TestRunBatchRerunsCorruptEntry: a cache entry damaged on disk fails its
+// digest check, so the batch runs the config again, rewrites the entry,
+// and the next pass hits it.
+func TestRunBatchRerunsCorruptEntry(t *testing.T) {
+	cfg := Config{Clients: 4, Protocol: Reno, Gateway: FIFO, Duration: 5 * time.Second}
+	for name, damage := range map[string]func([]byte) []byte{
+		"flipped byte": func(b []byte) []byte { b[len(b)/2] ^= 0x20; return b },
+		"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			store, err := runcache.Open(t.TempDir())
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			exec := ExecOptions{Jobs: 1, Cache: store}
+			ctx := context.Background()
+			if _, _, err := RunBatch(ctx, []Config{cfg}, exec); err != nil {
+				t.Fatalf("cold RunBatch: %v", err)
+			}
+			c := cfg.WithDefaults()
+			key, err := runcache.Key(resultCacheKind(c), c)
+			if err != nil {
+				t.Fatalf("Key: %v", err)
+			}
+			path := filepath.Join(store.Dir(), key[:2], key[2:]+".json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read entry: %v", err)
+			}
+			if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
+				t.Fatalf("write entry: %v", err)
+			}
+			if _, _, err := store.Get(key); !errors.Is(err, runcache.ErrCorrupt) {
+				t.Fatalf("Get on the damaged entry: err = %v, want ErrCorrupt", err)
+			}
+			for _, pass := range []struct{ ran, cached int }{{1, 0}, {0, 1}} {
+				_, stats, err := RunBatch(ctx, []Config{cfg}, exec)
+				if err != nil {
+					t.Fatalf("RunBatch: %v", err)
+				}
+				if stats.Ran != pass.ran || stats.Cached != pass.cached {
+					t.Fatalf("stats = %+v, want %d run and %d cached", stats, pass.ran, pass.cached)
+				}
+			}
+		})
 	}
 }
 

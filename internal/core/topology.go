@@ -640,7 +640,6 @@ func buildTopology(t topology) (*network, error) {
 					Sched:             sched,
 					Pool:              pool,
 					Metrics:           tel.tcp,
-					DisableBatching:   cfg.DisableBatching,
 				}
 				sendCfg := tcpCfg
 				sendCfg.Out = access

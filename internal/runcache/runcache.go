@@ -5,20 +5,43 @@
 // key. The experiment runner uses it to skip simulations whose defaulted
 // config has already been run (see internal/runner and core.RunBatch).
 //
-// Entries are plain JSON files sharded by key prefix under one directory
-// (default ~/.cache/tcpburst), written atomically via rename, so a store
-// can be shared by concurrent processes and survives crashes with at worst
-// a missing entry.
+// Entries are files sharded by key prefix under one directory (default
+// ~/.cache/tcpburst), written atomically via rename, so a store can be
+// shared by concurrent processes and survives crashes with at worst a
+// missing entry. Each file is a "sha256:<hex>" header line followed by
+// the payload; Get checks the payload against it, so a flipped bit or a
+// truncated file reads as ErrCorrupt instead of as a result.
 package runcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 )
+
+// ErrCorrupt is wrapped by Get's error for an entry whose payload does not
+// match its stored digest, or that carries no digest at all.
+var ErrCorrupt = errors.New("corrupt entry")
+
+// digestPrefix opens every entry's header line; the hex SHA-256 of the
+// payload and a newline follow it.
+const digestPrefix = "sha256:"
+
+// headerLen is the length of an entry's header line.
+const headerLen = len(digestPrefix) + 2*sha256.Size + 1
+
+// header returns the header line of an entry whose payload is data.
+func header(data []byte) []byte {
+	sum := sha256.Sum256(data)
+	h := append(make([]byte, 0, headerLen), digestPrefix...)
+	h = hex.AppendEncode(h, sum[:])
+	return append(h, '\n')
+}
 
 // Store is an on-disk cache rooted at one directory. The zero value is not
 // usable; construct with Open. All methods are safe for concurrent use by
@@ -79,23 +102,43 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key[2:]+".json")
 }
 
-// Get returns the stored bytes for key and whether the entry exists. A
-// missing entry is (nil, false, nil); read failures other than absence are
-// reported so callers can choose to treat them as misses.
+// Get returns the bytes Put stored for key and whether the entry exists.
+// A missing entry is (nil, false, nil). An entry whose payload fails its
+// digest check is (nil, false, err) with err wrapping ErrCorrupt; it and
+// other read failures are reported so callers can choose to treat them as
+// misses.
 func (s *Store) Get(key string) ([]byte, bool, error) {
-	data, err := os.ReadFile(s.path(key))
+	raw, err := os.ReadFile(s.path(key))
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("runcache: get %s: %w", key, err)
 	}
+	data, err := payload(raw)
+	if err != nil {
+		return nil, false, fmt.Errorf("runcache: get %s: %w", key, err)
+	}
 	return data, true, nil
 }
 
-// Put stores data under key atomically: the bytes land in a temp file in
-// the destination shard and are renamed into place, so concurrent readers
-// see either the old entry, the new one, or none — never a torn write.
+// payload checks an entry's header against the rest of its bytes and
+// returns them.
+func payload(raw []byte) ([]byte, error) {
+	if len(raw) < headerLen || !bytes.HasPrefix(raw, []byte(digestPrefix)) {
+		return nil, fmt.Errorf("%w: no digest header", ErrCorrupt)
+	}
+	data := raw[headerLen:]
+	if !bytes.Equal(raw[:headerLen], header(data)) {
+		return nil, fmt.Errorf("%w: payload does not match its digest", ErrCorrupt)
+	}
+	return data, nil
+}
+
+// Put stores data under key atomically, behind its digest header: the
+// bytes land in a temp file in the destination shard and are renamed into
+// place, so concurrent readers see either the old entry, the new one, or
+// none — never a torn write.
 func (s *Store) Put(key string, data []byte) error {
 	dst := s.path(key)
 	shard := filepath.Dir(dst)
@@ -107,7 +150,7 @@ func (s *Store) Put(key string, data []byte) error {
 		return fmt.Errorf("runcache: put %s: %w", key, err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(append(header(data), data...)); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("runcache: put %s: %w", key, err)

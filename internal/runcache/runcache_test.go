@@ -1,8 +1,10 @@
 package runcache
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -116,5 +118,43 @@ func TestOpenDefaultsAndCreates(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); err != nil {
 		t.Errorf("cache dir not created: %v", err)
+	}
+}
+
+// TestGetReportsCorruptEntries damages a stored entry the ways a disk or
+// an interrupted copy can; each must read as ErrCorrupt, never as a result.
+func TestGetReportsCorruptEntries(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"flipped byte", func(b []byte) []byte { b[len(b)-2] ^= 0x01; return b }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"no digest", func(b []byte) []byte { return b[headerLen:] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			key, _ := Key("test/v1", c.name)
+			if err := s.Put(key, []byte(`{"clients": 39, "goodput": 0.93}`)); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			raw, err := os.ReadFile(s.path(key))
+			if err != nil {
+				t.Fatalf("read entry: %v", err)
+			}
+			if err := os.WriteFile(s.path(key), c.damage(raw), 0o644); err != nil {
+				t.Fatalf("write entry: %v", err)
+			}
+			got, ok, err := s.Get(key)
+			if !errors.Is(err, ErrCorrupt) || ok || got != nil {
+				t.Fatalf("Get = %q, %v, %v; want nil, false, ErrCorrupt", got, ok, err)
+			}
+			if !strings.Contains(err.Error(), key) {
+				t.Errorf("error %q does not name the key", err)
+			}
+		})
 	}
 }

@@ -284,8 +284,9 @@ func runJob[T any](
 	mu.Unlock()
 	start := opts.Clock.Now()
 
-	// Cache lookup: decode failures (corrupt or stale entries) degrade to
-	// a miss rather than failing the job.
+	// Cache lookup: read errors (a corrupt entry fails its digest check)
+	// and decode failures (stale entries) degrade to a miss rather than
+	// failing the job; the fresh result overwrites the entry.
 	if job.Key != "" && opts.Cache != nil && opts.Decode != nil {
 		if data, ok, err := opts.Cache.Get(job.Key); err == nil && ok {
 			if v, err := opts.Decode(i, data); err == nil {

@@ -698,38 +698,13 @@ func (s *Scheduler) siftDown(i int) {
 // Stop cancels, and fn(arg) runs at expiry. The timer files its events as
 // (timerFire, timer) and calls its owner through a package-level function
 // and a receiver, so neither side holds a closure and Reset/Stop cycles are
-// allocation-free.
-//
-// A timer has two internal modes with bit-identical observable behavior.
-// The eager mode backs every Reset with a Cancel+schedule pair — one heap
-// removal and one insert per call, which for a retransmission timer means
-// two heap operations per ACK. The lazy mode (SetLazy, the burst-batching
-// default in the transport tier) leaves the standing scheduled event in
-// place when the deadline only moves later — the overwhelmingly common
-// direction, since RTO deadlines advance with the clock — and records the
-// wanted expiry instead. When the stale event pops, the trampoline re-aims
-// it at the recorded deadline; the pop is uncounted from Fired so the
-// executed-event count (digest-visible as SimEvents) matches per-event
-// execution exactly. Equivalence argument (DESIGN.md §12): every Reset in
-// either mode consumes exactly one default-lane ordinal, the logical
-// expiry fires at exactly the (time, ordinal) key that ordinal names, and
-// re-aim pops consume no ordinals — so every same-instant tie-break in the
-// rest of the simulation is untouched.
+// allocation-free. Every Reset is a Cancel plus one schedule, so a
+// retransmission timer costs two queue operations per ACK.
 type Timer struct {
-	sched    *Scheduler
-	h        Handle
-	deadline Time // instant of the standing scheduled event behind h
-	fn       func(any)
-	arg      any
-
-	lazy  bool
-	armed bool // lazy: a logical expiry is pending
-	// exact marks the standing event as carrying the logical expiry's own
-	// (want, wantOrd) key; when false, the standing event is stale and its
-	// pop re-aims instead of firing.
-	exact   bool
-	want    Time
-	wantOrd uint64
+	sched *Scheduler
+	h     Handle
+	fn    func(any)
+	arg   any
 }
 
 // NewTimer returns an unarmed timer that runs fn(arg) at expiry.
@@ -739,8 +714,8 @@ func NewTimer(sched *Scheduler, fn func(any), arg any) *Timer {
 	return t
 }
 
-// Init makes t an unarmed eager timer that runs fn(arg) at expiry, in
-// place: owners embed their timers and pass themselves as arg.
+// Init makes t an unarmed timer that runs fn(arg) at expiry, in place:
+// owners embed their timers and pass themselves as arg.
 func (t *Timer) Init(sched *Scheduler, fn func(any), arg any) {
 	*t = Timer{sched: sched, fn: fn, arg: arg}
 }
@@ -748,64 +723,18 @@ func (t *Timer) Init(sched *Scheduler, fn func(any), arg any) {
 // timerFire is the trampoline every timer event is filed under.
 func timerFire(a any) { a.(*Timer).fire() }
 
-// SetLazy switches the timer's rescheduling strategy (see the type
-// comment). Only call it on an unarmed timer, right after construction.
-func (t *Timer) SetLazy(lazy bool) { t.lazy = lazy }
-
-// Reset (re)arms the timer to fire d from now, replacing any pending expiry.
+// Reset (re)arms the timer to fire d from now, replacing any pending
+// expiry. A negative d fires at the current instant.
 func (t *Timer) Reset(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.ResetAt(t.sched.Now().Add(d))
-}
-
-// ResetAt (re)arms the timer to fire at instant at. An instant in the past
-// leaves the timer unarmed (scheduling into the past is refused), exactly
-// as the underlying At would.
-func (t *Timer) ResetAt(at Time) {
-	if !t.lazy {
-		t.Stop()
-		t.h = t.sched.AtCall(at, timerFire, t)
-		t.deadline = at
-		return
-	}
-	if at < t.sched.now || t.fn == nil {
-		// The eager path's At would refuse this schedule after canceling
-		// the old expiry: end up logically unarmed. The standing event,
-		// if any, dies as a swallowed stale pop.
-		t.armed = false
-		return
-	}
-	// One default-lane ordinal per effective Reset — the same consumption
-	// the eager Cancel+At performs, preserving every later ordinal draw.
-	ord := t.sched.defLane.Take()
-	t.armed, t.want, t.wantOrd = true, at, ord
-	if t.sched.resolve(t.h) && t.deadline <= at {
-		// The standing event fires no later than the new deadline: keep
-		// it as the wake-up that will re-aim at (want, wantOrd). Its own
-		// key is now stale (fresh ordinals are strictly increasing, so it
-		// can never equal wantOrd).
-		t.exact = false
-		return
-	}
-	if t.sched.resolve(t.h) {
-		t.sched.Cancel(t.h)
-	}
-	t.h = t.sched.scheduleOrd(at, ord, nil, timerFire, t)
-	t.deadline = at
-	t.exact = true
+	t.Stop()
+	t.h = t.sched.AtCall(t.sched.now.Add(d), timerFire, t)
 }
 
 // Stop cancels any pending expiry. It is safe on an unarmed timer.
 func (t *Timer) Stop() {
-	if t.lazy {
-		// Leave the standing event as a zombie; its pop is swallowed and
-		// uncounted. At most one standing event exists per timer, so
-		// zombies never accumulate.
-		t.armed = false
-		return
-	}
 	if !t.h.IsZero() {
 		t.sched.Cancel(t.h)
 		t.h = Handle{}
@@ -813,49 +742,9 @@ func (t *Timer) Stop() {
 }
 
 // Armed reports whether the timer has a pending expiry.
-func (t *Timer) Armed() bool {
-	if t.lazy {
-		return t.armed
-	}
-	return t.sched.Active(t.h)
-}
-
-// Deadline returns the pending expiry instant, or TimeMax if unarmed.
-func (t *Timer) Deadline() Time {
-	if t.lazy {
-		if !t.armed {
-			return TimeMax
-		}
-		return t.want
-	}
-	if !t.Armed() {
-		return TimeMax
-	}
-	return t.deadline
-}
+func (t *Timer) Armed() bool { return t.sched.Active(t.h) }
 
 func (t *Timer) fire() {
 	t.h = Handle{}
-	if !t.lazy {
-		t.fn(t.arg)
-		return
-	}
-	if !t.armed {
-		// Stale pop of an expiry Stopped since it was filed: per-event
-		// execution would have canceled it, so uncount the pop.
-		t.sched.fired--
-		return
-	}
-	if !t.exact {
-		// Stale pop underneath a later deadline: re-aim at the recorded
-		// (want, wantOrd) — the exact key the eager path's event holds —
-		// and uncount the pop. Consumes no ordinal.
-		t.sched.fired--
-		t.h = t.sched.scheduleOrd(t.want, t.wantOrd, nil, timerFire, t)
-		t.deadline = t.want
-		t.exact = true
-		return
-	}
-	t.armed = false
 	t.fn(t.arg)
 }

@@ -372,87 +372,6 @@ func TestWheelScanMemoSurvivesCancel(t *testing.T) {
 	}
 }
 
-// TestLazyTimerMatchesEager replays an RTO-like reset pattern — arm,
-// extend, extend, fire — in both timer modes and requires the same
-// firing instants and executed-event count, while the lazy mode must
-// spend strictly fewer scheduler insertions (the point of laziness).
-func TestLazyTimerMatchesEager(t *testing.T) {
-	type firing struct{ at Time }
-	run := func(lazy bool) ([]firing, uint64, uint64) {
-		s := NewScheduler()
-		var log []firing
-		tm := NewTimer(s, func(any) { log = append(log, firing{s.Now()}) }, nil)
-		tm.SetLazy(lazy)
-		// Arm at 10ms, then extend twice before expiry — the dominant
-		// ACK-clocked pattern — then let it fire; then rearm once more.
-		tm.Reset(10 * time.Millisecond)
-		s.At(TimeZero.Add(4*time.Millisecond), func() { tm.Reset(10 * time.Millisecond) })
-		s.At(TimeZero.Add(8*time.Millisecond), func() { tm.Reset(10 * time.Millisecond) })
-		s.At(TimeZero.Add(30*time.Millisecond), func() { tm.Reset(5 * time.Millisecond) })
-		if err := s.Run(TimeZero.Add(time.Second)); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return log, s.Fired(), s.ScheduledOps()
-	}
-	lazyLog, lazyFired, lazyOps := run(true)
-	eagerLog, eagerFired, eagerOps := run(false)
-	if fmt.Sprint(lazyLog) != fmt.Sprint(eagerLog) {
-		t.Errorf("lazy firings = %v, eager %v", lazyLog, eagerLog)
-	}
-	if lazyFired != eagerFired {
-		t.Errorf("lazy Fired() = %d, eager %d", lazyFired, eagerFired)
-	}
-	if lazyOps >= eagerOps {
-		t.Errorf("lazy ScheduledOps() = %d, want < eager %d", lazyOps, eagerOps)
-	}
-}
-
-// TestLazyTimerEarlierDeadline moves a lazy timer's deadline earlier
-// than its standing event — the direction that cannot ride the stale
-// event — and checks it fires at the new, earlier instant.
-func TestLazyTimerEarlierDeadline(t *testing.T) {
-	s := NewScheduler()
-	var firedAt Time = -1
-	tm := NewTimer(s, func(any) { firedAt = s.Now() }, nil)
-	tm.SetLazy(true)
-	tm.Reset(100 * time.Millisecond)
-	tm.Reset(20 * time.Millisecond)
-	if got := tm.Deadline(); got != TimeZero.Add(20*time.Millisecond) {
-		t.Fatalf("Deadline() = %v, want 20ms", got)
-	}
-	if err := s.Run(TimeZero.Add(time.Second)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if firedAt != TimeZero.Add(20*time.Millisecond) {
-		t.Errorf("fired at %v, want 20ms", firedAt)
-	}
-}
-
-// TestLazyTimerStopSwallowsStalePop stops a lazy timer after its event
-// is filed: the zombie pop must neither run the callback nor count as
-// an executed event, or SimEvents would diverge from eager mode.
-func TestLazyTimerStopSwallowsStalePop(t *testing.T) {
-	s := NewScheduler()
-	calls := 0
-	tm := NewTimer(s, func(any) { calls++ }, nil)
-	tm.SetLazy(true)
-	tm.Reset(10 * time.Millisecond)
-	s.At(TimeZero.Add(5*time.Millisecond), func() { tm.Stop() })
-	if err := s.Run(TimeZero.Add(time.Second)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if calls != 0 {
-		t.Errorf("stopped timer fired %d times", calls)
-	}
-	if tm.Armed() {
-		t.Errorf("Armed() = true after Stop")
-	}
-	// Only the Stop-invoking event counts; the zombie pop is uncounted.
-	if got := s.Fired(); got != 1 {
-		t.Errorf("Fired() = %d, want 1 (stale pop must be uncounted)", got)
-	}
-}
-
 // TestLanesNextIntoContinuesNext pins NextInto to Next's id sequence: a
 // builder may mix the two and still draw consecutive lane ids.
 func TestLanesNextIntoContinuesNext(t *testing.T) {

@@ -139,10 +139,6 @@ func InitSender(s *Sender, cfg Config) error {
 		s.cc = &s.reno
 	}
 	s.rtxTimer.Init(cfg.Sched, senderTimeout, s)
-	// The RTO deadline is rewritten on essentially every ACK and almost
-	// always moves later; the lazy strategy turns those rewrites into
-	// field stores instead of heap/wheel reschedules.
-	s.rtxTimer.SetLazy(!cfg.DisableBatching)
 	return nil
 }
 

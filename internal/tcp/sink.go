@@ -81,10 +81,6 @@ func InitSink(s *Sink, cfg Config) error {
 		oooRing: ring,
 	}
 	s.delayTimer.Init(cfg.Sched, sinkDelayTimeout, s)
-	// Under delayed ACKs the timer restarts on every odd in-order arrival
-	// and is almost always coalesced away before expiring; lazy mode makes
-	// the restart a field store.
-	s.delayTimer.SetLazy(!cfg.DisableBatching)
 	return nil
 }
 

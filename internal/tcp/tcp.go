@@ -110,11 +110,6 @@ type Config struct {
 	// path; the zero value disables publication. The experiment harness
 	// shares one handle set across every flow, so these aggregate.
 	Metrics Metrics
-	// DisableBatching switches the endpoint timers back to eager
-	// cancel-and-reschedule (see sim.Timer.SetLazy) — the debug escape
-	// hatch paired with the link-level knob. Results are bit-identical
-	// either way (pinned by the batching equivalence tests).
-	DisableBatching bool
 }
 
 // Metrics bundles the telemetry handles TCP endpoints publish when
