@@ -20,7 +20,9 @@ race:
 ## fuzz: the native fuzz targets, the same budget CI gives them.
 ## FuzzRNGMatchesMathRand checks sim.RNG against math/rand's stream;
 ## FuzzTimerMatchesModel checks sim.Timer's Reset/Stop/expiry against a
-## one-deadline reference model; FuzzParseSpec checks that queue specs
+## one-deadline reference model; FuzzSchedulerMatchesModel checks the
+## event kernel's At/AtCall/Cancel/Step/Run against a list sorted by
+## (time, ordinal); FuzzParseSpec checks that queue specs
 ## round-trip through their canonical string and that building one never
 ## panics; FuzzJSONL checks that every line the JSONL telemetry sink
 ## writes decodes as JSON; FuzzCSV checks that encoding/csv reads the CSV
@@ -31,6 +33,7 @@ race:
 fuzz:
 	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s ./internal/sim
 	go test -run '^$$' -fuzz FuzzTimerMatchesModel -fuzztime 20s ./internal/sim
+	go test -run '^$$' -fuzz FuzzSchedulerMatchesModel -fuzztime 20s ./internal/sim
 	go test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/queue
 	go test -run '^$$' -fuzz FuzzSolveREDMatchesReference -fuzztime 20s ./internal/meanfield
 	go test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s ./internal/telemetry

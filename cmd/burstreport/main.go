@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"time"
 
 	"tcpburst/internal/core"
@@ -64,6 +65,14 @@ func run(w io.Writer, args []string) (err error) {
 	}
 	if *telemetryOn && *telemetryOut == "" {
 		return fmt.Errorf("-telemetry requires -telemetry-out FILE")
+	}
+	if *step < 1 {
+		return fmt.Errorf("-step %d < 1", *step)
+	}
+	// An empty list would make RunSweep fall back to the default axis.
+	clients := core.SweepClients(*step, *maxN)
+	if len(clients) == 0 {
+		return fmt.Errorf("no client counts up to -max-clients %d at -step %d", *maxN, *step)
 	}
 
 	exec := core.ExecOptions{Jobs: *jobs}
@@ -117,16 +126,6 @@ func run(w io.Writer, args []string) (err error) {
 		)
 	}
 	base := core.BaseConfig(baseOpts...)
-
-	clients := make([]int, 0, *maxN / *step + 2)
-	for n := *step; n <= *maxN; n += *step {
-		clients = append(clients, n)
-	}
-	for _, n := range []int{38, 39} {
-		if n <= *maxN && !has(clients, n) {
-			clients = insertSorted(clients, n)
-		}
-	}
 
 	fmt.Fprintf(os.Stderr, "sweep: %d client counts x %d cells at %s each...\n",
 		len(clients), len(core.PaperCells()), *duration)
@@ -269,29 +268,10 @@ func pickSummaryPoints(clients []int) []int {
 	out := []int{clients[0]}
 	mid := clients[len(clients)/2]
 	for _, n := range []int{mid, 38, 39, clients[len(clients)-1]} {
-		if has(clients, n) && !has(out, n) {
-			out = insertSorted(out, n)
+		if slices.Contains(clients, n) && !slices.Contains(out, n) {
+			out = append(out, n)
 		}
 	}
+	slices.Sort(out)
 	return out
-}
-
-func has(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func insertSorted(xs []int, v int) []int {
-	i := 0
-	for i < len(xs) && xs[i] < v {
-		i++
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
 }

@@ -1,25 +1,17 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestHelpers(t *testing.T) {
-	xs := []int{4, 20, 40}
-	if !has(xs, 20) || has(xs, 21) {
-		t.Error("has broken")
+	if got, want := pickSummaryPoints([]int{4, 8, 38, 39, 60}), []int{4, 38, 39, 60}; !slices.Equal(got, want) {
+		t.Errorf("pickSummaryPoints = %v, want %v", got, want)
 	}
-	got := insertSorted([]int{4, 20, 40}, 38)
-	want := []int{4, 20, 38, 40}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("insertSorted = %v, want %v", got, want)
-		}
-	}
-	points := pickSummaryPoints([]int{4, 8, 38, 39, 60})
-	if !has(points, 4) || !has(points, 38) || !has(points, 39) || !has(points, 60) {
-		t.Errorf("pickSummaryPoints = %v", points)
+	if got, want := pickSummaryPoints([]int{10, 20, 30, 40, 50}), []int{10, 30, 50}; !slices.Equal(got, want) {
+		t.Errorf("pickSummaryPoints = %v, want %v", got, want)
 	}
 	if pickSummaryPoints(nil) != nil {
 		t.Error("empty input should yield nil")
@@ -77,5 +69,21 @@ func TestReportFluidBackend(t *testing.T) {
 	}
 	if err := run(&sb, []string{"-backend", "bogus"}); err == nil {
 		t.Error("bogus backend accepted")
+	}
+}
+
+// TestRunRejectsEmptyClientRange: a step below 1 would never advance the
+// client-count loop, and a range with no client counts would sweep the
+// default axis instead.
+func TestRunRejectsEmptyClientRange(t *testing.T) {
+	for _, args := range [][]string{
+		{"-step", "0"},
+		{"-step", "4", "-max-clients", "3"},
+	} {
+		var sb strings.Builder
+		err := run(&sb, append([]string{"-duration", "1ms", "-cache=false"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "-step") {
+			t.Errorf("%v: run = %v, want a -step error", args, err)
+		}
 	}
 }

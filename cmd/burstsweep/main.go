@@ -30,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -98,6 +97,14 @@ func run(args []string) error {
 	}
 	if *all && *outDir == "" {
 		return fmt.Errorf("-all requires -out DIR")
+	}
+	if *step < 1 {
+		return fmt.Errorf("-step %d < 1", *step)
+	}
+	// An empty list would make RunSweep fall back to the default axis.
+	clients := core.SweepClients(*step, *maxN)
+	if len(clients) == 0 {
+		return fmt.Errorf("no client counts up to -max-clients %d at -step %d", *maxN, *step)
 	}
 
 	b, err := core.ParseBackend(*backend)
@@ -179,7 +186,6 @@ func run(args []string) error {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	clients := sweepClients(*step, *maxN)
 	nCells := len(cells)
 	if nCells == 0 {
 		nCells = len(core.PaperCells())
@@ -263,30 +269,6 @@ func sweepCells(queues, proto string) ([]core.Cell, error) {
 		return nil, fmt.Errorf("-queue: no discipline specs in %q", queues)
 	}
 	return cells, nil
-}
-
-func sweepClients(step, max int) []int {
-	var out []int
-	for n := step; n <= max; n += step {
-		out = append(out, n)
-	}
-	// Always include the paper's crossover points.
-	for _, n := range []int{38, 39} {
-		if n <= max && !contains(out, n) {
-			out = append(out, n)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func printTable1() {

@@ -27,7 +27,7 @@ func TestRepositoryIsClean(t *testing.T) {
 
 // TestCheckFlagsDirtyTree proves the suite actually bites: a scratch
 // module impersonating the tcpburst module path, containing one float
-// equality in the measurement package and a wall-clock read in the sim
+// equality in the measurement package and a wall-clock read in a sim-tier
 // package, must produce exactly those findings.
 func TestCheckFlagsDirtyTree(t *testing.T) {
 	dir := t.TempDir()
@@ -46,7 +46,10 @@ func TestCheckFlagsDirtyTree(t *testing.T) {
 
 func Same(a, b float64) bool { return a == b }
 `)
-	write("internal/sim/sim.go", `package sim
+	// A sim-tier package without explicit hot-path roots: a scratch
+	// internal/sim would also draw one hotpathalloc finding per sim root
+	// it does not declare.
+	write("internal/queue/queue.go", `package queue
 
 import "time"
 

@@ -215,8 +215,9 @@ func FuncName(fn *types.Func) string {
 
 // RootsByName resolves root specs ("Func", "Type.Method", or a bare
 // method name matching every type's method of that name) against the
-// declared functions.
-func (g *Graph) RootsByName(specs []string) []*types.Func {
+// declared functions. It also returns, in input order, the specs that
+// matched no function.
+func (g *Graph) RootsByName(specs []string) (roots []*types.Func, unmatched []string) {
 	want := make(map[string]bool, len(specs))
 	methodName := make(map[string]bool)
 	for _, s := range specs {
@@ -225,11 +226,19 @@ func (g *Graph) RootsByName(specs []string) []*types.Func {
 			methodName[s] = true
 		}
 	}
-	var out []*types.Func
+	hit := make(map[string]bool)
 	for _, fn := range g.Functions() {
 		if want[FuncName(fn)] || (methodName[fn.Name()] && fn.Type().(*types.Signature).Recv() != nil) {
-			out = append(out, fn)
+			roots = append(roots, fn)
+			// A method matched by its full name also satisfies a bare
+			// spec of its method name, which would have matched it anyway.
+			hit[FuncName(fn)], hit[fn.Name()] = true, true
 		}
 	}
-	return out
+	for _, s := range specs {
+		if !hit[s] {
+			unmatched = append(unmatched, s)
+		}
+	}
+	return roots, unmatched
 }

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"slices"
 	"testing"
 )
 
@@ -63,7 +64,7 @@ func buildDemo(t *testing.T) *Graph {
 
 func TestReachabilityWithInterfaceDispatch(t *testing.T) {
 	g := buildDemo(t)
-	roots := g.RootsByName([]string{"Run"})
+	roots, _ := g.RootsByName([]string{"Run"})
 	if len(roots) != 1 {
 		t.Fatalf("roots = %v, want exactly Run", names(roots))
 	}
@@ -92,19 +93,26 @@ func TestReachabilityWithInterfaceDispatch(t *testing.T) {
 
 func TestRootsByMethodSpec(t *testing.T) {
 	g := buildDemo(t)
-	roots := g.RootsByName([]string{"FIFO.Enqueue"})
+	roots, unmatched := g.RootsByName([]string{"FIFO.Enqueue", "FIFO.Gone", "gone", "Gone"})
 	if len(roots) != 1 || FuncName(roots[0]) != "FIFO.Enqueue" {
 		t.Fatalf("RootsByName(FIFO.Enqueue) = %v", names(roots))
 	}
+	if want := []string{"FIFO.Gone", "gone", "Gone"}; !slices.Equal(unmatched, want) {
+		t.Errorf("unmatched specs = %v, want %v", unmatched, want)
+	}
 	via := g.Reachable(roots)
-	if _, ok := via[g.RootsByName([]string{"FIFO.grow"})[0]]; !ok {
+	grow, _ := g.RootsByName([]string{"FIFO.grow"})
+	if _, ok := via[grow[0]]; !ok {
 		t.Error("FIFO.grow not reachable from FIFO.Enqueue")
 	}
 }
 
 func TestBareMethodNameMatchesAllReceivers(t *testing.T) {
 	g := buildDemo(t)
-	roots := g.RootsByName([]string{"Enqueue"})
+	roots, unmatched := g.RootsByName([]string{"Enqueue"})
+	if unmatched != nil {
+		t.Errorf("unmatched specs = %v, want none", unmatched)
+	}
 	got := names(roots)
 	want := map[string]bool{"Drop.Enqueue": true, "FIFO.Enqueue": true, "Other.Enqueue": true}
 	if len(got) != len(want) {

@@ -133,7 +133,6 @@ var Default = Config{
 		"tcpburst/internal/sim": {
 			"Scheduler.Step", "Scheduler.Run", "Scheduler.RunAll",
 			"Scheduler.At", "Scheduler.After", "Scheduler.AtCall", "Scheduler.AfterCall",
-			"Scheduler.AtOn", "Scheduler.AfterOn", "Scheduler.AtCallOn", "Scheduler.AfterCallOn",
 			"Scheduler.InjectAt", "Scheduler.Cancel",
 			"Timer.Reset", "Timer.Stop", "Timer.fire", "timerFire",
 			"Train.Add", "Train.fire", "trainFire",
@@ -142,7 +141,7 @@ var Default = Config{
 		},
 		"tcpburst/internal/link":    {"serializeDone", "deliver", "deliverCredit"},
 		"tcpburst/internal/tcp":     {"senderTimeout", "sinkDelayTimeout"},
-		"tcpburst/internal/traffic": {"poissonEmit", "paretoEmit", "paretoBeginBurst", "cbrEmit"},
+		"tcpburst/internal/traffic": {"poissonEmit", "paretoEmit", "paretoBeginBurst"},
 		"tcpburst/internal/packet":  {"Pool.Get", "Pool.Put"},
 	},
 	CorePackage:      "tcpburst/internal/core",

@@ -4,7 +4,9 @@
 // root. Roots are the per-event method names (Send/Recv/Enqueue/Dequeue/
 // OnEvent) plus the explicit per-package entries in Config.HotPathRoots:
 // the scheduler's dispatch loop, the timing-wheel and burst-train kernels,
-// the packet pool's get/put.
+// the packet pool's get/put. An explicit root that matches no function in
+// its package is reported too, so a renamed or deleted entry point cannot
+// linger in the config guarding nothing.
 //
 // Flagged site classes:
 //
@@ -36,6 +38,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"tcpburst/internal/analysis"
 	"tcpburst/internal/analysis/callgraph"
@@ -57,7 +60,16 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	g := callgraph.Build(pass.Pkg, pass.TypesInfo, pass.Files)
-	roots := g.RootsByName(append(cfg.HotPathRootList(path), cfg.HotPathFuncs...))
+	explicit := cfg.HotPathRootList(path)
+	roots, unmatched := g.RootsByName(append(slices.Clip(explicit), cfg.HotPathFuncs...))
+	// A bare per-event method name need not exist in every package, but an
+	// explicit root that names nothing guards nothing: it is stale config.
+	for _, spec := range unmatched {
+		if slices.Contains(explicit, spec) {
+			pass.Reportf(pass.Files[0].Package,
+				"hot-path root %s matches no function in %s; remove it from HotPathRoots or fix the name", spec, path)
+		}
+	}
 	if len(roots) == 0 {
 		return nil, nil
 	}

@@ -10,5 +10,6 @@ import (
 func TestFixtures(t *testing.T) {
 	analysistest.Run(t, hotpathalloc.Analyzer, "testdata/src",
 		"tcpburst/internal/queue",
+		"tcpburst/internal/packet",
 	)
 }

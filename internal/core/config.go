@@ -452,8 +452,22 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: client delay jitter %v < 0", c.ClientDelayJitter)
 	case c.BufferPackets < 1:
 		return fmt.Errorf("config: gateway buffer %d < 1", c.BufferPackets)
+	case c.AccessBufferPackets < 1:
+		return fmt.Errorf("config: access buffer packets %d < 1", c.AccessBufferPackets)
+	case c.ReverseBufferPackets < 0:
+		return fmt.Errorf("config: reverse buffer packets %d < 0", c.ReverseBufferPackets)
 	case c.PacketSize <= 0:
 		return fmt.Errorf("config: packet size %d <= 0", c.PacketSize)
+	case c.AckSize <= 0:
+		return fmt.Errorf("config: ack size %d <= 0", c.AckSize)
+	case c.MaxWindow < 1:
+		return fmt.Errorf("config: max window %d < 1", c.MaxWindow)
+	case c.MinRTO < 0:
+		return fmt.Errorf("config: min RTO %v < 0", c.MinRTO)
+	case c.DelayedAckTimeout < 0:
+		return fmt.Errorf("config: delayed ACK timeout %v < 0", c.DelayedAckTimeout)
+	case c.PacketLogCapacity < 0:
+		return fmt.Errorf("config: packet log capacity %d < 0", c.PacketLogCapacity)
 	case c.MeanInterval <= 0:
 		return fmt.Errorf("config: mean interval %v <= 0", c.MeanInterval)
 	case c.Traffic < TrafficPoisson || c.Traffic > TrafficParetoOnOff:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +100,35 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			err := cfg.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.substr) {
 				t.Errorf("Validate() = %v, want mention of %q", err, tc.substr)
+			}
+		})
+	}
+}
+
+// TestValidateRejectsOutOfRangeTunables: each of these used to pass
+// Validate and then either run on silently clamped values (a negative
+// access buffer became a 1-packet FIFO, a negative MinRTO shortened every
+// timeout) or fail deep inside the transport. Each must be rejected at
+// config time, by name.
+func TestValidateRejectsOutOfRangeTunables(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		substr string
+	}{
+		{"negative access buffer", func(c *Config) { c.AccessBufferPackets = -5 }, "access buffer packets -5"},
+		{"negative reverse buffer", func(c *Config) { c.ReverseBufferPackets = -1 }, "reverse buffer packets -1"},
+		{"negative ack size", func(c *Config) { c.AckSize = -40 }, "ack size -40"},
+		{"negative max window", func(c *Config) { c.MaxWindow = -3 }, "max window -3"},
+		{"negative min RTO", func(c *Config) { c.MinRTO = -time.Second }, "min RTO -1s"},
+		{"negative delayed ACK timeout", func(c *Config) { c.DelayedAckTimeout = -time.Millisecond }, "delayed ACK timeout -1ms"},
+		{"negative packet log capacity", func(c *Config) { c.PacketLogCapacity = -1 }, "packet log capacity -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(4, RenoDelayAck, FIFO)
+			tc.mutate(&cfg)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.substr) {
+				t.Fatalf("Validate = %v, want error containing %q", err, tc.substr)
 			}
 		})
 	}
@@ -220,6 +250,28 @@ func TestPaperCellsMatchFigureLegends(t *testing.T) {
 		if labels[i] != want[i] {
 			t.Fatalf("cell labels = %v, want %v", labels, want)
 		}
+	}
+}
+
+// TestSweepClientsPinsLists pins the x-axes the sweep commands build: the
+// crossover points join any step that misses them, a step that hits one
+// does not repeat it, and a max below them drops both.
+func TestSweepClientsPinsLists(t *testing.T) {
+	for _, tc := range []struct {
+		step, maxN int
+		want       []int
+	}{
+		{4, 60, []int{4, 8, 12, 16, 20, 24, 28, 32, 36, 38, 39, 40, 44, 48, 52, 56, 60}},
+		{8, 60, []int{8, 16, 24, 32, 38, 39, 40, 48, 56}},
+		{19, 60, []int{19, 38, 39, 57}},
+		{10, 30, []int{10, 20, 30}},
+	} {
+		if got := SweepClients(tc.step, tc.maxN); !slices.Equal(got, tc.want) {
+			t.Errorf("SweepClients(%d, %d) = %v, want %v", tc.step, tc.maxN, got, tc.want)
+		}
+	}
+	if got, want := DefaultSweepClients(), SweepClients(4, 60); !slices.Equal(got, want) {
+		t.Errorf("DefaultSweepClients() = %v, want SweepClients(4, 60) = %v", got, want)
 	}
 }
 

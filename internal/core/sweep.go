@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"tcpburst/internal/queue"
@@ -106,13 +106,22 @@ type SweepOptions struct {
 
 // DefaultSweepClients returns the paper's x-axis: every 4 clients from 4 to
 // 60, plus the 38/39 crossover points.
-func DefaultSweepClients() []int {
-	out := make([]int, 0, 18)
-	for n := 4; n <= 60; n += 4 {
+func DefaultSweepClients() []int { return SweepClients(4, 60) }
+
+// SweepClients returns a sweep's client counts in increasing order: every
+// step clients from step to maxN, plus the paper's 38/39 crossover points
+// when they fit under maxN. step must be positive.
+func SweepClients(step, maxN int) []int {
+	var out []int
+	for n := step; n <= maxN; n += step {
 		out = append(out, n)
 	}
-	out = append(out, 38, 39)
-	sort.Ints(out)
+	for _, n := range []int{38, 39} {
+		if n <= maxN && !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 

@@ -24,7 +24,7 @@ import "fmt"
 // bit-identical to serial ones (see DESIGN.md §11 for the full argument).
 //
 // Every scheduler also owns a default lane (the reserved top laneID) for
-// unlaned At/After calls: timers, traffic sources, samplers, probes. Those
+// At/After/AtCall/AfterCall: timers, traffic sources, samplers, probes. Those
 // events never interact across shards at equal timestamps — all cross-shard
 // causality flows through link propagation — so a per-scheduler stream
 // preserves their relative order wherever it can be observed.
@@ -41,15 +41,15 @@ const (
 
 // Lane is one ordinal stream of the canonical event order. The zero value
 // is not usable; obtain lanes from a Lanes allocator (or rely on a
-// scheduler's internal default lane by passing nil to the *On methods).
+// scheduler's internal default lane by passing a nil lane to a Train).
 type Lane struct {
 	next  uint64 // next ordinal: laneID<<laneSeqBits | seq
 	limit uint64 // first ordinal of the successor lane
 }
 
 // Take returns the lane's next ordinal. Callers use it to stamp an event
-// before handing it to another shard's scheduler (InjectAt); local
-// scheduling via the *On methods draws from the lane implicitly.
+// before handing it to another shard's scheduler (InjectAt); a Train
+// draws from its lane implicitly.
 func (l *Lane) Take() uint64 {
 	if l.next == l.limit {
 		panic("sim: lane sequence exhausted")

@@ -48,6 +48,20 @@ const (
 	maxShift = 22
 )
 
+// keyBefore reports whether event key (t1, o1) precedes (t2, o2): the
+// kernel's one event order, used by the wheel chains, the far heap, the
+// wheel-or-heap pop and a train's inline chaining alike. It is written as
+// straight boolean arithmetic — no short-circuiting — so the compiler
+// lowers it to flag materialization instead of branches; the outcome is
+// data-dependent and unpredictable, and sift loops run one comparison per
+// child, so avoiding mispredicts here is worth more than skipping an ALU
+// op.
+func keyBefore(t1 Time, o1 uint64, t2 Time, o2 uint64) bool {
+	lt := t1 < t2
+	tie := t1 == t2 && o1 < o2
+	return lt || tie
+}
+
 // heapNode is one entry of the far-future event min-heap, ordered by
 // (time, ord). Nodes are plain values — no pointers, no interface
 // boxing — so sift operations are plain memory moves and the heap slice
@@ -60,41 +74,20 @@ type heapNode struct {
 	slot int32
 }
 
-// nodeLess orders nodes by (time, ord). It is written as straight boolean
-// arithmetic — no short-circuiting — so the compiler lowers it to flag
-// materialization instead of branches; the comparison outcome is
-// data-dependent and unpredictable, and sift loops run one comparison per
-// child, so avoiding mispredicts here is worth more than skipping an ALU
-// op.
-func nodeLess(a, b heapNode) bool {
-	lt := a.time < b.time
-	tie := a.time == b.time && a.ord < b.ord
-	return lt || tie
-}
-
-// eventSlot holds one scheduled callback in the scheduler's slot arena.
-// pos encodes where the event lives: >= 0 is its index in the far heap
-// (maintained by every sift so Cancel can delete in place), <= -2 means
-// wheel bucket -2-pos (chained through next, sorted by (time, ord)).
-// Freed slots are chained through next and recycled by later schedules;
-// gen increments on every free so stale handles miss.
+// eventSlot holds one scheduled event, fn(arg), in the scheduler's slot
+// arena (56 bytes). pos encodes where the event lives: >= 0 is its index
+// in the far heap (maintained by every sift so Cancel can delete in
+// place), <= -2 means wheel bucket -2-pos (chained through next, sorted by
+// (time, ord)). Freed slots are chained through next and recycled by
+// later schedules; gen increments on every free so stale handles miss.
 type eventSlot struct {
-	fn   func()
-	afn  func(any)
+	fn   func(any)
 	arg  any
 	time Time
 	ord  uint64
 	gen  uint32
 	pos  int32
 	next int32
-}
-
-// eventLess orders slots by (time, ord) — the same total order the heap
-// uses, applied to wheel bucket chains.
-func eventLess(a, b *eventSlot) bool {
-	lt := a.time < b.time
-	tie := a.time == b.time && a.ord < b.ord
-	return lt || tie
 }
 
 // Scheduler is the discrete-event simulation kernel. It is not safe for
@@ -105,11 +98,12 @@ func eventLess(a, b *eventSlot) bool {
 //
 // The kernel is allocation-free in steady state: events live in a slot
 // arena recycled through a free list, near events in a timing wheel, far
-// events in an inline position-indexed min-heap of plain values. Callers
-// that schedule the same callback repeatedly file it as (fn, receiver)
-// through AtCall/AfterCall, with fn a package-level trampoline such as
-// func(a any) { a.(*T).fire() }: a method value or fresh closure would be
-// heap-allocated per call, and a prebound one per object.
+// events in an inline position-indexed min-heap of plain values. Every
+// event is one form, fn(arg). Callers that schedule the same callback
+// repeatedly file it as (fn, receiver) through AtCall/AfterCall, with fn a
+// package-level trampoline such as func(a any) { a.(*T).fire() }: a
+// method value or fresh closure would be heap-allocated per call, and a
+// prebound one per object. At/After file a func() as (callFunc, fn).
 type Scheduler struct {
 	now      Time
 	defLane  Lane
@@ -181,61 +175,42 @@ func (s *Scheduler) ScheduledOps() uint64 { return s.scheduled }
 // equivalence argument.
 func (s *Scheduler) CreditFired() { s.fired++ }
 
+// callFunc is the trampoline a plain func() event is filed under. A func
+// value is pointer-shaped, so boxing it in the slot's arg allocates
+// nothing.
+func callFunc(a any) { a.(func())() }
+
 // At schedules fn to run at instant t on the scheduler's default lane.
 // Scheduling in the past is a programming error and returns the zero
 // Handle without scheduling.
-func (s *Scheduler) At(t Time, fn func()) Handle { return s.AtOn(nil, t, fn) }
+func (s *Scheduler) At(t Time, fn func()) Handle {
+	if fn == nil {
+		return Handle{}
+	}
+	return s.AtCall(t, callFunc, fn)
+}
 
 // After schedules fn to run d after the current instant. Negative delays
 // clamp to zero (fire "now", after already-queued same-time events).
-func (s *Scheduler) After(d Duration, fn func()) Handle { return s.AfterOn(nil, d, fn) }
+func (s *Scheduler) After(d Duration, fn func()) Handle { return s.At(s.now.Add(max(d, 0)), fn) }
 
-// AtCall schedules fn(arg) at instant t. It is the hot paths' one
-// scheduling idiom: fn is a package-level function and arg the receiver or
-// per-event state it acts on, so no closure is allocated (storing a
-// pointer in arg does not allocate).
+// AtCall schedules fn(arg) at instant t on the scheduler's default lane.
+// It is the hot paths' one scheduling idiom: fn is a package-level
+// function and arg the receiver or per-event state it acts on, so no
+// closure is allocated (storing a pointer in arg does not allocate).
+// Components whose same-instant events must order identically in serial
+// and sharded runs — the links — file through a Train on their own lane
+// instead.
 func (s *Scheduler) AtCall(t Time, fn func(any), arg any) Handle {
-	return s.AtCallOn(nil, t, fn, arg)
+	if t < s.now || fn == nil {
+		return Handle{}
+	}
+	return s.scheduleOrd(t, s.defLane.Take(), fn, arg)
 }
 
 // AfterCall schedules fn(arg) to run d after the current instant.
 func (s *Scheduler) AfterCall(d Duration, fn func(any), arg any) Handle {
-	return s.AfterCallOn(nil, d, fn, arg)
-}
-
-// AtOn schedules fn at instant t drawing the tie-break ordinal from lane
-// (nil means the scheduler's default lane). Components whose same-instant
-// events must order identically in serial and sharded runs — the links —
-// schedule on their own lane.
-func (s *Scheduler) AtOn(lane *Lane, t Time, fn func()) Handle {
-	if t < s.now || fn == nil {
-		return Handle{}
-	}
-	return s.schedule(lane, t, fn, nil, nil)
-}
-
-// AfterOn schedules fn to run d after the current instant on lane.
-func (s *Scheduler) AfterOn(lane *Lane, d Duration, fn func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtOn(lane, s.now.Add(d), fn)
-}
-
-// AtCallOn schedules fn(arg) at instant t on lane.
-func (s *Scheduler) AtCallOn(lane *Lane, t Time, fn func(any), arg any) Handle {
-	if t < s.now || fn == nil {
-		return Handle{}
-	}
-	return s.schedule(lane, t, nil, fn, arg)
-}
-
-// AfterCallOn schedules fn(arg) to run d after the current instant on lane.
-func (s *Scheduler) AfterCallOn(lane *Lane, d Duration, fn func(any), arg any) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtCallOn(lane, s.now.Add(d), fn, arg)
+	return s.AtCall(s.now.Add(max(d, 0)), fn, arg)
 }
 
 // InjectAt schedules fn(arg) at instant t under a caller-supplied ordinal.
@@ -253,21 +228,12 @@ func (s *Scheduler) InjectAt(t Time, ord uint64, fn func(any), arg any) Handle {
 		//burst:alloc-ok panic message formatting on a violated-invariant path that never returns
 		panic(fmt.Sprintf("sim: InjectAt(%v) behind clock %v: lookahead violated", t, s.now))
 	}
-	return s.scheduleOrd(t, ord, nil, fn, arg)
+	return s.scheduleOrd(t, ord, fn, arg)
 }
 
-// schedule draws the next ordinal from lane (default lane when nil) and
-// files the event.
-func (s *Scheduler) schedule(lane *Lane, t Time, fn func(), afn func(any), arg any) Handle {
-	if lane == nil {
-		lane = &s.defLane
-	}
-	return s.scheduleOrd(t, lane.Take(), fn, afn, arg)
-}
-
-// scheduleOrd places the callback in a recycled (or new) slot and files
-// the event in the wheel or the far heap depending on its deadline.
-func (s *Scheduler) scheduleOrd(t Time, ord uint64, fn func(), afn func(any), arg any) Handle {
+// scheduleOrd places fn(arg) in a recycled (or new) slot under key
+// (t, ord) and files it. It is the one way an event enters the kernel.
+func (s *Scheduler) scheduleOrd(t Time, ord uint64, fn func(any), arg any) Handle {
 	var idx int32
 	if s.freeHead >= 0 {
 		idx = s.freeHead
@@ -279,24 +245,19 @@ func (s *Scheduler) scheduleOrd(t Time, ord uint64, fn func(), afn func(any), ar
 	}
 	sl := &s.slots[idx]
 	sl.fn = fn
-	sl.afn = afn
 	sl.arg = arg
 	sl.time = t
 	sl.ord = ord
 	s.scheduled++
-	if d := t - s.wheelBase; 0 <= d && d < s.span() {
-		s.wheelInsert(idx)
-	} else {
-		s.push(heapNode{time: t, ord: ord, slot: idx})
-	}
+	s.file(idx)
 	return Handle{slot: uint32(idx) + 1, gen: sl.gen}
 }
 
-// refile puts a still-allocated slot back into the wheel or heap — the
-// undo of popEvent for an event the caller decided not to execute (Run
-// popping past its horizon). The (time, ord) key is unchanged, so the
-// event pops in exactly the position it always had.
-func (s *Scheduler) refile(idx int32) {
+// file puts allocated slot idx into the wheel or the far heap by its
+// deadline. Run also uses it to undo popEvent for the one event it finds
+// beyond its horizon: the (time, ord) key is unchanged, so the event pops
+// in exactly the position it always had.
+func (s *Scheduler) file(idx int32) {
 	sl := &s.slots[idx]
 	if d := sl.time - s.wheelBase; 0 <= d && d < s.span() {
 		s.wheelInsert(idx)
@@ -311,14 +272,14 @@ func (s *Scheduler) wheelInsert(idx int32) {
 	sl := &s.slots[idx]
 	b := int32((sl.time - s.wheelBase) >> s.shift)
 	head := s.wheel[b]
-	if head < 0 || eventLess(sl, &s.slots[head]) {
+	if head < 0 || keyBefore(sl.time, sl.ord, s.slots[head].time, s.slots[head].ord) {
 		sl.next = head
 		s.wheel[b] = idx
 	} else {
 		p := head
 		for {
 			n := s.slots[p].next
-			if n < 0 || eventLess(sl, &s.slots[n]) {
+			if n < 0 || keyBefore(sl.time, sl.ord, s.slots[n].time, s.slots[n].ord) {
 				sl.next = n
 				s.slots[p].next = idx
 				break
@@ -342,7 +303,7 @@ func (s *Scheduler) wheelInsert(idx int32) {
 // reorders the surviving events: pop order is fully determined by
 // (time, ord).
 func (s *Scheduler) Cancel(h Handle) {
-	if !s.resolve(h) {
+	if !s.Active(h) {
 		return
 	}
 	idx := int32(h.slot - 1)
@@ -370,20 +331,15 @@ func (s *Scheduler) wheelRemove(idx, b int32) {
 	s.wheelCount--
 }
 
-// Active reports whether h refers to an event that is still scheduled.
-func (s *Scheduler) Active(h Handle) bool { return s.resolve(h) }
-
-// resolve reports whether h names a live slot of the current generation.
-func (s *Scheduler) resolve(h Handle) bool {
-	if h.slot == 0 || h.slot > uint32(len(s.slots)) {
-		return false
-	}
-	return s.slots[h.slot-1].gen == h.gen
+// Active reports whether h refers to an event that is still scheduled:
+// a live slot of the handle's generation.
+func (s *Scheduler) Active(h Handle) bool {
+	return h.slot != 0 && h.slot <= uint32(len(s.slots)) && s.slots[h.slot-1].gen == h.gen
 }
 
 // freeSlot recycles a slot: bump the generation so stale handles miss and
 // chain it onto the free list. Callback references are deliberately left
-// in place — clearing them costs three GC write barriers per event, and
+// in place — clearing them costs two GC write barriers per event, and
 // hot paths schedule package-level trampolines on receivers that outlive
 // the scheduler anyway. A freed slot therefore keeps its last fn/arg
 // alive until the slot is reused; that is a bounded overhang (one
@@ -459,7 +415,7 @@ func (s *Scheduler) popEvent() (int32, Time, bool) {
 	sl := &s.slots[head]
 	if len(s.heap) > 0 {
 		top := s.heap[0]
-		if top.time < sl.time || (top.time == sl.time && top.ord < sl.ord) {
+		if keyBefore(top.time, top.ord, sl.time, sl.ord) {
 			n := s.pop()
 			return n.slot, n.time, true
 		}
@@ -470,31 +426,19 @@ func (s *Scheduler) popEvent() (int32, Time, bool) {
 	return head, sl.time, true
 }
 
-// nextTime returns the deadline of the earliest pending event without
-// popping it (and without advancing the wheel window).
-func (s *Scheduler) nextTime() (Time, bool) {
-	if s.wheelCount == 0 {
-		if len(s.heap) == 0 {
-			return 0, false
-		}
-		return s.heap[0].time, true
-	}
-	t := s.slots[s.wheel[s.scanFrom(s.now)]].time
-	if len(s.heap) > 0 && s.heap[0].time < t {
-		t = s.heap[0].time
-	}
-	return t, true
-}
-
 // NextTime returns the deadline of the earliest pending event without
 // popping it, and whether any event is pending. The window-barrier
 // coordinator uses it to pick the next synchronization window start.
-func (s *Scheduler) NextTime() (Time, bool) { return s.nextTime() }
+func (s *Scheduler) NextTime() (Time, bool) {
+	t, _, ok := s.peekKey()
+	return t, ok
+}
 
 // peekKey returns the full (time, ord) key of the earliest pending event
-// without popping it. Trains compare it against their buffered head to
-// decide whether the next burst element can run inline — i.e. whether any
-// scheduled event would have popped first under per-event execution.
+// without popping it (and without advancing the wheel window). Trains
+// compare it against their buffered head to decide whether the next burst
+// element can run inline — i.e. whether any scheduled event would have
+// popped first under per-event execution.
 func (s *Scheduler) peekKey() (Time, uint64, bool) {
 	if s.wheelCount == 0 {
 		if len(s.heap) == 0 {
@@ -505,38 +449,40 @@ func (s *Scheduler) peekKey() (Time, uint64, bool) {
 	sl := &s.slots[s.wheel[s.scanFrom(s.now)]]
 	t, ord := sl.time, sl.ord
 	if len(s.heap) > 0 {
-		if top := s.heap[0]; nodeLess(top, heapNode{time: t, ord: ord}) {
+		if top := s.heap[0]; keyBefore(top.time, top.ord, t, ord) {
 			t, ord = top.time, top.ord
 		}
 	}
 	return t, ord, true
 }
 
+// fire executes the event popped from slot idx: the clock moves to its
+// instant t, the slot is recycled before the callback runs (so the
+// callback may schedule into it) and the event counts as fired.
+func (s *Scheduler) fire(idx int32, t Time) {
+	sl := &s.slots[idx]
+	s.now = t
+	fn, arg := sl.fn, sl.arg
+	s.freeSlot(idx)
+	s.fired++
+	fn(arg)
+}
+
 // Step executes the single next event, advancing the clock to its timestamp.
 // It reports false when no events remain.
 func (s *Scheduler) Step() bool {
 	idx, t, ok := s.popEvent()
-	if !ok {
-		return false
+	if ok {
+		s.fire(idx, t)
 	}
-	sl := &s.slots[idx]
-	s.now = t
-	fn, afn, arg := sl.fn, sl.afn, sl.arg
-	s.freeSlot(idx)
-	s.fired++
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
-	return true
+	return ok
 }
 
 // Run executes events until the horizon is passed, the event queue drains,
 // or Stop is called. The clock finishes at min(horizon, last event time)
 // unless stopped. Events scheduled exactly at the horizon still fire.
 //
-// The loop pops directly instead of peeking first (nextTime + Step would
+// The loop pops directly instead of peeking first (NextTime + Step would
 // scan the wheel twice per event); the one event found beyond the horizon
 // is refiled, paying a single extra insert per Run call instead of a scan
 // per event.
@@ -556,20 +502,11 @@ func (s *Scheduler) Run(horizon Time) error {
 			break
 		}
 		if t > horizon {
-			s.refile(idx)
+			s.file(idx)
 			s.now = horizon
 			return nil
 		}
-		sl := &s.slots[idx]
-		s.now = t
-		fn, afn, arg := sl.fn, sl.afn, sl.arg
-		s.freeSlot(idx)
-		s.fired++
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
+		s.fire(idx, t)
 	}
 	if s.now < horizon {
 		s.now = horizon
@@ -651,7 +588,7 @@ func (s *Scheduler) siftUp(i int) {
 	node := h[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !nodeLess(node, h[parent]) {
+		if !keyBefore(node.time, node.ord, h[parent].time, h[parent].ord) {
 			break
 		}
 		s.setNode(i, h[parent])
@@ -680,11 +617,11 @@ func (s *Scheduler) siftDown(i int) {
 		}
 		m := c
 		for j := c + 1; j < end; j++ {
-			if nodeLess(h[j], h[m]) {
+			if keyBefore(h[j].time, h[j].ord, h[m].time, h[m].ord) {
 				m = j
 			}
 		}
-		if !nodeLess(h[m], node) {
+		if !keyBefore(h[m].time, h[m].ord, node.time, node.ord) {
 			break
 		}
 		s.setNode(i, h[m])

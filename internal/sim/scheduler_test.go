@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestSchedulerStartsAtZero(t *testing.T) {
@@ -373,9 +374,21 @@ func TestHeapStressRandomCancel(t *testing.T) {
 // Allocation budgets: the kernel hot paths must not allocate in steady
 // state. Regressions fail here instead of silently eroding the perf win.
 
+// TestEventSlotSize pins the slot arena's element: one fn(arg) callback,
+// the (time, ord) key and three words of bookkeeping.
+func TestEventSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(eventSlot{}); got != 56 {
+		t.Errorf("eventSlot is %d bytes, want 56", got)
+	}
+}
+
+// TestScheduleStepAllocFree files a capturing func() closure through At:
+// the closure is boxed into the slot's arg as (callFunc, fn), which must
+// not allocate.
 func TestScheduleStepAllocFree(t *testing.T) {
 	s := NewScheduler()
-	fn := func() {}
+	n := 0
+	fn := func() { n++ }
 	// Warm the slot arena and heap capacity.
 	for i := 0; i < 64; i++ {
 		s.After(time.Microsecond, fn)
@@ -383,11 +396,14 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	for s.Step() {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.After(time.Microsecond, fn)
+		s.At(s.Now().Add(time.Microsecond), fn)
 		s.Step()
 	})
 	if allocs != 0 {
-		t.Errorf("After+Step allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("At+Step allocates %.1f objects/op, want 0", allocs)
+	}
+	if want := 64 + 1001; n != want {
+		t.Errorf("%d closure events ran, want %d", n, want)
 	}
 }
 
@@ -703,4 +719,131 @@ func TestTimerRearmInsideCallback(t *testing.T) {
 	if count != 3 {
 		t.Errorf("timer fired %d times, want 3", count)
 	}
+}
+
+// schedModel is the reference FuzzSchedulerMatchesModel checks the
+// scheduler against: the pending events as a plain list sorted by
+// (time, ord), where ord is the schedule order every At and AtCall draws
+// from the default lane. An event's ord doubles as its identity.
+type schedModel struct {
+	now     Time
+	ord     uint64
+	pending []modelEvent
+	fired   uint64
+	firings []uint64
+}
+
+// schedule files an event at t and returns its ord, or 0 for an instant
+// in the past, which the scheduler refuses without drawing an ordinal.
+func (m *schedModel) schedule(t Time) uint64 {
+	if t < m.now {
+		return 0
+	}
+	m.ord++
+	// The new ord is the largest, so it goes after every event at t.
+	i := slices.IndexFunc(m.pending, func(e modelEvent) bool { return e.at > t })
+	if i < 0 {
+		i = len(m.pending)
+	}
+	m.pending = slices.Insert(m.pending, i, modelEvent{t, m.ord})
+	return m.ord
+}
+
+func (m *schedModel) cancel(ord uint64) {
+	m.pending = slices.DeleteFunc(m.pending, func(e modelEvent) bool { return e.seq == ord })
+}
+
+func (m *schedModel) live(ord uint64) bool {
+	return slices.ContainsFunc(m.pending, func(e modelEvent) bool { return e.seq == ord })
+}
+
+// fireFirst runs the head of the pending list.
+func (m *schedModel) fireFirst() {
+	e := m.pending[0]
+	m.pending = m.pending[1:]
+	m.now = e.at
+	m.fired++
+	m.firings = append(m.firings, e.seq)
+}
+
+// run mirrors Scheduler.Run: a horizon behind the clock is an error;
+// otherwise every event up to and at the horizon fires and the clock ends
+// at the horizon.
+func (m *schedModel) run(horizon Time) bool {
+	if horizon < m.now {
+		return false
+	}
+	for len(m.pending) > 0 && m.pending[0].at <= horizon {
+		m.fireFirst()
+	}
+	m.now = horizon
+	return true
+}
+
+// FuzzSchedulerMatchesModel decodes bytes into At and AtCall events at
+// wheel and far-heap deadlines (and refused past ones), Cancel of live and
+// stale handles, Step and Run(horizon), and after every operation checks
+// the scheduler against schedModel: the order events fired in, Now, Fired,
+// Pending and Active for every handle issued so far.
+func FuzzSchedulerMatchesModel(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 5, 1, 5, 3, 0, 3, 0, 3, 0})                // same-instant ties
+	f.Add([]byte{0, 0x81, 1, 0x41, 4, 0x50, 0, 0x3f, 4, 0x90, 3, 0}) // far heap, horizon split
+	f.Add([]byte{0, 0x45, 1, 0x45, 2, 0, 2, 0, 0, 0x45, 3, 0, 3, 0}) // cancel, double cancel, slot reuse
+	f.Add([]byte{0, 0x82, 4, 0x41, 0, 0x20, 1, 0xc3, 4, 0xc1, 3, 0, 3, 0, 3, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := NewScheduler()
+		m := &schedModel{}
+		var firings []uint64
+		record := func(a any) { firings = append(firings, a.(uint64)) }
+		var handles []Handle
+		var ords []uint64
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, b := ops[i]%5, ops[i+1]
+			switch op {
+			case 0, 1:
+				at := s.Now().Add(fuzzDelay(b))
+				ord := m.schedule(at)
+				var h Handle
+				if op == 0 {
+					h = s.At(at, func() { firings = append(firings, ord) })
+				} else {
+					h = s.AtCall(at, record, ord)
+				}
+				if h.IsZero() != (ord == 0) {
+					t.Fatalf("op %d: scheduling at %v returned %v, model ord %d", i/2, at, h, ord)
+				}
+				handles, ords = append(handles, h), append(ords, ord)
+			case 2:
+				if len(handles) > 0 {
+					k := int(b) % len(handles)
+					s.Cancel(handles[k])
+					m.cancel(ords[k])
+				}
+			case 3:
+				if got, want := s.Step(), len(m.pending) > 0; got != want {
+					t.Fatalf("op %d: Step() = %v, model %v", i/2, got, want)
+				}
+				if len(m.pending) > 0 {
+					m.fireFirst()
+				}
+			case 4:
+				horizon := s.Now().Add(fuzzDelay(b))
+				if got, want := s.Run(horizon) == nil, m.run(horizon); got != want {
+					t.Fatalf("op %d: Run(%v) succeeded = %v, model %v", i/2, horizon, got, want)
+				}
+			}
+			if !slices.Equal(firings, m.firings) {
+				t.Fatalf("op %d: fired %v, model %v", i/2, firings, m.firings)
+			}
+			if s.Now() != m.now || s.Fired() != m.fired || s.Pending() != len(m.pending) {
+				t.Fatalf("op %d: Now() = %v, Fired() = %d, Pending() = %d; model %v, %d, %d",
+					i/2, s.Now(), s.Fired(), s.Pending(), m.now, m.fired, len(m.pending))
+			}
+			for k, h := range handles {
+				if got, want := s.Active(h), ords[k] != 0 && m.live(ords[k]); got != want {
+					t.Fatalf("op %d: Active(handle %d) = %v, model %v", i/2, k, got, want)
+				}
+			}
+		}
+	})
 }

@@ -15,7 +15,7 @@ package sim
 // execution (DESIGN.md §12).
 //
 // Ordinals are pre-drawn from the train's lane at Add time — the same draw
-// the unbatched path performs inside schedule — so the lane's consumption
+// per-event scheduling on that lane performs — so the lane's consumption
 // sequence, and with it every same-instant tie-break elsewhere in the
 // simulation, is untouched by batching.
 //
@@ -101,12 +101,12 @@ func (tr *Train) Add(at Time, arg any) {
 	tr.buf[(tr.head+tr.n)&tr.mask] = trainElem{at: at, ord: ord, arg: arg}
 	tr.n++
 	if tr.eager {
-		tr.s.scheduleOrd(at, ord, nil, trainFire, tr)
+		tr.s.scheduleOrd(at, ord, trainFire, tr)
 		return
 	}
 	if !tr.scheduled && !tr.firing {
 		h := &tr.buf[tr.head]
-		tr.s.scheduleOrd(h.at, h.ord, nil, trainFire, tr)
+		tr.s.scheduleOrd(h.at, h.ord, trainFire, tr)
 		tr.scheduled = true
 	}
 }
@@ -157,7 +157,7 @@ func (tr *Train) fire() {
 		if s.stopped || h.at > s.horizon {
 			break
 		}
-		if nt, nord, ok := s.peekKey(); ok && (nt < h.at || (nt == h.at && nord < h.ord)) {
+		if nt, nord, ok := s.peekKey(); ok && keyBefore(nt, nord, h.at, h.ord) {
 			break
 		}
 		e = tr.pop()
@@ -168,7 +168,7 @@ func (tr *Train) fire() {
 	tr.firing = false
 	if tr.n > 0 {
 		h := &tr.buf[tr.head]
-		s.scheduleOrd(h.at, h.ord, nil, trainFire, tr)
+		s.scheduleOrd(h.at, h.ord, trainFire, tr)
 		tr.scheduled = true
 	}
 }

@@ -97,7 +97,7 @@ func TestTrainSameInstantOrdinalDrawAtAdd(t *testing.T) {
 		var log []delivery
 		tr := collectTrain(s, lane, &log)
 		addEvent := func() {
-			s.AtCallOn(lane, at, func(arg any) {
+			s.scheduleOrd(at, lane.Take(), func(arg any) {
 				log = append(log, delivery{arg.(string), s.Now()})
 			}, "event")
 		}
@@ -269,7 +269,7 @@ func TestTrainMatchesPerEventExecution(t *testing.T) {
 			}
 		} else {
 			for i, d := range times {
-				s.AtCallOn(lane, TimeZero.Add(d*Duration(time.Millisecond)), record, fmt.Sprintf("p%d", i))
+				s.scheduleOrd(TimeZero.Add(d*Duration(time.Millisecond)), lane.Take(), record, fmt.Sprintf("p%d", i))
 			}
 		}
 		s.At(TimeZero.Add(9*time.Millisecond), func() { record("cross") })

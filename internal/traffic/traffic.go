@@ -1,8 +1,8 @@
 // Package traffic implements application-level workload generators. The
 // paper's clients generate Poisson traffic — single packets with
 // exponentially distributed inter-generation times — which the transport
-// layer then modulates. CBR and heavy-tailed Pareto on/off sources support
-// the baseline and self-similarity extensions.
+// layer then modulates. A heavy-tailed Pareto on/off source supports the
+// self-similarity extension.
 package traffic
 
 import (
@@ -110,73 +110,4 @@ func (g *Poisson) emit() {
 	g.cfg.Generated.Inc()
 	g.cfg.Dst.Submit()
 	g.scheduleNext()
-}
-
-// CBRConfig describes a constant-bit-rate source.
-type CBRConfig struct {
-	// Interval is the fixed packet inter-generation time.
-	Interval sim.Duration
-	// Dst receives one Submit call per generated packet. Required.
-	Dst transport.Source
-	// Sched is the simulation kernel. Required.
-	Sched *sim.Scheduler
-	// Generated, when attached, counts every emitted packet into the
-	// telemetry registry; the zero handle is a no-op.
-	Generated telemetry.Counter
-}
-
-// CBR emits packets at a fixed interval.
-type CBR struct {
-	cfg       CBRConfig
-	running   bool
-	pending   sim.Handle
-	generated uint64
-}
-
-var _ Generator = (*CBR)(nil)
-
-// NewCBR returns a stopped constant-rate source, or an error for an invalid
-// configuration.
-func NewCBR(cfg CBRConfig) (*CBR, error) {
-	switch {
-	case cfg.Interval <= 0:
-		return nil, fmt.Errorf("cbr: interval %v <= 0", cfg.Interval)
-	case cfg.Dst == nil:
-		return nil, fmt.Errorf("cbr: nil destination")
-	case cfg.Sched == nil:
-		return nil, fmt.Errorf("cbr: nil scheduler")
-	}
-	return &CBR{cfg: cfg}, nil
-}
-
-// cbrEmit is the trampoline a CBR emission is filed under.
-func cbrEmit(a any) { a.(*CBR).emit() }
-
-// Start schedules the first packet one interval from now.
-func (g *CBR) Start() {
-	if g.running {
-		return
-	}
-	g.running = true
-	g.pending = g.cfg.Sched.AfterCall(g.cfg.Interval, cbrEmit, g)
-}
-
-// Stop cancels any pending generation.
-func (g *CBR) Stop() {
-	g.running = false
-	g.cfg.Sched.Cancel(g.pending)
-	g.pending = sim.Handle{}
-}
-
-// Generated returns the number of packets produced so far.
-func (g *CBR) Generated() uint64 { return g.generated }
-
-func (g *CBR) emit() {
-	if !g.running {
-		return
-	}
-	g.generated++
-	g.cfg.Generated.Inc()
-	g.cfg.Dst.Submit()
-	g.pending = g.cfg.Sched.AfterCall(g.cfg.Interval, cbrEmit, g)
 }

@@ -161,54 +161,6 @@ func TestPoissonDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestCBRFixedSpacing(t *testing.T) {
-	sched := sim.NewScheduler()
-	dst := &countingSource{sched: sched}
-	g, err := NewCBR(CBRConfig{Interval: 50 * time.Millisecond, Dst: dst, Sched: sched})
-	if err != nil {
-		t.Fatalf("NewCBR: %v", err)
-	}
-	g.Start()
-	if err := sched.Run(sim.TimeZero.Add(time.Second)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if g.Generated() != 20 {
-		t.Fatalf("generated %d, want 20", g.Generated())
-	}
-	for i, at := range dst.times {
-		want := sim.TimeZero.Add(time.Duration(i+1) * 50 * time.Millisecond)
-		if at != want {
-			t.Fatalf("packet %d at %v, want %v", i, at, want)
-		}
-	}
-}
-
-func TestCBRValidationAndStop(t *testing.T) {
-	sched := sim.NewScheduler()
-	dst := &countingSource{sched: sched}
-	if _, err := NewCBR(CBRConfig{Interval: 0, Dst: dst, Sched: sched}); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if _, err := NewCBR(CBRConfig{Interval: time.Second, Sched: sched}); err == nil {
-		t.Error("nil dst accepted")
-	}
-	if _, err := NewCBR(CBRConfig{Interval: time.Second, Dst: dst}); err == nil {
-		t.Error("nil sched accepted")
-	}
-	g, err := NewCBR(CBRConfig{Interval: 10 * time.Millisecond, Dst: dst, Sched: sched})
-	if err != nil {
-		t.Fatalf("NewCBR: %v", err)
-	}
-	g.Start()
-	sched.After(100*time.Millisecond, g.Stop)
-	if err := sched.Run(sim.TimeZero.Add(time.Second)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if n := g.Generated(); n > 11 {
-		t.Errorf("generated %d after stop at 100ms, want <= 11", n)
-	}
-}
-
 // tally counts submissions without allocating.
 type tally struct{ n int }
 
