@@ -241,22 +241,38 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return runFluidContext(ctx, cfg)
 	}
 
-	t := dumbbell(cfg)
-	if cfg.ParkingLot != nil {
-		t = parkingLot(cfg)
-	}
-	n, err := buildTopology(t)
+	n, err := buildTopology(describe(cfg), takeArena())
 	if err != nil {
 		return nil, err
 	}
-	// Nothing draws once RunContext returns: the scheduler and its pending
-	// events are dropped with the network.
-	defer n.release()
+	res, err := n.measure(ctx)
+	// A run that panics never gets here, and its arena is dropped.
+	idleArena(n.release())
+	return res, err
+}
+
+// describe returns the topology cfg runs: the dumbbell, or the parking
+// lot when cfg sets one.
+func describe(cfg Config) topology {
+	if cfg.ParkingLot != nil {
+		return parkingLot(cfg)
+	}
+	return dumbbell(cfg)
+}
+
+// measure attaches the measurement taps to n, runs it to the horizon and
+// collects its Result. The caller releases n afterwards, whatever the
+// outcome.
+func (n *network) measure(ctx context.Context) (*Result, error) {
+	n.check()
+	t := n.top
+	cfg := t.cfg
 	bottleneck := n.bottlenecks[0]
 	// The shard of gateway 0 holds the first bottleneck, its taps, the
 	// queue probe and (shard 0) the context watchdog.
 	gw := n.place.gw[0]
 	sched := n.scheds[gw]
+	horizon := sim.TimeZero.Add(cfg.Duration)
 
 	// The paper's measurement point: data packets entering each
 	// bottleneck, binned per the topology's c.o.v. window.
@@ -274,6 +290,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		counter.Open(sim.TimeZero)
+		counter.Reserve(horizon)
 		counters[i] = counter
 		log := pktLog
 		if i > 0 {
@@ -290,8 +307,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// Always-on queue-occupancy probe (10 ms grain) at the first
-	// bottleneck; read-only, so it cannot perturb the experiment.
-	queueSamples := make([]float64, 0, int(cfg.Duration/(10*time.Millisecond))+1)
+	// bottleneck; read-only, so it cannot perturb the experiment. Its
+	// samples fill the arena's buffer, sized for every probe to the
+	// horizon.
+	a := n.arena
+	if want := int(cfg.Duration/(10*time.Millisecond)) + 1; cap(a.queueSamples) < want {
+		a.queueSamples = make([]float64, 0, want)
+	}
+	queueSamples := a.queueSamples[:0]
 	var sampleQueue func()
 	sampleQueue = func() {
 		queueSamples = append(queueSamples, float64(bottleneck.QueueLen()))
@@ -317,7 +340,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	horizon := sim.TimeZero.Add(cfg.Duration)
 	if err := n.run(ctx, horizon); err != nil {
 		return nil, err
 	}
@@ -618,7 +640,8 @@ func collect(
 		res.ByProtocol[proto] = pt
 	}
 
-	res.DelayMeanSec, res.DelayP95Sec = stats.MergeDelays(len(flows), func(i int) *stats.DelayDist { return flows[i].delays() })
+	a := n.arena
+	res.DelayMeanSec, res.DelayP95Sec, a.delays = stats.MergeDelays(a.delays, len(flows), func(i int) *stats.DelayDist { return flows[i].delays() })
 
 	// The bottlenecks and the links into sink hosts carry data; every
 	// other fixed link carries acknowledgments back toward the clients.

@@ -66,7 +66,7 @@ func TestPlanShardsPlacement(t *testing.T) {
 func TestColocatedAccessLinksStayLocal(t *testing.T) {
 	cfg := DefaultConfig(8, Reno, FIFO)
 	cfg.Shards = 2
-	n, err := buildTopology(dumbbell(cfg.WithDefaults()))
+	n, err := buildTopology(dumbbell(cfg.WithDefaults()), new(arena))
 	if err != nil {
 		t.Fatalf("buildTopology: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestLookaheadFromCrossingLinks(t *testing.T) {
 		{"chain/K=2", parkingLot(Config{ParkingLot: &ParkingLot{Long: 2, Hop2: 2}, Shards: 2}.WithDefaults()), 20 * time.Millisecond},
 		{"chain/K=3", parkingLot(Config{ParkingLot: &ParkingLot{Long: 2, Hop2: 2}, Shards: 3}.WithDefaults()), 2 * time.Millisecond},
 	} {
-		n, err := buildTopology(tc.top)
+		n, err := buildTopology(tc.top, new(arena))
 		if err != nil {
 			t.Fatalf("%s: buildTopology: %v", tc.name, err)
 		}

@@ -301,14 +301,14 @@ type linkSlot struct {
 	lane sim.Lane
 }
 
-// client is one client's state, held by value in the block buildTopology
-// allocates for the whole run: its host, its access and reverse links with
-// their FIFOs, trains and lanes, its TCP sender with the RTO timer, the
-// RNG its traffic draws from, and its flow record. Every part of it is
-// written only by the client's shard. The traffic source sits in a
-// per-run slab of the run's one traffic model (sourceSlab), so a client
-// carries no space for a model it does not run; the sinks run on the sink
-// host's shard and live in a slab of their own.
+// client is one client's state, held by value in the run arena's client
+// block: its host, its access and reverse links with their FIFOs, trains
+// and lanes, its TCP sender with the RTO timer, the RNG its traffic draws
+// from, and its flow record. Every part of it is written only by the
+// client's shard. The traffic source sits in the arena's slab of the
+// run's one traffic model (sourceSlab), so a client carries no space for
+// a model it does not run; the sinks run on the sink host's shard and
+// live in a slab of their own.
 type client struct {
 	flow            flow
 	host            node.Host
@@ -322,13 +322,6 @@ type client struct {
 type sourceSlab struct {
 	poisson []traffic.Poisson
 	pareto  []traffic.ParetoOnOff
-}
-
-func newSourceSlab(cfg Config, n int) sourceSlab {
-	if cfg.Traffic == TrafficParetoOnOff {
-		return sourceSlab{pareto: make([]traffic.ParetoOnOff, n)}
-	}
-	return sourceSlab{poisson: make([]traffic.Poisson, n)}
 }
 
 // init builds client j's source per the traffic model, submitting to dst
@@ -364,8 +357,11 @@ func (sl sourceSlab) init(j int, cfg Config, sched *sim.Scheduler, rng *sim.RNG,
 	})
 }
 
-// network is a compiled topology, ready to run.
+// network is a compiled topology, ready to run, laid out in an arena it
+// holds until release.
 type network struct {
+	top    topology
+	arena  *arena // nil once released
 	place  placement
 	scheds []*sim.Scheduler
 	pools  []*packet.Pool
@@ -377,16 +373,19 @@ type network struct {
 	links     []*link.Link // the fixed links, in description order
 	// bottlenecks are the links flagged bottleneck, in description order.
 	bottlenecks []*link.Link
-	flows       []*flow  // the clients' flow records, in group order
-	clients     []client // the block the flow records live in
+	fixed       []linkSlot // the slots n.links live in
+	flows       []*flow    // the clients' flow records, in group order
+	clients     []client   // the block the flow records live in
 	// rngs are the run's generators outside the client block: the root
 	// stream and the discipline, loss and jitter forks.
 	rngs []*sim.RNG
 }
 
-// buildTopology compiles t. Nothing is scheduled yet: the caller attaches
-// its measurement taps, starts the traffic and calls run.
-func buildTopology(t topology) (*network, error) {
+// buildTopology compiles t into arena a. Nothing is scheduled yet: the
+// caller attaches its measurement taps, starts the traffic and calls run,
+// or calls measure, which does all of that, and then releases the network.
+// On an error a holds a part-built network and is best dropped.
+func buildTopology(t topology, a *arena) (*network, error) {
 	cfg := t.cfg
 	feed, out := make([]int, t.hosts), make([]int, t.hosts)
 	toward := make(map[[2]int]int) // gateway pair -> index of the link between them
@@ -403,16 +402,17 @@ func buildTopology(t topology) (*network, error) {
 	place := buildPlacement(t)
 	k := place.k
 	n := &network{
+		top:    t,
+		arena:  a,
 		place:  place,
-		scheds: make([]*sim.Scheduler, k),
-		pools:  make([]*packet.Pool, k),
+		scheds: a.schedulers(k),
+		pools:  a.packetPools(k),
 		tels:   make([]*telem, k),
 		links:  make([]*link.Link, len(t.links)),
-		flows:  make([]*flow, place.clients),
+		fixed:  take(&a.fixed, len(t.links)),
+		flows:  take(&a.flows, place.clients),
 	}
 	for s := 0; s < k; s++ {
-		n.scheds[s] = sim.NewScheduler()
-		n.pools[s] = packet.NewPool()
 		n.tels[s] = newTelem(cfg)
 	}
 	hosts := make([]*node.Host, t.hosts)
@@ -528,7 +528,7 @@ func buildTopology(t topology) (*network, error) {
 		return link.Init(&ls.link, n.scheds[s], lc)
 	}
 
-	fixed := make([]linkSlot, len(t.links))
+	fixed := n.fixed
 	for i, tl := range t.links {
 		s, proof := place.gw[tl.from.index], false
 		if !tl.from.gateway {
@@ -566,18 +566,19 @@ func buildTopology(t topology) (*network, error) {
 		jitter = fork(rng, 1<<22)
 	}
 	// One block holds every client, one slab every TCP sink and one every
-	// traffic source. Each client is built into them in the order the
-	// digest contract fixes: its two lanes, then its traffic fork.
+	// traffic source, all from the arena. Each client is built into them in
+	// the order the digest contract fixes: its two lanes, then its traffic
+	// fork.
 	tcpClients := 0
 	for _, grp := range t.groups {
 		if grp.proto.IsTCP() {
 			tcpClients += grp.clients
 		}
 	}
-	clients := make([]client, place.clients)
+	clients := take(&a.clients, place.clients)
 	n.clients = clients
-	sinks := make([]tcp.Sink, 0, tcpClients)
-	sources := newSourceSlab(cfg, place.clients)
+	sinks := take(&a.sinks, tcpClients)[:0]
+	sources := a.sources(cfg, place.clients)
 	j := 0
 	for _, grp := range t.groups {
 		srv, ss := hosts[grp.dst], place.host[grp.dst]
@@ -754,6 +755,7 @@ func buildAckProof(t topology, l, feed topoLink) bool {
 // group. The context watchdog lives on shard 0, which the group runs on
 // the calling goroutine.
 func (n *network) run(ctx context.Context, horizon sim.Time) error {
+	n.check()
 	watchContext(ctx, n.scheds[0])
 	var err error
 	if n.group != nil {
@@ -770,15 +772,52 @@ func (n *network) run(ctx context.Context, horizon sim.Time) error {
 	return nil
 }
 
-// release ends every RNG stream of the run, recycling their registers.
-// The caller calls it once nothing will draw again.
-func (n *network) release() {
+// check panics when n has been released: its blocks then belong to the
+// arena's next run. The network's entry points check it; the per-event
+// paths do not.
+func (n *network) check() {
+	if n.arena == nil {
+		panic("core: network used after release")
+	}
+}
+
+// release ends the run and returns its arena, emptied for the next run;
+// the network is unusable afterwards. Every RNG stream of the run ends,
+// recycling its register. Every scheduler is reset, which drops every
+// pending event and its callback, and every link slot is recycled, so the
+// arena keeps no packet of this run alive but those its pools hold for
+// reuse. The caller calls it once nothing will draw, collect and the
+// telemetry included.
+func (n *network) release() *arena {
+	n.check()
 	for _, g := range n.rngs {
 		g.Release()
 	}
 	for i := range n.clients {
-		n.clients[i].rng.Release()
+		c := &n.clients[i]
+		c.rng.Release()
+		c.access.recycle()
+		c.reverse.recycle()
 	}
+	for i := range n.fixed {
+		n.fixed[i].recycle()
+	}
+	for _, s := range n.scheds {
+		s.Reset()
+	}
+	for _, p := range n.pools {
+		p.Reset()
+	}
+	a := n.arena
+	n.arena = nil
+	return a
+}
+
+// recycle drops every packet the slot's link and FIFO hold or reach,
+// keeping their rings.
+func (ls *linkSlot) recycle() {
+	ls.link.Recycle()
+	ls.fifo.Recycle()
 }
 
 // settle closes the books after run: it returns the events the run
@@ -787,6 +826,7 @@ func (n *network) release() {
 // flight at the horizon settle here, so the count is exactly what the
 // per-event schedule fired.
 func (n *network) settle(horizon sim.Time) (events, ops uint64) {
+	n.check()
 	for _, s := range n.scheds {
 		events += s.Fired()
 		ops += s.ScheduledOps()

@@ -14,7 +14,7 @@ func TestBuildAllocsPerClient(t *testing.T) {
 	build := func(n int) float64 {
 		top := dumbbell(DefaultConfig(n, Reno, FIFO).WithDefaults())
 		return testing.AllocsPerRun(3, func() {
-			if _, err := buildTopology(top); err != nil {
+			if _, err := buildTopology(top, new(arena)); err != nil {
 				t.Fatalf("buildTopology(N=%d): %v", n, err)
 			}
 		})

@@ -191,7 +191,13 @@ func Init(l *Link, sched *sim.Scheduler, cfg Config) error {
 	case cfg.XDeliver != nil && cfg.Lane == nil:
 		return fmt.Errorf("link %q: cross-shard delivery without a lane", cfg.Name)
 	}
-	*l = Link{sched: sched, cfg: cfg}
+	// A link initialized again keeps its train ring and pipeline ring, so
+	// the link of a reused block regrows neither.
+	l.train.Recycle()
+	*l = Link{sched: sched, cfg: cfg, train: l.train, vBuf: l.vBuf}
+	if len(l.vBuf) > 0 {
+		l.vMask = uint64(len(l.vBuf) - 1)
+	}
 	if dd, ok := cfg.Queue.(queue.DequeueDropper); ok {
 		// Disciplines that head-drop inside Dequeue (CoDel) consume packets
 		// the Send path never sees rejected; route them through the same
@@ -219,15 +225,30 @@ func Init(l *Link, sched *sim.Scheduler, cfg Config) error {
 			cfg.Overprovisioned && cfg.Lane != nil && cfg.LossProb == 0 &&
 			!cfg.Metrics.Departures.Enabled() && !cfg.Metrics.QueueDepth.Enabled()
 	}
-	if cfg.XDeliver == nil {
-		fn := deliver
-		if l.virtual {
-			fn = deliverCredit
-		}
-		l.train.Init(sched, cfg.Lane, fn, l)
-		l.train.SetEager(cfg.DisableBatching)
+	// The train is unused when deliveries cross shards; initializing it
+	// anyway empties a kept ring.
+	fn := deliver
+	if l.virtual {
+		fn = deliverCredit
 	}
+	l.train.Init(sched, cfg.Lane, fn, l)
+	l.train.SetEager(cfg.DisableBatching)
 	return nil
+}
+
+// Recycle drops every reference through which l could keep a packet of
+// its run alive: the packet in serialization, the deliveries in its
+// train, its queue, its destination, its cross-shard hook and its taps.
+// The rings stay for the next Init, which rewrites the rest; the link is
+// unusable until then. A run arena recycles every link of a finished run,
+// so Recycle writes only those fields. The pending events that would have
+// reached those packets must be gone first: recycle a link only once its
+// scheduler is reset or discarded. The pipeline ring holds no pointers.
+func (l *Link) Recycle() {
+	l.train.Recycle()
+	l.inflight = nil
+	l.cfg.Queue, l.cfg.Dst, l.cfg.XDeliver = nil, nil, nil
+	l.onArrival, l.onDrop = nil, nil
 }
 
 // vEntry is one pipelined packet's elided serialization: transmission
@@ -441,7 +462,7 @@ func (l *Link) vPush(e vEntry) {
 		if size == 0 {
 			size = 2
 		}
-		//burst:alloc-ok lazy virtual-slot ring growth is amortized doubling; idle links never allocate
+		//burst:alloc-ok lazy virtual-slot ring growth is amortized doubling to the link's longest backlog; Init keeps the ring, so a run arena grows it once per high-water mark, not once per run, and idle links never allocate
 		grown := make([]vEntry, size)
 		mask := uint64(len(grown) - 1)
 		for i := head; i < l.vAppended; i++ {

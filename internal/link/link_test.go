@@ -544,3 +544,48 @@ func TestLinkSerializeDoneAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkRecycleThenInitMatchesNew: a link recycled mid-run drops the
+// packet in serialization, its train's deliveries, its queue, its
+// destination and its taps, and once initialized again it delivers
+// exactly what a new link does.
+func TestLinkRecycleThenInitMatchesNew(t *testing.T) {
+	drive := func(sched *sim.Scheduler, l *Link) {
+		for i := int64(0); i < 40; i++ {
+			sched.At(sim.TimeZero.Add(sim.Duration(i)*100*time.Microsecond), func() { l.Send(data(i, 1000)) })
+		}
+	}
+	sched := sim.NewScheduler()
+	used, _ := newTestLink(t, sched, 8e6, 5*time.Millisecond, 64)
+	used.OnArrival(func(sim.Time, *packet.Packet) {})
+	drive(sched, used)
+	if err := sched.Run(sim.TimeZero.Add(3 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if used.inflight == nil || used.train.Len() == 0 {
+		t.Fatalf("mid-run link holds no packet to drop: inflight %v, %d deliveries", used.inflight, used.train.Len())
+	}
+	sched.Reset()
+	used.Recycle()
+	if used.inflight != nil || used.train.Len() != 0 || used.Queue() != nil || used.cfg.Dst != nil || used.onArrival != nil {
+		t.Fatalf("recycled link kept inflight %v, %d deliveries, queue %v, destination %v, arrival tap %v",
+			used.inflight, used.train.Len(), used.Queue(), used.cfg.Dst, used.onArrival != nil)
+	}
+
+	reusedDst := &collector{sched: sched}
+	if err := Init(used, sched, Config{Name: "again", RateBps: 8e6, Delay: 5 * time.Millisecond, Queue: queue.NewFIFO(64), Dst: reusedDst}); err != nil {
+		t.Fatal(err)
+	}
+	drive(sched, used)
+	freshSched := sim.NewScheduler()
+	fresh, freshDst := newTestLink(t, freshSched, 8e6, 5*time.Millisecond, 64)
+	drive(freshSched, fresh)
+	for _, s := range []*sim.Scheduler{sched, freshSched} {
+		if err := s.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(reusedDst.times) != 40 || fmt.Sprint(reusedDst.times) != fmt.Sprint(freshDst.times) || used.Stats() != fresh.Stats() {
+		t.Errorf("reused link delivered at %v (%+v), new link at %v (%+v)", reusedDst.times, used.Stats(), freshDst.times, fresh.Stats())
+	}
+}

@@ -28,6 +28,13 @@ type Pool struct {
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
+// Reset restarts the pool's counters and switches debug mode off, keeping
+// the free list: a run harness that reuses one pool for many runs hands
+// each run the packets the previous ones released instead of allocating
+// them again. Get zeroes every packet it hands out, so a packet released
+// in an earlier run is as good as a new one.
+func (pl *Pool) Reset() { *pl = Pool{free: pl.free} }
+
 // SetDebug toggles poisoned-release mode: on Put, packet fields are
 // overwritten with sentinel garbage so any use-after-release corrupts the
 // simulation loudly instead of silently reading stale values.

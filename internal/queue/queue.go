@@ -123,12 +123,23 @@ func NewFIFO(capacity int) *FIFO {
 	return q
 }
 
-// InitFIFO is NewFIFO in place, for queues embedded in a larger block.
+// InitFIFO is NewFIFO in place, for queues embedded in a larger block. A
+// queue initialized again keeps its slot array, emptied (see Recycle), so
+// the queue of a reused block regrows only past its longest backlog.
 func InitFIFO(q *FIFO, capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	*q = FIFO{ring: newFIFORing(capacity), cap: capacity}
+	q.Recycle()
+	q.ring.cap, q.cap = capacity, capacity
+}
+
+// Recycle empties the queue, clearing every slot so it keeps no packet
+// alive, and keeps the slot array for the next InitFIFO; the queue is
+// unusable until then.
+func (q *FIFO) Recycle() {
+	clear(q.ring.buf)
+	*q = FIFO{ring: fifoRing{buf: q.ring.buf, mask: q.ring.mask}}
 }
 
 // Enqueue accepts p unless the buffer is full.

@@ -124,6 +124,10 @@ func (s Stats) Table() string {
 		fmt.Fprintf(&sb, "  telemetry   %s snapshot records streamed\n",
 			siCount(float64(s.TelemetryRecords)))
 	}
+	if s.AllocBytes > 0 {
+		fmt.Fprintf(&sb, "  heap        %.1f MB allocated · %d GC cycles\n",
+			float64(s.AllocBytes)/1e6, s.GCCycles)
+	}
 	return sb.String()
 }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -155,6 +156,13 @@ type Stats struct {
 	// TelemetryRecords totals the telemetry records streamed across all
 	// jobs, per Options.WeighRecords.
 	TelemetryRecords uint64
+	// GCCycles and AllocBytes are the garbage-collection cycles completed
+	// and the heap bytes allocated while the batch ran, read from
+	// runtime/metrics: the garbage cost of the batch, without a profiler.
+	// They count the whole process, so work running beside the batch
+	// shows up too. They describe the execution, not the results, so no
+	// cache key or digest includes them.
+	GCCycles, AllocBytes uint64
 }
 
 // Add merges two batches' telemetry (counts and times sum).
@@ -168,7 +176,24 @@ func (s Stats) Add(o Stats) Stats {
 	s.JobWall += o.JobWall
 	s.SimEvents += o.SimEvents
 	s.TelemetryRecords += o.TelemetryRecords
+	s.GCCycles += o.GCCycles
+	s.AllocBytes += o.AllocBytes
 	return s
+}
+
+// heapSamples are the runtime/metrics behind Stats.GCCycles and
+// Stats.AllocBytes, in that order.
+var heapSamples = [...]string{"/gc/cycles/total:gc-cycles", "/gc/heap/allocs:bytes"}
+
+// readHeap returns the process's completed GC cycles and allocated heap
+// bytes so far.
+func readHeap() (cycles, bytes uint64) {
+	var samples [len(heapSamples)]metrics.Sample
+	for i, name := range heapSamples {
+		samples[i].Name = name
+	}
+	metrics.Read(samples[:])
+	return samples[0].Value.Uint64(), samples[1].Value.Uint64()
 }
 
 // EventsPerSec is the aggregate simulated-event throughput of the batch.
@@ -210,6 +235,7 @@ func Run[T any](ctx context.Context, opts Options[T], jobs []Job[T]) ([]T, Stats
 	errs := make([]error, len(jobs))
 	stats := Stats{Total: len(jobs)}
 	start := opts.Clock.Now()
+	cycles, bytes := readHeap()
 
 	var mu sync.Mutex // guards stats and serializes OnEvent
 	emit := func(ev Event) {
@@ -253,6 +279,8 @@ feed:
 	wg.Wait()
 
 	stats.Wall = opts.Clock.Since(start)
+	endCycles, endBytes := readHeap()
+	stats.GCCycles, stats.AllocBytes = endCycles-cycles, endBytes-bytes
 	joined := make([]error, 0, len(errs)+1)
 	if err := ctx.Err(); err != nil {
 		joined = append(joined, err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -262,11 +263,15 @@ func TestRunEvents(t *testing.T) {
 }
 
 func TestStatsAddAndDerived(t *testing.T) {
-	a := Stats{Total: 2, Ran: 2, Wall: time.Second, JobWall: 4 * time.Second, SimEvents: 1000}
-	b := Stats{Total: 1, Cached: 1, Wall: time.Second, SimEvents: 500}
+	a := Stats{Total: 2, Ran: 2, Wall: time.Second, JobWall: 4 * time.Second, SimEvents: 1000, GCCycles: 3, AllocBytes: 7 << 20}
+	b := Stats{Total: 1, Cached: 1, Wall: time.Second, SimEvents: 500, GCCycles: 1, AllocBytes: 1 << 20}
 	sum := a.Add(b)
-	if sum.Total != 3 || sum.Ran != 2 || sum.Cached != 1 || sum.SimEvents != 1500 {
+	if sum.Total != 3 || sum.Ran != 2 || sum.Cached != 1 || sum.SimEvents != 1500 ||
+		sum.GCCycles != 4 || sum.AllocBytes != 8<<20 {
 		t.Errorf("Add = %+v", sum)
+	}
+	if table := sum.Table(); !strings.Contains(table, "8.4 MB allocated · 4 GC cycles") {
+		t.Errorf("Table() has no heap line:\n%s", table)
 	}
 	if got := a.Speedup(); got != 4 {
 		t.Errorf("Speedup = %g, want 4", got)
@@ -288,5 +293,46 @@ func TestEventKindString(t *testing.T) {
 		if got := kind.String(); got != want {
 			t.Errorf("EventKind(%d).String() = %q, want %q", int(kind), got, want)
 		}
+	}
+}
+
+// TestStatsReportHeapCost: a batch that runs its jobs reports the heap
+// bytes they allocated, and a batch served wholly from the cache reports
+// far fewer.
+func TestStatsReportHeapCost(t *testing.T) {
+	const perJob = 1 << 20
+	cache := newMemCache()
+	jobs := make([]Job[int], 4)
+	// held keeps each job's allocation reachable until the batch ends.
+	held := make([][]byte, len(jobs))
+	for i := range jobs {
+		jobs[i] = Job[int]{
+			Label: strconv.Itoa(i),
+			Key:   "k" + strconv.Itoa(i),
+			Do: func(context.Context) (int, error) {
+				held[i] = make([]byte, perJob)
+				return i, nil
+			},
+		}
+	}
+	opts := Options[int]{
+		Jobs:   2,
+		Cache:  cache,
+		Encode: func(v int) ([]byte, error) { return []byte(strconv.Itoa(v)), nil },
+		Decode: func(_ int, b []byte) (int, error) { return strconv.Atoi(string(b)) },
+	}
+	_, ran, err := Run(context.Background(), opts, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran.AllocBytes < uint64(len(jobs))*perJob {
+		t.Errorf("a batch that ran %d jobs of %d bytes each reports %d bytes allocated", len(jobs), perJob, ran.AllocBytes)
+	}
+	_, cached, err := Run(context.Background(), opts, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Cached != len(jobs) || cached.AllocBytes >= perJob {
+		t.Errorf("a cached batch (%d of %d cached) reports %d bytes allocated, want under %d", cached.Cached, len(jobs), cached.AllocBytes, perJob)
 	}
 }

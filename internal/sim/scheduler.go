@@ -138,16 +138,38 @@ type Scheduler struct {
 
 // NewScheduler returns a kernel with the clock at TimeZero.
 func NewScheduler() *Scheduler {
-	s := &Scheduler{
-		freeHead: -1,
-		shift:    initShift,
-		wheel:    make([]int32, wheelBuckets),
-		defLane:  newLane(defaultLaneID),
+	s := &Scheduler{wheel: make([]int32, wheelBuckets)}
+	s.Reset()
+	return s
+}
+
+// Reset returns s to the state NewScheduler leaves it in, dropping every
+// pending event, but keeps its slot arena and far heap: a run harness that
+// reuses one scheduler for many runs grows them once, to the largest run's
+// high-water mark, instead of once per run. Reuse is safe because nothing
+// of the earlier run survives in them. Every slot goes back on the free
+// list with its callback and argument cleared, so the scheduler keeps no
+// packet or receiver of that run alive, and with its generation advanced,
+// so a Handle from before the reset never reads as Active, even once its
+// slot is filled again. The free list hands slots out in index order, as
+// a new arena would; slot indices never decide the event order anyway.
+func (s *Scheduler) Reset() {
+	free := int32(-1)
+	for i := len(s.slots) - 1; i >= 0; i-- {
+		s.slots[i] = eventSlot{gen: s.slots[i].gen + 1, next: free}
+		free = int32(i)
 	}
 	for i := range s.wheel {
 		s.wheel[i] = -1
 	}
-	return s
+	*s = Scheduler{
+		defLane:  newLane(defaultLaneID),
+		slots:    s.slots,
+		freeHead: free,
+		wheel:    s.wheel,
+		shift:    initShift,
+		heap:     s.heap[:0],
+	}
 }
 
 // span returns the width of the wheel window.
@@ -239,7 +261,7 @@ func (s *Scheduler) scheduleOrd(t Time, ord uint64, fn func(any), arg any) Handl
 		idx = s.freeHead
 		s.freeHead = s.slots[idx].next
 	} else {
-		//burst:alloc-ok slot-arena growth is amortized doubling; the free list recycles slots in steady state
+		//burst:alloc-ok slot-arena growth is amortized doubling to the most events ever pending at once; the free list recycles slots within a run and Reset across runs
 		s.slots = append(s.slots, eventSlot{})
 		idx = int32(len(s.slots) - 1)
 	}
@@ -542,7 +564,7 @@ func (s *Scheduler) setNode(i int, n heapNode) {
 // push appends n and sifts it up, writing the moving node only once at
 // its final position instead of swapping at every level.
 func (s *Scheduler) push(n heapNode) {
-	//burst:alloc-ok far-heap growth is amortized doubling, bounded by pending far timers
+	//burst:alloc-ok far-heap growth is amortized doubling to the most far timers ever pending at once; Reset keeps the heap across runs
 	s.heap = append(s.heap, n)
 	s.slots[n.slot].pos = int32(len(s.heap) - 1)
 	s.siftUp(len(s.heap) - 1)

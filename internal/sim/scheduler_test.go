@@ -847,3 +847,59 @@ func FuzzSchedulerMatchesModel(f *testing.F) {
 		}
 	})
 }
+
+// TestStaleHandleInactiveAfterReset: Reset drops every pending event and
+// its callback, keeps the slot arena, and advances every slot's
+// generation, so no handle from before the reset, pending, fired or
+// canceled, reads as Active, not even once the next run fills its slot
+// again; and the reset scheduler runs like a new one.
+func TestStaleHandleInactiveAfterReset(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	count := func() { fired++ }
+	var old []Handle
+	for i := 0; i < 40; i++ {
+		// Near events fill the wheel, far ones the heap.
+		old = append(old, s.At(Time(i)*Time(time.Millisecond), count), s.At(Time(i)*Time(time.Hour), count))
+	}
+	s.Cancel(old[3])
+	if err := s.Run(Time(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	slots := len(s.slots)
+	s.Reset()
+	if s.Pending() != 0 || s.Now() != 0 || s.Fired() != 0 || s.ScheduledOps() != 0 {
+		t.Fatalf("after Reset: %d pending, clock %v, %d fired, %d ops", s.Pending(), s.Now(), s.Fired(), s.ScheduledOps())
+	}
+	if len(s.slots) != slots {
+		t.Errorf("Reset kept %d of %d slots", len(s.slots), slots)
+	}
+	for i, sl := range s.slots {
+		if sl.fn != nil || sl.arg != nil {
+			t.Errorf("slot %d kept its callback after Reset", i)
+		}
+	}
+	// Refill every slot, twice over, with events of the next run.
+	fired = 0
+	var fresh []Handle
+	for i := 0; i < 2*slots; i++ {
+		fresh = append(fresh, s.At(Time(i), count))
+	}
+	for i, h := range old {
+		if s.Active(h) {
+			t.Errorf("handle %d from before Reset reads as Active", i)
+		}
+		s.Cancel(h) // a no-op: it must not cancel the next run's event
+	}
+	for i, h := range fresh {
+		if !s.Active(h) {
+			t.Errorf("event %d of the next run is not Active", i)
+		}
+	}
+	if err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != len(fresh) {
+		t.Errorf("the reset scheduler fired %d events, want %d", fired, len(fresh))
+	}
+}

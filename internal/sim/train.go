@@ -62,7 +62,9 @@ func NewTrain(s *Scheduler, lane *Lane, fn func(recv, arg any), recv any) *Train
 	return tr
 }
 
-// Init makes tr an empty coalescing train in place (see NewTrain).
+// Init makes tr an empty coalescing train in place (see NewTrain). A
+// train initialized again keeps its ring, emptied (see Recycle), so a
+// reused train grows only past the longest burst it has ever held.
 func (tr *Train) Init(s *Scheduler, lane *Lane, fn func(recv, arg any), recv any) {
 	if fn == nil {
 		panic("sim: Train requires a callback")
@@ -70,7 +72,22 @@ func (tr *Train) Init(s *Scheduler, lane *Lane, fn func(recv, arg any), recv any
 	if lane == nil {
 		lane = &s.defLane
 	}
-	*tr = Train{s: s, lane: lane, fn: fn, recv: recv}
+	tr.Recycle()
+	tr.s, tr.lane, tr.fn, tr.recv = s, lane, fn, recv
+}
+
+// Recycle empties tr down to its ring: every buffered element goes, its
+// arg cleared so the train keeps no packet alive, and so do the
+// scheduler, lane and receiver, until the next Init. pop clears each
+// element's arg as it leaves, so only the buffered ones need clearing,
+// and an empty train's ring is not touched at all. A train with a
+// pending head event must not fire again: recycle it only once its
+// scheduler is reset or discarded.
+func (tr *Train) Recycle() {
+	for tr.n > 0 {
+		tr.pop()
+	}
+	*tr = Train{buf: tr.buf, mask: tr.mask}
 }
 
 // SetEager makes the train file every element as its own scheduler event
@@ -118,7 +135,7 @@ func (tr *Train) grow() {
 		// hold more than a packet or two, and there is one per link.
 		size = 2
 	}
-	//burst:alloc-ok train-ring growth is amortized doubling, bounded by the longest coalesced burst
+	//burst:alloc-ok train-ring growth is amortized doubling to the longest burst the train has ever held; Init keeps the ring, so a run arena grows it once per high-water mark, not once per run
 	buf := make([]trainElem, size)
 	for i := 0; i < tr.n; i++ {
 		buf[i] = tr.buf[(tr.head+i)&tr.mask]

@@ -388,3 +388,38 @@ func TestLanesNextIntoContinuesNext(t *testing.T) {
 		t.Errorf("NextInto lane draws %d then %d, want consecutive ordinals", a, b)
 	}
 }
+
+// TestTrainRecycleKeepsRing: Recycle clears every buffered element's arg
+// and keeps the ring, and a train initialized again on it delivers as a
+// new one does.
+func TestTrainRecycleKeepsRing(t *testing.T) {
+	s := NewScheduler()
+	var got []any
+	deliver := func(_, arg any) { got = append(got, arg) }
+	var tr Train
+	tr.Init(s, nil, deliver, nil)
+	for i := 0; i < 9; i++ {
+		tr.Add(Time(i), i)
+	}
+	size := len(tr.buf)
+	s.Reset()
+	tr.Recycle()
+	if len(tr.buf) != size || tr.Len() != 0 {
+		t.Fatalf("recycled train: ring %d, %d buffered; want ring %d, empty", len(tr.buf), tr.Len(), size)
+	}
+	for i, e := range tr.buf {
+		if e.arg != nil {
+			t.Errorf("slot %d kept arg %v", i, e.arg)
+		}
+	}
+	tr.Init(s, nil, deliver, nil)
+	for i := 0; i < 3; i++ {
+		tr.Add(Time(i), i)
+	}
+	if err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != 0 || got[2] != 2 || len(tr.buf) != size {
+		t.Errorf("reinitialized train delivered %v with ring %d, want [0 1 2] with ring %d", got, len(tr.buf), size)
+	}
+}

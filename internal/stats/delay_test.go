@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -50,15 +51,21 @@ func (d *refDelayDist) p95() float64 {
 // and the in-place percentile give bit for bit the mean and P95 of the
 // append, copy and sort path, for flow counts and sample counts that stay
 // under the cap, fill a single flow past it, and overflow it in total.
+// The stores are reset and reused from trial to trial and the merge
+// scratch is carried along, as a run arena does, so a reused store must
+// keep the same samples as a new one whether it shrinks or grows.
 func TestDelayMergeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	pool := make([]DelayDist, 12)
+	var scratch []float64
 	for trial := 0; trial < 60; trial++ {
 		flows := rng.Intn(12)
 		maxObs := []int{0, 50, 3000, 20000, 200000}[trial%5]
-		dists := make([]DelayDist, flows)
+		dists := pool[:flows]
 		var ref refDelayDist
 		total := 0
 		for i := range dists {
+			dists[i].Reset()
 			var r refDelayDist
 			obs := 0
 			if maxObs > 0 {
@@ -79,7 +86,8 @@ func TestDelayMergeMatchesReference(t *testing.T) {
 			total += len(r.samples)
 			ref.merge(&r)
 		}
-		mean, p95 := MergeDelays(flows, func(i int) *DelayDist { return &dists[i] })
+		var mean, p95 float64
+		mean, p95, scratch = MergeDelays(scratch, flows, func(i int) *DelayDist { return &dists[i] })
 		if math.Float64bits(mean) != math.Float64bits(ref.w.Mean()) ||
 			math.Float64bits(p95) != math.Float64bits(ref.p95()) {
 			t.Errorf("trial %d (%d flows, %d samples): mean %v p95 %v, want %v %v",
@@ -105,5 +113,40 @@ func TestDelayChunksNeverExceedCap(t *testing.T) {
 	}
 	if d.sampled() != maxDelaySamples || room != maxDelaySamples {
 		t.Errorf("sampled %d in room for %d, want %d", d.sampled(), room, maxDelaySamples)
+	}
+}
+
+// TestDelayResetKeepsChunks: a reset store refills the chunks it kept, in
+// order, holds the samples a new store would, and allocates nothing while
+// it keeps no more than it kept before.
+func TestDelayResetKeepsChunks(t *testing.T) {
+	fill := func(d *DelayDist, n int) {
+		for i := 0; i < n; i++ {
+			d.Observe(float64(i % 977))
+		}
+	}
+	var d DelayDist
+	fill(&d, delayStride*maxDelaySamples)
+	if allocs := testing.AllocsPerRun(5, func() {
+		d.Reset()
+		fill(&d, delayStride*maxDelaySamples)
+	}); allocs != 0 {
+		t.Errorf("refilling a reset store allocated %.0f times, want 0", allocs)
+	}
+	for _, n := range []int{0, 1, 9, 5000, delayStride * maxDelaySamples * 2} {
+		var fresh DelayDist
+		d.Reset()
+		fill(&d, n)
+		fill(&fresh, n)
+		got := append(d.full[:len(d.full):len(d.full)], d.tail)
+		want := append(fresh.full, fresh.tail)
+		if len(got) != len(want) || d.Count() != fresh.Count() {
+			t.Fatalf("n=%d: %d chunks, %d observations; want %d, %d", n, len(got), d.Count(), len(want), fresh.Count())
+		}
+		for k := range got {
+			if !slices.Equal(got[k], want[k]) || cap(got[k]) != cap(want[k]) {
+				t.Errorf("n=%d chunk %d: %v (room %d), want %v (room %d)", n, k, got[k], cap(got[k]), want[k], cap(want[k]))
+			}
+		}
 	}
 }

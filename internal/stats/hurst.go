@@ -14,22 +14,33 @@ import "math"
 // as m^(2H-2), so a log-log regression of variance against m has slope
 // 2H-2. It returns 0.5 (no long-range dependence) when the series is too
 // short or degenerate to regress.
+//
+// Each level's block means stream into its variance in block order, the
+// order Summarize(Aggregate(xs, m)) adds them in, so the estimate is bit
+// for bit that of aggregating every level into a slice of its own, without
+// allocating one.
 func HurstVarianceTime(xs []float64) float64 {
 	if len(xs) < 16 {
 		return 0.5
 	}
-	var logM, logV []float64
+	// Levels double m while len(xs)/m >= 8, so an int length has fewer
+	// than 64 of them.
+	var logM, logV [64]float64
+	levels := 0
 	for m := 1; len(xs)/m >= 8; m *= 2 {
-		agg := Aggregate(xs, m)
-		w := Summarize(agg)
+		var w Welford
+		for i := 0; i+m <= len(xs); i += m {
+			w.Add(blockMean(xs[i : i+m]))
+		}
 		v := w.PopVariance()
 		if v <= 0 {
 			continue
 		}
-		logM = append(logM, math.Log(float64(m)))
-		logV = append(logV, math.Log(v))
+		logM[levels] = math.Log(float64(m))
+		logV[levels] = math.Log(v)
+		levels++
 	}
-	slope, ok := regressSlope(logM, logV)
+	slope, ok := regressSlope(logM[:levels], logV[:levels])
 	if !ok {
 		return 0.5
 	}

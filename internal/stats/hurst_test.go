@@ -141,3 +141,52 @@ func TestAutocorrelation(t *testing.T) {
 		t.Error("degenerate autocorrelation inputs must return 0")
 	}
 }
+
+// refHurstVarianceTime is the variance-time estimate as it aggregated each
+// level into a slice of its own.
+func refHurstVarianceTime(xs []float64) float64 {
+	if len(xs) < 16 {
+		return 0.5
+	}
+	var logM, logV []float64
+	for m := 1; len(xs)/m >= 8; m *= 2 {
+		w := Summarize(Aggregate(xs, m))
+		v := w.PopVariance()
+		if v <= 0 {
+			continue
+		}
+		logM = append(logM, math.Log(float64(m)))
+		logV = append(logV, math.Log(v))
+	}
+	slope, ok := regressSlope(logM, logV)
+	if !ok {
+		return 0.5
+	}
+	return clampHurst(1 + slope/2)
+}
+
+// TestHurstVarianceTimeMatchesAggregate: streaming each level's block means
+// gives bit for bit the estimate of aggregating every level into a slice,
+// on count-like and continuous series of many lengths, and allocates
+// nothing.
+func TestHurstVarianceTimeMatchesAggregate(t *testing.T) {
+	g := lcg(11)
+	for _, n := range []int{15, 16, 17, 63, 64, 100, 399, 1000, 4097} {
+		for _, counts := range []bool{true, false} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = g.gaussian()*3 + 10
+				if counts {
+					xs[i] = math.Round(math.Abs(xs[i]))
+				}
+			}
+			got, want := HurstVarianceTime(xs), refHurstVarianceTime(xs)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d counts=%v: H=%v, want %v", n, counts, got, want)
+			}
+			if allocs := testing.AllocsPerRun(3, func() { HurstVarianceTime(xs) }); allocs != 0 {
+				t.Errorf("n=%d: HurstVarianceTime allocated %.0f times, want 0", n, allocs)
+			}
+		}
+	}
+}

@@ -50,16 +50,27 @@ func (c *WindowCounter) ObserveN(now sim.Time, n float64) {
 	c.current += n
 }
 
+// Reserve sizes the count storage for every window that closes by end, so
+// a counter observed up to end never regrows it. Call it after Open; an
+// unopened counter reserves from TimeZero.
+func (c *WindowCounter) Reserve(end sim.Time) {
+	if n := int(end.Sub(c.start)/c.window) + 1; n > cap(c.counts) {
+		grown := make([]float64, len(c.counts), n)
+		copy(grown, c.counts)
+		c.counts = grown
+	}
+}
+
 // Close flushes through the end instant and returns the completed window
 // counts. The partial final window is discarded: it would bias the
-// distribution toward small counts.
+// distribution toward small counts. The slice is the counter's own
+// storage, handed over without a copy: the caller owns it and must not
+// observe more events; closing again at the same end returns it again.
 func (c *WindowCounter) Close(end sim.Time) []float64 {
 	if c.opened {
 		c.rollTo(end)
 	}
-	out := make([]float64, len(c.counts))
-	copy(out, c.counts)
-	return out
+	return c.counts
 }
 
 // Counts returns the completed window counts so far.
@@ -98,11 +109,16 @@ func Aggregate(xs []float64, m int) []float64 {
 	}
 	out := make([]float64, 0, len(xs)/m)
 	for i := 0; i+m <= len(xs); i += m {
-		var sum float64
-		for _, x := range xs[i : i+m] {
-			sum += x
-		}
-		out = append(out, sum/float64(m))
+		out = append(out, blockMean(xs[i:i+m]))
 	}
 	return out
+}
+
+// blockMean is the mean of one aggregation block, summed left to right.
+func blockMean(block []float64) float64 {
+	var sum float64
+	for _, x := range block {
+		sum += x
+	}
+	return sum / float64(len(block))
 }

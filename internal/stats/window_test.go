@@ -187,3 +187,35 @@ func TestWindowCounterCompletedBy(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowCounterReserveAndClose: a counter reserved for its horizon
+// never regrows on the way there, and Close hands over the counter's own
+// counts, the same ones again when it closes twice at the same end, as
+// collect does for the first bottleneck of a multi-bottleneck run.
+func TestWindowCounterReserveAndClose(t *testing.T) {
+	wc, err := NewWindowCounter(10 * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc.Open(at(5))
+	wc.Reserve(at(1000))
+	reserved := wc.counts[:1]
+	for ms := int64(5); ms < 1000; ms += 7 {
+		wc.Observe(at(ms))
+	}
+	first := wc.Close(at(1000))
+	if &first[0] != &reserved[0] {
+		t.Error("the counter regrew its reserved storage before the reserved end")
+	}
+	if len(first) != 99 {
+		t.Fatalf("%d windows closed by 1000 ms from 5 ms, want 99", len(first))
+	}
+	total := 0.0
+	for _, c := range first {
+		total += c
+	}
+	if again := wc.Close(at(1000)); &again[0] != &first[0] || len(again) != len(first) || total != 142 {
+		t.Errorf("second Close: %d counts (shared %v), total %v; want the same %d, total 142",
+			len(again), &again[0] == &first[0], total, len(first))
+	}
+}

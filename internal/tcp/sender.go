@@ -118,14 +118,17 @@ func InitSender(s *Sender, cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
+	// A sender initialized again reuses its segment ring and scoreboard,
+	// cleared, when they are large enough.
 	ring := windowRingSize(cfg.MaxWindow)
+	segs, sacked := reuse(s.segs, int(ring)), s.sacked
 	*s = Sender{
 		cfg:      cfg,
 		cwnd:     cfg.InitialCwnd,
 		ssthresh: cfg.InitialSsthresh,
 		rto:      cfg.InitialRTO,
 		backoff:  1,
-		segs:     make([]segment, ring),
+		segs:     segs,
 		segMask:  ring - 1,
 	}
 	switch cfg.Variant {
@@ -133,13 +136,24 @@ func InitSender(s *Sender, cfg Config) error {
 		s.cc = newVegasCC(cfg.Vegas)
 	case SACK:
 		s.cc = &sackCC{}
-		s.sacked = make([]uint64, (ring+63)/64)
+		s.sacked = reuse(sacked, int(ring+63)/64)
 	default:
 		s.reno.flavor = cfg.Variant
 		s.cc = &s.reno
 	}
 	s.rtxTimer.Init(cfg.Sched, senderTimeout, s)
 	return nil
+}
+
+// reuse returns buf resized to n and zeroed, or a new slice when buf is
+// too small.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // senderTimeout is the retransmission timer's expiry callback.

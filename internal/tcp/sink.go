@@ -73,12 +73,17 @@ func InitSink(s *Sink, cfg Config) error {
 	if cfg.Out == nil {
 		return fmt.Errorf("tcp sink flow %d: nil wire", cfg.Flow)
 	}
+	// A sink initialized again reuses its reorder bitmap, cleared, when it
+	// is large enough, and its delay store's chunks.
 	ring := windowRingSize(cfg.MaxWindow)
+	delays := s.delays
+	delays.Reset()
 	*s = Sink{
 		cfg:     cfg,
-		oooBits: make([]uint64, (ring+63)/64),
+		oooBits: reuse(s.oooBits, int(ring+63)/64),
 		oooMask: ring - 1,
 		oooRing: ring,
+		delays:  delays,
 	}
 	s.delayTimer.Init(cfg.Sched, sinkDelayTimeout, s)
 	return nil
