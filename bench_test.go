@@ -415,10 +415,8 @@ func (nullWire) Send(*packet.Packet) {}
 func stateBytesPerFlow(b *testing.B, cfg core.Config) float64 {
 	b.Helper()
 	tc := tcp.Config{
-		Variant:   tcp.Reno,
-		MaxWindow: cfg.MaxWindow,
-		Out:       nullWire{},
-		Sched:     sim.NewScheduler(),
+		Ends:   tcp.Ends{Out: nullWire{}},
+		Params: tcp.Params{Variant: tcp.Reno, MaxWindow: cfg.MaxWindow, Sched: sim.NewScheduler()},
 	}
 	snd, err := tcp.NewSender(tc)
 	if err != nil {

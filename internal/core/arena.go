@@ -5,10 +5,12 @@ import (
 	"slices"
 	"sync"
 
+	"tcpburst/internal/node"
 	"tcpburst/internal/packet"
 	"tcpburst/internal/sim"
 	"tcpburst/internal/tcp"
 	"tcpburst/internal/traffic"
+	"tcpburst/internal/transport"
 )
 
 // arena is the run-scoped storage of the packet engine: the blocks
@@ -25,23 +27,30 @@ import (
 // initializer, which keeps only capacity: client j of the next run is
 // built into client j's slot, and inherits its train, pipeline, queue and
 // segment rings and its sink's delay chunks, emptied, but nothing they
-// held. release empties the arena before it goes back: every scheduler
-// is reset, which clears every pending callback and advances every slot's
+// held; the server hosts and gateways keep their dispatch and routing
+// tables, cleared. release empties the arena before it goes back: every
+// packet still in flight goes back to a pool, every scheduler is reset,
+// which clears every pending callback and advances every slot's
 // generation, and every link slot is recycled, dropping whatever could
 // still reach a packet, so an idle arena keeps no packet of the run alive
-// but those its pools hold for reuse. Ring capacity never decides an outcome, so the arena leaves
-// every digest unchanged (TestArenaReuseMatchesFreshRun).
+// but those its pools hold for reuse. Ring capacity never decides an
+// outcome, so the arena leaves every digest unchanged
+// (TestArenaReuseMatchesFreshRun).
 //
 // The fluid backend builds no network and takes no arena.
 type arena struct {
-	scheds  []*sim.Scheduler
-	pools   []*packet.Pool
-	fixed   []linkSlot
-	clients []client
-	flows   []*flow
-	sinks   []tcp.Sink
-	poisson []traffic.Poisson
-	pareto  []traffic.ParetoOnOff
+	scheds   []*sim.Scheduler
+	pools    []*packet.Pool
+	hosts    []node.Host
+	gateways []node.Gateway
+	fixed    []linkSlot
+	clients  []client
+	flows    []*flow
+	sinks    []tcp.Sink
+	udpSends []transport.UDPSender
+	udpSinks []transport.UDPSink
+	poisson  []traffic.Poisson
+	pareto   []traffic.ParetoOnOff
 	// queueSamples holds the queue probe's samples; delays is the merged
 	// delay samples' scratch.
 	queueSamples []float64
@@ -130,12 +139,15 @@ func (a *arena) schedulers(k int) []*sim.Scheduler {
 }
 
 // packetPools returns k packet pools with fresh counters, each keeping
-// the free list its earlier runs left.
+// the free list its earlier runs left. The counters of a released run
+// stay readable until the arena's next run takes its pools.
 func (a *arena) packetPools(k int) []*packet.Pool {
 	pools := take(&a.pools, k)
 	for s := range pools {
 		if pools[s] == nil {
 			pools[s] = packet.NewPool()
+		} else {
+			pools[s].Reset()
 		}
 	}
 	return pools

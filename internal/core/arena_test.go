@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tcpburst/internal/queue"
 )
 
 // runOnArena runs cfg on arena a, as RunContext does on an idle one, and
@@ -46,8 +48,8 @@ func runOnArena(t *testing.T, cfg Config, a *arena) string {
 // TestArenaReuseMatchesFreshRun runs, on one goroutine and one arena, a
 // sequence whose shape shrinks and grows: client counts, protocols,
 // disciplines, traffic models, topology and shard count all change from
-// run to run, so each run inherits blocks, rings, chunks, schedulers and
-// pools shaped by another. Every run's summary digest must equal its
+// run to run, so each run inherits blocks, rings, chunks, tables,
+// schedulers and pools shaped by another. Every run's summary digest must equal its
 // golden row, or, where the table has none, the digest of the same config
 // run first on a fresh arena.
 func TestArenaReuseMatchesFreshRun(t *testing.T) {
@@ -76,9 +78,11 @@ func TestArenaReuseMatchesFreshRun(t *testing.T) {
 	}{
 		{"reno/red n60", "reno/red/n60", DefaultConfig(60, Reno, RED)},
 		{"vegas n4", "", DefaultConfig(4, Vegas, FIFO)},
+		{"udp n60", "udp/n60", DefaultConfig(60, UDP, FIFO)},
 		{"pareto n40", "", pareto},
 		{"parking lot", "", lot},
 		{"n200 shards2", "", sharded},
+		{"udp n39 after", "udp/n39", DefaultConfig(39, UDP, FIFO)},
 		{"reno/red n60 again", "reno/red/n60", DefaultConfig(60, Reno, RED)},
 	}
 	want := make([]string, len(steps))
@@ -148,6 +152,120 @@ func TestReleaseEmptiesArena(t *testing.T) {
 		if l := &slots[i].link; l.Queue() != nil || slots[i].fifo.Len() != 0 {
 			t.Errorf("link slot %d kept queue %v, %d queued after release", i, l.Queue(), slots[i].fifo.Len())
 		}
+	}
+}
+
+// TestReleaseReturnsEveryPacket: release puts every packet still in
+// flight at the horizon back into a pool exactly once (a second Put of one
+// packet panics), so after release the pools have taken back every packet
+// they handed out, and a serial run repeated on the same arena allocates
+// no packet. In a serial run that holds pool by pool; in a sharded run
+// packets cross shards and go back to the pool of the shard that
+// consumes them, so it holds over the run's pools together. Each run
+// leaves packets in serialization, in trains, in its queues, the
+// bottleneck discipline's among them, or, sharded, in crossing
+// deliveries; the canceled ones stop between windows with crossings
+// still in the shard outboxes.
+func TestReleaseReturnsEveryPacket(t *testing.T) {
+	spec := func(s string) *queue.Spec {
+		q, err := queue.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &q
+	}
+	congested := func(p Protocol, g GatewayQueue) Config {
+		cfg := DefaultConfig(60, p, g)
+		cfg.Duration = 2 * time.Second
+		return cfg
+	}
+	cases := map[string]Config{
+		"reno/fifo":    congested(Reno, FIFO),
+		"reno/red":     congested(Reno, RED),
+		"reno/drr":     congested(Reno, DRR),
+		"sack/fifo":    congested(Sack, FIFO),
+		"vegas/fifo":   congested(Vegas, FIFO),
+		"delayack/red": congested(RenoDelayAck, RED),
+		"udp/fifo":     congested(UDP, FIFO),
+	}
+	for name, q := range map[string]string{"codel": "codel", "pie": "pie", "tokenbucket": "tokenbucket?rate=2000"} {
+		cfg := congested(Reno, FIFO)
+		cfg.Gateway, cfg.Queue = 0, spec(q)
+		cases["reno/"+name] = cfg
+	}
+	lossy := congested(Reno, FIFO)
+	lossy.WireLossProb = 0.01
+	cases["reno/fifo lossy"] = lossy
+	eager := congested(Reno, FIFO)
+	eager.DisableBatching = true
+	cases["reno/fifo unbatched"] = eager
+	sharded := congested(Reno, FIFO)
+	sharded.Clients, sharded.Shards = 400, 2
+	cases["reno/fifo shards2"] = sharded
+	lot := Config{ParkingLot: &ParkingLot{Long: 20, Hop1: 20, Hop2: 20}, Protocol: Reno, Duration: 2 * time.Second}
+	cases["parking lot"] = lot
+	lot.Shards = 2
+	cases["parking lot shards2"] = lot
+	canceled := sharded
+	canceled.Duration = 30 * time.Second
+	cases["reno/fifo shards2 canceled"] = canceled
+	cases["parking lot shards2 canceled"] = lot
+
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg = cfg.WithDefaults()
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if strings.HasSuffix(name, "canceled") {
+				c, cancel := context.WithCancel(ctx)
+				cancel()
+				ctx = c
+			}
+			a := new(arena)
+			run := func() *network {
+				n, err := buildTopology(describe(cfg), a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := n.measure(ctx); (err != nil) != (ctx.Err() != nil) {
+					t.Fatalf("measure: %v", err)
+				}
+				return n
+			}
+			n := run()
+			live := func() (sum int) {
+				for _, p := range n.pools {
+					sum += p.Live()
+				}
+				return sum
+			}
+			if live() <= 0 {
+				t.Fatalf("%d packets in flight at the horizon, want some to return", live())
+			}
+			n.release()
+			if got := live(); got != 0 {
+				t.Errorf("after release the pools miss %d packets", got)
+			}
+			if len(n.pools) == 1 {
+				if ctx.Err() == nil {
+					// Its pool now holds every packet the run allocated, so
+					// the same run again on the arena allocates none.
+					again := run()
+					if _, _, allocs := again.pools[0].Stats(); allocs != 0 {
+						t.Errorf("the same run again on the arena allocated %d packets", allocs)
+					}
+					again.release()
+				}
+				return
+			}
+			for s, p := range n.pools {
+				if gets, puts, _ := p.Stats(); gets == 0 || puts == 0 {
+					t.Errorf("shard %d pool: %d gets, %d puts", s, gets, puts)
+				}
+			}
+		})
 	}
 }
 

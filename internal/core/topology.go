@@ -415,19 +415,24 @@ func buildTopology(t topology, a *arena) (*network, error) {
 	for s := 0; s < k; s++ {
 		n.tels[s] = newTelem(cfg)
 	}
-	hosts := make([]*node.Host, t.hosts)
-	for h := range hosts {
-		hosts[h] = node.NewHost(packet.Addr(1 + h))
-		hosts[h].SetPool(n.pools[place.host[h]])
-	}
-	gateways := make([]*node.Gateway, t.gateways)
-	attached := make([]bool, t.gateways)
-	for g := range gateways {
-		gateways[g] = node.NewGateway(packet.Addr(g))
-		gateways[g].SetPool(n.pools[place.gw[g]])
-	}
+	attached, fanIn := make([]bool, t.gateways), make([]int, t.hosts)
 	for _, grp := range t.groups {
 		attached[grp.attach] = attached[grp.attach] || grp.clients > 0
+		fanIn[grp.dst] += grp.clients
+	}
+	// The hosts and gateways come from the arena, their dispatch and
+	// routing tables sized for every flow and address up front.
+	hosts := take(&a.hosts, t.hosts)
+	for h := range hosts {
+		node.InitHost(&hosts[h], packet.Addr(1+h))
+		hosts[h].SetPool(n.pools[place.host[h]])
+		hosts[h].Reserve(fanIn[h])
+	}
+	gateways := take(&a.gateways, t.gateways)
+	for g := range gateways {
+		node.InitGateway(&gateways[g], packet.Addr(g))
+		gateways[g].SetPool(n.pools[place.gw[g]])
+		gateways[g].Reserve(1 + t.hosts + place.clients)
 	}
 
 	// xdeliver returns the XDeliver hook of a link on shard src into
@@ -446,7 +451,7 @@ func buildTopology(t topology, a *arena) (*network, error) {
 		lookahead = min(lookahead, d)
 		key := [2]int{src, g}
 		if hooks[key] == nil {
-			c := &crossing{n: n, src: src, g: g, gw: gateways[g]}
+			c := &crossing{n: n, src: src, g: g, gw: &gateways[g]}
 			c.deliver = c.receive
 			hooks[key] = c.hand
 		}
@@ -455,7 +460,7 @@ func buildTopology(t topology, a *arena) (*network, error) {
 	// route makes dst, served by gateway serve over its link in, reachable
 	// from every gateway.
 	route := func(dst packet.Addr, serve int, in *link.Link) error {
-		for g, gw := range gateways {
+		for g := range gateways {
 			via := in
 			if g != serve {
 				i, ok := toward[[2]int{g, serve}]
@@ -464,7 +469,7 @@ func buildTopology(t topology, a *arena) (*network, error) {
 				}
 				via = n.links[i]
 			}
-			if err := gw.AddRoute(dst, via); err != nil {
+			if err := gateways[g].AddRoute(dst, via); err != nil {
 				return err
 			}
 		}
@@ -479,53 +484,23 @@ func buildTopology(t topology, a *arena) (*network, error) {
 		return child
 	}
 	var lanes sim.Lanes
-	// initLink builds tl on shard s into ls, delivering to dst (through xd
+	// initLink wires tl into ls on the shared block p, queueing in q or,
+	// when q is nil, in the slot's FIFO, and delivering to dst (through xd
 	// when it crosses shards).
-	initLink := func(ls *linkSlot, s int, tl topoLink, dst link.Receiver, xd func(sim.Time, uint64, *packet.Packet), overprov bool) error {
-		var q queue.Discipline
-		var metrics link.Metrics
-		if !tl.bottleneck {
+	initLink := func(ls *linkSlot, p *link.Params, tl topoLink, q queue.Discipline, dst link.Receiver, xd func(sim.Time, uint64, *packet.Packet)) error {
+		if q == nil {
 			queue.InitFIFO(&ls.fifo, tl.buffer)
 			q = &ls.fifo
-		} else {
-			qrng := rng
-			if tl.queueStream != 0 {
-				qrng = fork(rng, tl.queueStream)
-			}
-			// A discipline that draws randomness forks the queue stream
-			// (1<<20) at this point in the build sequence; the others
-			// never call the closure, so no downstream stream shifts.
-			var err error
-			qfork := func() *sim.RNG { return fork(qrng, 1<<20) }
-			if q, err = cfg.buildQueue(qfork, n.tels[s].aqm); err != nil {
-				return err
-			}
-			if drr, ok := q.(*queue.DRR); ok {
-				// Longest-queue eviction consumes the displaced packet
-				// inside the discipline; reclaim it there.
-				drr.OnEvict(n.pools[s].Put)
-			}
-			metrics = n.tels[s].link
 		}
 		lanes.NextInto(&ls.lane)
-		lc := link.Config{
-			Name:    tl.name,
-			RateBps: tl.rateBps,
-			Delay:   tl.delay,
-			Queue:   q,
-			Dst:     dst,
-			Pool:    n.pools[s],
-			Metrics: metrics,
-			Lane:    &ls.lane,
-
-			XDeliver:        xd,
-			DisableBatching: cfg.DisableBatching,
-			Overprovisioned: overprov,
-		}
-		if tl.lossProb > 0 {
-			lc.LossProb, lc.LossRNG = tl.lossProb, fork(rng, 1<<21)
-		}
-		return link.Init(&ls.link, n.scheds[s], lc)
+		return link.Init(&ls.link, p, link.Wiring{
+			Name:     tl.name,
+			Delay:    tl.delay,
+			Queue:    q,
+			Dst:      dst,
+			Lane:     &ls.lane,
+			XDeliver: xd,
+		})
 	}
 
 	fixed := n.fixed
@@ -540,11 +515,47 @@ func buildTopology(t topology, a *arena) (*network, error) {
 			// A fixed link into g carries packets for any node, so it stays
 			// local only when g and every client attached there share s.
 			local := s == place.gw[g] && (k <= t.gateways || !attached[g])
-			dst, xd = gateways[g], xdeliver(local, s, g, tl.delay)
+			dst, xd = &gateways[g], xdeliver(local, s, g, tl.delay)
 		} else {
-			dst = hosts[tl.to.index]
+			dst = &hosts[tl.to.index]
 		}
-		if err := initLink(&fixed[i], s, tl, dst, xd, proof); err != nil {
+		// Every fixed link has a block of its own. A bottleneck runs the
+		// gateway discipline and publishes the gateway telemetry.
+		lp := link.Params{
+			RateBps:         tl.rateBps,
+			Pool:            n.pools[s],
+			DisableBatching: cfg.DisableBatching,
+			Overprovisioned: proof,
+		}
+		var q queue.Discipline
+		if tl.bottleneck {
+			qrng := rng
+			if tl.queueStream != 0 {
+				qrng = fork(rng, tl.queueStream)
+			}
+			// A discipline that draws randomness forks the queue stream
+			// (1<<20) at this point in the build sequence; the others
+			// never call the closure, so no downstream stream shifts.
+			var err error
+			qfork := func() *sim.RNG { return fork(qrng, 1<<20) }
+			if q, err = cfg.buildQueue(qfork, n.tels[s].aqm); err != nil {
+				return nil, err
+			}
+			if drr, ok := q.(*queue.DRR); ok {
+				// Longest-queue eviction consumes the displaced packet
+				// inside the discipline; reclaim it there.
+				drr.OnEvict(n.pools[s].Put)
+			}
+			lp.Metrics = n.tels[s].link
+		}
+		if tl.lossProb > 0 {
+			lp.LossProb, lp.LossRNG = tl.lossProb, fork(rng, 1<<21)
+		}
+		p, err := link.NewParams(n.scheds[s], lp)
+		if err != nil {
+			return nil, fmt.Errorf("link %q: %w", tl.name, err)
+		}
+		if err := initLink(&fixed[i], p, tl, q, dst, xd); err != nil {
 			return nil, err
 		}
 		n.links[i] = &fixed[i].link
@@ -565,23 +576,26 @@ func buildTopology(t topology, a *arena) (*network, error) {
 	if cfg.ClientDelayJitter > 0 {
 		jitter = fork(rng, 1<<22)
 	}
-	// One block holds every client, one slab every TCP sink and one every
-	// traffic source, all from the arena. Each client is built into them in
-	// the order the digest contract fixes: its two lanes, then its traffic
-	// fork.
+	// One block holds every client, one slab each the TCP sinks, the UDP
+	// senders and sinks and the traffic sources, all from the arena. Each
+	// client is built into them in the order the digest contract fixes:
+	// its two lanes, then its traffic fork.
 	tcpClients := 0
 	for _, grp := range t.groups {
 		if grp.proto.IsTCP() {
 			tcpClients += grp.clients
 		}
 	}
+	udpClients := place.clients - tcpClients
 	clients := take(&a.clients, place.clients)
 	n.clients = clients
 	sinks := take(&a.sinks, tcpClients)[:0]
+	udpSends := take(&a.udpSends, udpClients)[:0]
+	udpSinks := take(&a.udpSinks, udpClients)[:0]
 	sources := a.sources(cfg, place.clients)
 	j := 0
 	for _, grp := range t.groups {
-		srv, ss := hosts[grp.dst], place.host[grp.dst]
+		srv, ss := &hosts[grp.dst], place.host[grp.dst]
 		// A TCP client's access and reverse queues can never fill when the
 		// buffer dwarfs the window: in-network packets of one flow are
 		// bounded by a window of originals plus a window of go-back-N
@@ -590,6 +604,17 @@ func buildTopology(t topology, a *arena) (*network, error) {
 		// pipelining. UDP clients are open-loop — nothing bounds their
 		// backlog — so their links keep the per-event path.
 		overprov := grp.proto.IsTCP() && cfg.AccessBufferPackets >= 2*cfg.MaxWindow
+		// The group's clients on one shard share one block for their
+		// access and reverse links and one for their TCP senders; its
+		// sinks, all on the sink host's shard, share one more.
+		pair, senders := make([]*link.Params, k), make([]*tcp.Params, k)
+		var sinkParams *tcp.Params
+		if grp.proto.IsTCP() && grp.clients > 0 {
+			var err error
+			if sinkParams, err = newTCPParams(cfg, grp.proto, n, ss); err != nil {
+				return nil, err
+			}
+		}
 		for c := 0; c < grp.clients; c, j = c+1, j+1 {
 			cl := &clients[j]
 			addr := packet.Addr(1 + t.hosts + j)
@@ -600,21 +625,33 @@ func buildTopology(t topology, a *arena) (*network, error) {
 			node.InitHost(host, addr)
 			host.SetPool(pool)
 
+			if pair[cs] == nil {
+				var err error
+				pair[cs], err = link.NewParams(sched, link.Params{
+					RateBps:         cfg.ClientRateBps,
+					Pool:            pool,
+					DisableBatching: cfg.DisableBatching,
+					Overprovisioned: overprov,
+				})
+				if err != nil {
+					return nil, fmt.Errorf("client links: %w", err)
+				}
+			}
 			delay := cfg.ClientDelay
 			if jitter != nil {
 				delay += sim.Duration(jitter.Uniform(0, float64(cfg.ClientDelayJitter)))
 			}
 			toGW, fromGW := clientLinkNames(j + 1)
-			pair := topoLink{name: toGW, rateBps: cfg.ClientRateBps, delay: delay, buffer: cfg.AccessBufferPackets}
+			tl := topoLink{name: toGW, delay: delay, buffer: cfg.AccessBufferPackets}
 			// An access link carries only packets for the group's sink host,
 			// whose egress at the gateway lives on the gateway's shard: it
 			// crosses exactly when the client sits elsewhere.
 			xd := xdeliver(cs == place.gw[grp.attach], cs, grp.attach, delay)
-			if err := initLink(&cl.access, cs, pair, gateways[grp.attach], xd, overprov); err != nil {
+			if err := initLink(&cl.access, pair[cs], tl, nil, &gateways[grp.attach], xd); err != nil {
 				return nil, err
 			}
-			pair.name = fromGW
-			if err := initLink(&cl.reverse, cs, pair, host, nil, overprov); err != nil {
+			tl.name = fromGW
+			if err := initLink(&cl.reverse, pair[cs], tl, nil, host, nil); err != nil {
 				return nil, err
 			}
 			access, reverse := &cl.access.link, &cl.reverse.link
@@ -626,34 +663,21 @@ func buildTopology(t topology, a *arena) (*network, error) {
 			*f = flow{proto: grp.proto, access: access, reverse: reverse}
 			var src transport.Source
 			if grp.proto.IsTCP() {
-				tcpCfg := tcp.Config{
-					Flow:              flowID,
-					Src:               addr,
-					Dst:               srv.Addr(),
-					Variant:           grp.proto.TCPVariant(),
-					PacketSize:        cfg.PacketSize,
-					AckSize:           cfg.AckSize,
-					MaxWindow:         cfg.MaxWindow,
-					MinRTO:            cfg.MinRTO,
-					DelayedAcks:       grp.proto == RenoDelayAck,
-					DelayedAckTimeout: cfg.DelayedAckTimeout,
-					Vegas:             cfg.Vegas,
-					Sched:             sched,
-					Pool:              pool,
-					Metrics:           tel.tcp,
+				if senders[cs] == nil {
+					var err error
+					if senders[cs], err = newTCPParams(cfg, grp.proto, n, cs); err != nil {
+						return nil, err
+					}
 				}
-				sendCfg := tcpCfg
-				sendCfg.Out = access
+				ends := tcp.Ends{Flow: flowID, Src: addr, Dst: srv.Addr(), Out: access}
 				sender := &cl.sender
-				if err := tcp.InitSender(sender, sendCfg); err != nil {
+				if err := tcp.InitSender(sender, senders[cs], ends); err != nil {
 					return nil, err
 				}
-				sinkCfg := tcpCfg
-				sinkCfg.Out = n.links[out[grp.dst]]
-				sinkCfg.Sched, sinkCfg.Pool, sinkCfg.Metrics = n.scheds[ss], n.pools[ss], n.tels[ss].tcp
+				ends.Out = n.links[out[grp.dst]]
 				sinks = sinks[:len(sinks)+1]
 				sink := &sinks[len(sinks)-1]
-				if err := tcp.InitSink(sink, sinkCfg); err != nil {
+				if err := tcp.InitSink(sink, sinkParams, ends); err != nil {
 					return nil, err
 				}
 				host.Bind(flowID, sender)
@@ -661,7 +685,9 @@ func buildTopology(t topology, a *arena) (*network, error) {
 				f.tcpSend, f.tcpSink = sender, sink
 				src = sender
 			} else {
-				sender, err := transport.NewUDPSender(transport.UDPConfig{
+				udpSends = udpSends[:len(udpSends)+1]
+				sender := &udpSends[len(udpSends)-1]
+				if err := transport.InitUDPSender(sender, transport.UDPConfig{
 					Flow:       flowID,
 					Src:        addr,
 					Dst:        srv.Addr(),
@@ -669,11 +695,12 @@ func buildTopology(t topology, a *arena) (*network, error) {
 					Out:        access,
 					Sched:      sched,
 					Pool:       pool,
-				})
-				if err != nil {
+				}); err != nil {
 					return nil, err
 				}
-				sink := transport.NewUDPSinkWithClock(n.scheds[ss])
+				udpSinks = udpSinks[:len(udpSinks)+1]
+				sink := &udpSinks[len(udpSinks)-1]
+				transport.InitUDPSink(sink, n.scheds[ss])
 				sink.SetPool(n.pools[ss])
 				host.Bind(flowID, sender)
 				srv.Bind(flowID, sink)
@@ -698,6 +725,24 @@ func buildTopology(t topology, a *arena) (*network, error) {
 		n.group, n.lookahead = shard.NewGroup(n.scheds, lookahead), lookahead
 	}
 	return n, nil
+}
+
+// newTCPParams returns the TCP block a group running proto shares on
+// shard s.
+func newTCPParams(cfg Config, proto Protocol, n *network, s int) (*tcp.Params, error) {
+	return tcp.NewParams(tcp.Params{
+		Variant:           proto.TCPVariant(),
+		PacketSize:        cfg.PacketSize,
+		AckSize:           cfg.AckSize,
+		MaxWindow:         cfg.MaxWindow,
+		MinRTO:            cfg.MinRTO,
+		DelayedAcks:       proto == RenoDelayAck,
+		DelayedAckTimeout: cfg.DelayedAckTimeout,
+		Vegas:             cfg.Vegas,
+		Sched:             n.scheds[s],
+		Pool:              n.pools[s],
+		Metrics:           n.tels[s].tcp,
+	})
 }
 
 // clientLinkNames returns the names of client i's access and reverse
@@ -783,15 +828,33 @@ func (n *network) check() {
 
 // release ends the run and returns its arena, emptied for the next run;
 // the network is unusable afterwards. Every RNG stream of the run ends,
-// recycling its register. Every scheduler is reset, which drops every
-// pending event and its callback, and every link slot is recycled, so the
-// arena keeps no packet of this run alive but those its pools hold for
-// reuse. The caller calls it once nothing will draw, collect and the
-// telemetry included.
+// recycling its register. Every packet still in flight goes back to a
+// pool, exactly once: those the pending crossing deliveries and the shard
+// outboxes carry, and, as each link slot is recycled, those in
+// serialization, in trains and in queues, the bottleneck discipline's
+// included. Then every scheduler is reset, which drops every pending
+// event and its callback, so the arena keeps no packet of this run alive
+// but those its pools hold for reuse. The pools' counters stay readable
+// until the arena's next run. The caller calls it once nothing will draw,
+// collect and the telemetry included.
 func (n *network) release() *arena {
 	n.check()
 	for _, g := range n.rngs {
 		g.Release()
+	}
+	// Crossing deliveries are the only events that carry a packet.
+	reclaim := func(pool *packet.Pool) func(any) {
+		return func(arg any) {
+			if p, ok := arg.(*packet.Packet); ok {
+				pool.Put(p)
+			}
+		}
+	}
+	for s, sched := range n.scheds {
+		sched.EachPending(reclaim(n.pools[s]))
+	}
+	if n.group != nil {
+		n.group.Drain(reclaim(n.pools[0]))
 	}
 	for i := range n.clients {
 		c := &n.clients[i]
@@ -805,16 +868,13 @@ func (n *network) release() *arena {
 	for _, s := range n.scheds {
 		s.Reset()
 	}
-	for _, p := range n.pools {
-		p.Reset()
-	}
 	a := n.arena
 	n.arena = nil
 	return a
 }
 
-// recycle drops every packet the slot's link and FIFO hold or reach,
-// keeping their rings.
+// recycle returns every packet the slot's link and FIFO hold to the
+// link's pool and drops every reference to one, keeping their rings.
 func (ls *linkSlot) recycle() {
 	ls.link.Recycle()
 	ls.fifo.Recycle()

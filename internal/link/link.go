@@ -5,6 +5,7 @@
 package link
 
 import (
+	"errors"
 	"fmt"
 
 	"tcpburst/internal/packet"
@@ -18,32 +19,16 @@ type Receiver interface {
 	Receive(p *packet.Packet)
 }
 
-// Config describes one unidirectional link.
-type Config struct {
+// Wiring is what one link holds of its own: its place in the topology.
+type Wiring struct {
 	// Name labels the link in traces, e.g. "gw->server".
 	Name string
-	// RateBps is the transmission rate in bits per second.
-	RateBps float64
 	// Delay is the one-way propagation delay.
 	Delay sim.Duration
 	// Queue buffers packets while the transmitter is busy. Required.
 	Queue queue.Discipline
 	// Dst receives packets after serialization plus propagation. Required.
 	Dst Receiver
-	// LossProb, when positive, drops each serialized packet on the wire
-	// with this probability — random (non-congestive) loss such as bit
-	// errors on a wireless hop. Requires LossRNG.
-	LossProb float64
-	// LossRNG supplies the loss coin flips; required iff LossProb > 0.
-	LossRNG *sim.RNG
-	// Pool, when non-nil, receives packets the link consumes: queue drops
-	// (after the OnDrop hook runs) and wire losses. A nil Pool leaves
-	// consumed packets to the garbage collector.
-	Pool *packet.Pool
-	// Metrics holds preregistered telemetry handles the link publishes
-	// into on its hot path; the zero value disables publication. The
-	// experiment harness attaches handles to the bottleneck link only.
-	Metrics Metrics
 	// Lane, when non-nil, is the link's ordinal stream in the canonical
 	// event order: delivery events draw their same-instant tie-break from
 	// it instead of the scheduler's default lane. Sharded runs require it —
@@ -58,6 +43,32 @@ type Config struct {
 	// Requires Lane. Serialization, queueing, and drop accounting still
 	// happen locally — only the delivery event crosses.
 	XDeliver func(at sim.Time, ord uint64, p *packet.Packet)
+}
+
+// Params is the part of a link's configuration that links built alike
+// share: the rate, the wire-loss settings, the pool, the telemetry
+// handles and the debug and pipelining flags, with the scheduler the
+// links run on. A builder makes one block with NewParams for every set of
+// links built alike and hands each link a pointer to it, so a link holds
+// only its Wiring and its own state. Links never write the block.
+type Params struct {
+	// RateBps is the transmission rate in bits per second.
+	RateBps float64
+	// LossProb, when positive, drops each serialized packet on the wire
+	// with this probability — random (non-congestive) loss such as bit
+	// errors on a wireless hop. Requires LossRNG.
+	LossProb float64
+	// LossRNG supplies the loss coin flips; required iff LossProb > 0.
+	// Links sharing a block draw from it in event order.
+	LossRNG *sim.RNG
+	// Pool, when non-nil, receives packets the link consumes: queue drops
+	// (after the OnDrop hook runs) and wire losses. A nil Pool leaves
+	// consumed packets to the garbage collector.
+	Pool *packet.Pool
+	// Metrics holds preregistered telemetry handles the link publishes
+	// into on its hot path; the zero value disables publication. The
+	// experiment harness attaches handles to the bottleneck link only.
+	Metrics Metrics
 	// DisableBatching forces one scheduled event per delivery and
 	// disables the idle-transmitter FIFO fast path — the debug escape
 	// hatch for bisecting burst-train coalescing. Results are
@@ -76,6 +87,33 @@ type Config struct {
 	// ever violated, so a wrong declaration fails loudly instead of
 	// silently diverging from the per-event schedule.
 	Overprovisioned bool
+
+	// sched is the scheduler the links run on; nil until NewParams.
+	sched *sim.Scheduler
+}
+
+// Config describes one link in full, for callers that build links one at
+// a time: New makes it a parameter block of its own.
+type Config struct {
+	Wiring
+	Params
+}
+
+// NewParams returns a block holding p for links on sched, or an error
+// for an invalid configuration.
+func NewParams(sched *sim.Scheduler, p Params) (*Params, error) {
+	switch {
+	case sched == nil:
+		return nil, errors.New("link: nil scheduler")
+	case p.RateBps <= 0:
+		return nil, fmt.Errorf("link: rate %v <= 0", p.RateBps)
+	case p.LossProb < 0 || p.LossProb >= 1:
+		return nil, fmt.Errorf("link: loss probability %v outside [0,1)", p.LossProb)
+	case p.LossProb > 0 && p.LossRNG == nil:
+		return nil, errors.New("link: loss probability without RNG")
+	}
+	p.sched = sched
+	return &p, nil
 }
 
 // Metrics bundles the telemetry handles a link publishes when attached.
@@ -106,8 +144,10 @@ type Stats struct {
 
 // Link is a unidirectional serializing link.
 type Link struct {
-	sched *sim.Scheduler
-	cfg   Config
+	// p is the block the link shares with the links built alike; w is
+	// its own wiring.
+	p *Params
+	w Wiring
 
 	busy  bool
 	stats Stats
@@ -159,60 +199,58 @@ type Link struct {
 	onDrop func(now sim.Time, p *packet.Packet)
 }
 
-// New returns a link bound to the scheduler, or an error for an invalid
-// configuration.
+// New returns a link bound to the scheduler, with a parameter block of
+// its own, or an error for an invalid configuration.
 func New(sched *sim.Scheduler, cfg Config) (*Link, error) {
+	p, err := NewParams(sched, cfg.Params)
+	if err != nil {
+		return nil, fmt.Errorf("link %q: %w", cfg.Name, err)
+	}
 	l := new(Link)
-	if err := Init(l, sched, cfg); err != nil {
+	if err := Init(l, p, cfg.Wiring); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// Init is New in place: it makes l a link bound to the scheduler, or
-// returns an error for an invalid configuration. Builders embed links in
-// larger blocks and initialize them here.
-func Init(l *Link, sched *sim.Scheduler, cfg Config) error {
+// Init makes l, in place, the link wired as w running on the shared block
+// p, which must come from NewParams; or returns an error for an invalid
+// wiring. Builders embed links in larger blocks and initialize them here.
+func Init(l *Link, p *Params, w Wiring) error {
 	switch {
-	case sched == nil:
-		return fmt.Errorf("link %q: nil scheduler", cfg.Name)
-	case cfg.RateBps <= 0:
-		return fmt.Errorf("link %q: rate %v <= 0", cfg.Name, cfg.RateBps)
-	case cfg.Delay < 0:
-		return fmt.Errorf("link %q: negative delay %v", cfg.Name, cfg.Delay)
-	case cfg.Queue == nil:
-		return fmt.Errorf("link %q: nil queue", cfg.Name)
-	case cfg.Dst == nil:
-		return fmt.Errorf("link %q: nil destination", cfg.Name)
-	case cfg.LossProb < 0 || cfg.LossProb >= 1:
-		return fmt.Errorf("link %q: loss probability %v outside [0,1)", cfg.Name, cfg.LossProb)
-	case cfg.LossProb > 0 && cfg.LossRNG == nil:
-		return fmt.Errorf("link %q: loss probability without RNG", cfg.Name)
-	case cfg.XDeliver != nil && cfg.Lane == nil:
-		return fmt.Errorf("link %q: cross-shard delivery without a lane", cfg.Name)
+	case p == nil || p.sched == nil:
+		return fmt.Errorf("link %q: parameters not made by NewParams", w.Name)
+	case w.Delay < 0:
+		return fmt.Errorf("link %q: negative delay %v", w.Name, w.Delay)
+	case w.Queue == nil:
+		return fmt.Errorf("link %q: nil queue", w.Name)
+	case w.Dst == nil:
+		return fmt.Errorf("link %q: nil destination", w.Name)
+	case w.XDeliver != nil && w.Lane == nil:
+		return fmt.Errorf("link %q: cross-shard delivery without a lane", w.Name)
 	}
 	// A link initialized again keeps its train ring and pipeline ring, so
 	// the link of a reused block regrows neither.
 	l.train.Recycle()
-	*l = Link{sched: sched, cfg: cfg, train: l.train, vBuf: l.vBuf}
+	*l = Link{p: p, w: w, train: l.train, vBuf: l.vBuf}
 	if len(l.vBuf) > 0 {
 		l.vMask = uint64(len(l.vBuf) - 1)
 	}
-	if dd, ok := cfg.Queue.(queue.DequeueDropper); ok {
+	if dd, ok := w.Queue.(queue.DequeueDropper); ok {
 		// Disciplines that head-drop inside Dequeue (CoDel) consume packets
 		// the Send path never sees rejected; route them through the same
 		// drop accounting and pool reclamation an Enqueue rejection gets.
-		dd.OnDequeueDrop(func(p *packet.Packet) {
+		dd.OnDequeueDrop(func(pkt *packet.Packet) {
 			l.stats.Drops++
-			l.cfg.Metrics.Drops.Inc()
+			l.p.Metrics.Drops.Inc()
 			if l.onDrop != nil {
-				l.onDrop(l.sched.Now(), p)
+				l.onDrop(l.p.sched.Now(), pkt)
 			}
-			l.cfg.Pool.Put(p)
+			l.p.Pool.Put(pkt)
 		})
 	}
-	if !cfg.DisableBatching {
-		l.fastFIFO, _ = cfg.Queue.(*queue.FIFO)
+	if !p.DisableBatching {
+		l.fastFIFO, _ = w.Queue.(*queue.FIFO)
 		// Serialization pipelining needs every serialize-done side effect
 		// to be provably absorbable: no drops (Overprovisioned FIFO), no
 		// wire-loss RNG draw, no cross-shard handoff, no time-sampled
@@ -221,9 +259,9 @@ func Init(l *Link, sched *sim.Scheduler, cfg Config) error {
 		// same-instant deliveries against other default-lane events, but
 		// within a lane the link owns they are the exact ordinals the
 		// per-event path would draw.
-		l.virtual = l.fastFIFO != nil && cfg.XDeliver == nil &&
-			cfg.Overprovisioned && cfg.Lane != nil && cfg.LossProb == 0 &&
-			!cfg.Metrics.Departures.Enabled() && !cfg.Metrics.QueueDepth.Enabled()
+		l.virtual = l.fastFIFO != nil && w.XDeliver == nil &&
+			p.Overprovisioned && w.Lane != nil && p.LossProb == 0 &&
+			!p.Metrics.Departures.Enabled() && !p.Metrics.QueueDepth.Enabled()
 	}
 	// The train is unused when deliveries cross shards; initializing it
 	// anyway empties a kept ring.
@@ -231,23 +269,30 @@ func Init(l *Link, sched *sim.Scheduler, cfg Config) error {
 	if l.virtual {
 		fn = deliverCredit
 	}
-	l.train.Init(sched, cfg.Lane, fn, l)
-	l.train.SetEager(cfg.DisableBatching)
+	l.train.Init(p.sched, w.Lane, fn, l)
+	l.train.SetEager(p.DisableBatching)
 	return nil
 }
 
-// Recycle drops every reference through which l could keep a packet of
-// its run alive: the packet in serialization, the deliveries in its
-// train, its queue, its destination, its cross-shard hook and its taps.
-// The rings stay for the next Init, which rewrites the rest; the link is
-// unusable until then. A run arena recycles every link of a finished run,
-// so Recycle writes only those fields. The pending events that would have
-// reached those packets must be gone first: recycle a link only once its
-// scheduler is reset or discarded. The pipeline ring holds no pointers.
+// Recycle ends l's run. It returns every packet l still holds to its
+// pool: the one in serialization, the deliveries in its train and its
+// queue's backlog. It drops every other reference through which l could
+// keep a packet of the run alive: its queue, its destination, its
+// cross-shard hook and its taps. The rings stay for the next Init, which
+// rewrites the rest; the link is unusable until then. A run arena
+// recycles every link of a finished run, so Recycle writes only those
+// fields. The pending events that would have reached those packets must
+// be gone first: recycle a link only once its scheduler's run is over,
+// and reset or discard the scheduler before it runs again. The pipeline
+// ring holds no pointers.
 func (l *Link) Recycle() {
+	pool := l.p.Pool
+	l.train.Drain(func(arg any) { pool.Put(arg.(*packet.Packet)) })
 	l.train.Recycle()
+	pool.Put(l.inflight)
 	l.inflight = nil
-	l.cfg.Queue, l.cfg.Dst, l.cfg.XDeliver = nil, nil, nil
+	l.w.Queue.Drain(pool.Put)
+	l.w.Queue, l.w.Dst, l.w.XDeliver = nil, nil, nil
 	l.onArrival, l.onDrop = nil, nil
 }
 
@@ -259,7 +304,7 @@ type vEntry struct {
 }
 
 // Name returns the link label.
-func (l *Link) Name() string { return l.cfg.Name }
+func (l *Link) Name() string { return l.w.Name }
 
 // Stats returns a copy of the link counters.
 func (l *Link) Stats() Stats { return l.stats }
@@ -267,14 +312,14 @@ func (l *Link) Stats() Stats { return l.stats }
 // QueueLen returns the instantaneous egress queue length in packets.
 func (l *Link) QueueLen() int {
 	if l.virtual {
-		l.vDrain(l.sched.Now())
+		l.vDrain(l.p.sched.Now())
 		return int(l.vAppended - l.vStarted)
 	}
-	return l.cfg.Queue.Len()
+	return l.w.Queue.Len()
 }
 
 // Queue exposes the link's queueing discipline (for RED introspection).
-func (l *Link) Queue() queue.Discipline { return l.cfg.Queue }
+func (l *Link) Queue() queue.Discipline { return l.w.Queue }
 
 // OnArrival registers fn to observe every packet offered to the link,
 // before queue admission. Passing nil clears the hook.
@@ -287,9 +332,9 @@ func (l *Link) OnDrop(fn func(now sim.Time, p *packet.Packet)) { l.onDrop = fn }
 // admits the packet, serialization starts immediately; otherwise the packet
 // waits in the queue or is dropped by the discipline.
 func (l *Link) Send(p *packet.Packet) {
-	now := l.sched.Now()
+	now := l.p.sched.Now()
 	l.stats.Arrivals++
-	l.cfg.Metrics.Arrivals.Inc()
+	l.p.Metrics.Arrivals.Inc()
 	if l.onArrival != nil {
 		l.onArrival(now, p)
 	}
@@ -306,23 +351,23 @@ func (l *Link) Send(p *packet.Packet) {
 		// path records after its enqueue. Not taken for RED (every
 		// enqueue is an EWMA update plus a possible RNG coin) or DRR
 		// (every enqueue moves the deficit state machine).
-		if l.cfg.Metrics.QueueDepth.Enabled() {
-			l.cfg.Metrics.QueueDepth.Observe(1)
+		if l.p.Metrics.QueueDepth.Enabled() {
+			l.p.Metrics.QueueDepth.Observe(1)
 		}
 		l.startTransmit(p)
 		return
 	}
-	if !l.cfg.Queue.Enqueue(now, p) {
+	if !l.w.Queue.Enqueue(now, p) {
 		l.stats.Drops++
-		l.cfg.Metrics.Drops.Inc()
+		l.p.Metrics.Drops.Inc()
 		if l.onDrop != nil {
 			l.onDrop(now, p)
 		}
-		l.cfg.Pool.Put(p)
+		l.p.Pool.Put(p)
 		return
 	}
-	if l.cfg.Metrics.QueueDepth.Enabled() {
-		l.cfg.Metrics.QueueDepth.Observe(float64(l.cfg.Queue.Len()))
+	if l.p.Metrics.QueueDepth.Enabled() {
+		l.p.Metrics.QueueDepth.Observe(float64(l.w.Queue.Len()))
 	}
 	if !l.busy {
 		l.transmitNext()
@@ -331,7 +376,7 @@ func (l *Link) Send(p *packet.Packet) {
 
 // transmitNext pulls the head-of-line packet and clocks it onto the wire.
 func (l *Link) transmitNext() {
-	p := l.cfg.Queue.Dequeue(l.sched.Now())
+	p := l.w.Queue.Dequeue(l.p.sched.Now())
 	if p == nil {
 		l.busy = false
 		return
@@ -345,9 +390,9 @@ func (l *Link) startTransmit(p *packet.Packet) {
 	l.inflight = p
 	if p.Size != l.lastSize {
 		l.lastSize = p.Size
-		l.lastDelay = sim.SerializationDelay(p.Size, l.cfg.RateBps)
+		l.lastDelay = sim.SerializationDelay(p.Size, l.p.RateBps)
 	}
-	l.sched.AfterCall(l.lastDelay, serializeDone, l)
+	l.p.sched.AfterCall(l.lastDelay, serializeDone, l)
 }
 
 // serializeDone is the trampoline the serialize-done event is filed under.
@@ -360,17 +405,17 @@ func (l *Link) serializeDone() {
 	p := l.inflight
 	l.inflight = nil
 	l.stats.Departures++
-	l.cfg.Metrics.Departures.Inc()
+	l.p.Metrics.Departures.Inc()
 	l.stats.DeliveredBytes += uint64(p.Size)
-	if l.cfg.LossProb > 0 && l.cfg.LossRNG.Float64() < l.cfg.LossProb {
+	if l.p.LossProb > 0 && l.p.LossRNG.Float64() < l.p.LossProb {
 		// Lost on the wire: it consumed transmission time but
 		// never arrives.
 		l.stats.WireLosses++
-		l.cfg.Pool.Put(p)
-	} else if l.cfg.XDeliver != nil {
+		l.p.Pool.Put(p)
+	} else if l.w.XDeliver != nil {
 		// The destination lives on another shard: stamp the delivery
 		// with this link's lane ordinal and hand it to the barrier.
-		l.cfg.XDeliver(l.sched.Now().Add(l.cfg.Delay), l.cfg.Lane.Take(), p)
+		l.w.XDeliver(l.p.sched.Now().Add(l.w.Delay), l.w.Lane.Take(), p)
 	} else {
 		// The wire is pipelined: propagation of this packet overlaps
 		// serialization of the next. The train draws the delivery's lane
@@ -379,7 +424,7 @@ func (l *Link) serializeDone() {
 		// of a burst collapse into one wheel/heap op. A wire-lost packet
 		// above simply never joins the train, which is how loss splits
 		// trains.
-		l.train.Add(l.sched.Now().Add(l.cfg.Delay), p)
+		l.train.Add(l.p.sched.Now().Add(l.w.Delay), p)
 	}
 	l.transmitNext()
 }
@@ -387,7 +432,7 @@ func (l *Link) serializeDone() {
 // deliver is the train's delivery callback: it hands the packet to the
 // link's destination.
 func deliver(recv, arg any) {
-	recv.(*Link).cfg.Dst.Receive(arg.(*packet.Packet))
+	recv.(*Link).w.Dst.Receive(arg.(*packet.Packet))
 }
 
 // vSend admits p through the virtual pipeline: the FIFO recurrence
@@ -412,7 +457,7 @@ func (l *Link) vSend(now sim.Time, p *packet.Packet) {
 			// than diverge silently.
 			//burst:alloc-ok panic message formatting on a violated-guarantee path that never returns
 			panic(fmt.Sprintf("link %q: overprovisioned queue reached capacity %d",
-				l.cfg.Name, l.fastFIFO.Cap()))
+				l.w.Name, l.fastFIFO.Cap()))
 		}
 	}
 	start := now
@@ -421,7 +466,7 @@ func (l *Link) vSend(now sim.Time, p *packet.Packet) {
 	}
 	if p.Size != l.lastSize {
 		l.lastSize = p.Size
-		l.lastDelay = sim.SerializationDelay(p.Size, l.cfg.RateBps)
+		l.lastDelay = sim.SerializationDelay(p.Size, l.p.RateBps)
 	}
 	done := start.Add(l.lastDelay)
 	l.vBusyUntil = done
@@ -433,7 +478,7 @@ func (l *Link) vSend(now sim.Time, p *packet.Packet) {
 	l.stats.Departures++
 	l.stats.DeliveredBytes += uint64(p.Size)
 	l.vPush(vEntry{start: start, done: done, size: p.Size})
-	l.train.Add(done.Add(l.cfg.Delay), p)
+	l.train.Add(done.Add(l.w.Delay), p)
 }
 
 // vDrain advances the depth cursor past entries whose transmission has
@@ -482,8 +527,8 @@ func (l *Link) vPush(e vEntry) {
 func deliverCredit(recv, arg any) {
 	l := recv.(*Link)
 	l.vCredited++
-	l.sched.CreditFired()
-	l.cfg.Dst.Receive(arg.(*packet.Packet))
+	l.p.sched.CreditFired()
+	l.w.Dst.Receive(arg.(*packet.Packet))
 }
 
 // FinishVirtual settles elided serializations still pending at the end of
@@ -516,4 +561,4 @@ func (l *Link) Pipelined() bool { return l.virtual }
 
 // CrossesShards reports whether the link hands its deliveries to an
 // XDeliver hook.
-func (l *Link) CrossesShards() bool { return l.cfg.XDeliver != nil }
+func (l *Link) CrossesShards() bool { return l.w.XDeliver != nil }

@@ -27,11 +27,8 @@ func newTestLink(t *testing.T, sched *sim.Scheduler, rate float64, delay sim.Dur
 	t.Helper()
 	dst := &collector{sched: sched}
 	l, err := New(sched, Config{
-		Name:    "test",
-		RateBps: rate,
-		Delay:   delay,
-		Queue:   queue.NewFIFO(cap),
-		Dst:     dst,
+		Wiring: Wiring{Name: "test", Delay: delay, Queue: queue.NewFIFO(cap), Dst: dst},
+		Params: Params{RateBps: rate},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -46,7 +43,10 @@ func data(seq int64, size int) *packet.Packet {
 func TestLinkConfigValidation(t *testing.T) {
 	sched := sim.NewScheduler()
 	dst := &collector{sched: sched}
-	good := Config{Name: "l", RateBps: 1e6, Delay: time.Millisecond, Queue: queue.NewFIFO(1), Dst: dst}
+	good := Config{
+		Wiring: Wiring{Name: "l", Delay: time.Millisecond, Queue: queue.NewFIFO(1), Dst: dst},
+		Params: Params{RateBps: 1e6},
+	}
 
 	cases := []struct {
 		name   string
@@ -253,7 +253,10 @@ func TestLinkQueueLenAndName(t *testing.T) {
 func TestLinkWireLossValidation(t *testing.T) {
 	sched := sim.NewScheduler()
 	dst := &collector{sched: sched}
-	base := Config{Name: "l", RateBps: 1e6, Delay: 0, Queue: queue.NewFIFO(10), Dst: dst}
+	base := Config{
+		Wiring: Wiring{Name: "l", Delay: 0, Queue: queue.NewFIFO(10), Dst: dst},
+		Params: Params{RateBps: 1e6},
+	}
 
 	cfg := base
 	cfg.LossProb = 0.5 // missing RNG
@@ -279,9 +282,8 @@ func TestLinkWireLossRate(t *testing.T) {
 	sched := sim.NewScheduler()
 	dst := &collector{sched: sched}
 	l, err := New(sched, Config{
-		Name: "lossy", RateBps: 1e9, Delay: 0,
-		Queue: queue.NewFIFO(100000), Dst: dst,
-		LossProb: 0.2, LossRNG: sim.NewRNG(7),
+		Wiring: Wiring{Name: "lossy", Delay: 0, Queue: queue.NewFIFO(100000), Dst: dst},
+		Params: Params{RateBps: 1e9, LossProb: 0.2, LossRNG: sim.NewRNG(7)},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -310,9 +312,8 @@ func TestLinkWireLossPreservesOrder(t *testing.T) {
 	sched := sim.NewScheduler()
 	dst := &collector{sched: sched}
 	l, err := New(sched, Config{
-		Name: "lossy", RateBps: 1e6, Delay: time.Millisecond,
-		Queue: queue.NewFIFO(1000), Dst: dst,
-		LossProb: 0.3, LossRNG: sim.NewRNG(3),
+		Wiring: Wiring{Name: "lossy", Delay: time.Millisecond, Queue: queue.NewFIFO(1000), Dst: dst},
+		Params: Params{RateBps: 1e6, LossProb: 0.3, LossRNG: sim.NewRNG(3)},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -340,14 +341,8 @@ func newVirtualPair(t *testing.T, rate float64, delay sim.Duration, cap int) (vl
 		sched := sim.NewScheduler()
 		dst := &collector{sched: sched}
 		l, err := New(sched, Config{
-			Name:            "virt",
-			RateBps:         rate,
-			Delay:           delay,
-			Queue:           queue.NewFIFO(cap),
-			Dst:             dst,
-			Lane:            sim.NewLanes().Next(),
-			Overprovisioned: true,
-			DisableBatching: disable,
+			Wiring: Wiring{Name: "virt", Delay: delay, Queue: queue.NewFIFO(cap), Dst: dst, Lane: sim.NewLanes().Next()},
+			Params: Params{RateBps: rate, Overprovisioned: true, DisableBatching: disable},
 		})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -467,9 +462,8 @@ func TestLinkVirtualPanicsWhenOverprovisionedLied(t *testing.T) {
 	sched := sim.NewScheduler()
 	dst := &collector{sched: sched}
 	l, err := New(sched, Config{
-		Name: "tiny", RateBps: 8e6, Delay: 0,
-		Queue: queue.NewFIFO(2), Dst: dst,
-		Lane: sim.NewLanes().Next(), Overprovisioned: true,
+		Wiring: Wiring{Name: "tiny", Delay: 0, Queue: queue.NewFIFO(2), Dst: dst, Lane: sim.NewLanes().Next()},
+		Params: Params{RateBps: 8e6, Overprovisioned: true},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -508,14 +502,8 @@ func TestLinkSerializeDoneAllocFree(t *testing.T) {
 		pool := packet.NewPool()
 		dst := &poolSink{pool: pool}
 		l, err := New(sched, Config{
-			Name:            "alloc",
-			RateBps:         8e6,
-			Delay:           time.Millisecond,
-			Queue:           queue.NewFIFO(8),
-			Dst:             dst,
-			Pool:            pool,
-			Lane:            sim.NewLanes().Next(),
-			DisableBatching: disable,
+			Wiring: Wiring{Name: "alloc", Delay: time.Millisecond, Queue: queue.NewFIFO(8), Dst: dst, Lane: sim.NewLanes().Next()},
+			Params: Params{RateBps: 8e6, Pool: pool, DisableBatching: disable},
 		})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -567,13 +555,17 @@ func TestLinkRecycleThenInitMatchesNew(t *testing.T) {
 	}
 	sched.Reset()
 	used.Recycle()
-	if used.inflight != nil || used.train.Len() != 0 || used.Queue() != nil || used.cfg.Dst != nil || used.onArrival != nil {
+	if used.inflight != nil || used.train.Len() != 0 || used.Queue() != nil || used.w.Dst != nil || used.onArrival != nil {
 		t.Fatalf("recycled link kept inflight %v, %d deliveries, queue %v, destination %v, arrival tap %v",
-			used.inflight, used.train.Len(), used.Queue(), used.cfg.Dst, used.onArrival != nil)
+			used.inflight, used.train.Len(), used.Queue(), used.w.Dst, used.onArrival != nil)
 	}
 
 	reusedDst := &collector{sched: sched}
-	if err := Init(used, sched, Config{Name: "again", RateBps: 8e6, Delay: 5 * time.Millisecond, Queue: queue.NewFIFO(64), Dst: reusedDst}); err != nil {
+	p, err := NewParams(sched, Params{RateBps: 8e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Init(used, p, Wiring{Name: "again", Delay: 5 * time.Millisecond, Queue: queue.NewFIFO(64), Dst: reusedDst}); err != nil {
 		t.Fatal(err)
 	}
 	drive(sched, used)
@@ -587,5 +579,45 @@ func TestLinkRecycleThenInitMatchesNew(t *testing.T) {
 	}
 	if len(reusedDst.times) != 40 || fmt.Sprint(reusedDst.times) != fmt.Sprint(freshDst.times) || used.Stats() != fresh.Stats() {
 		t.Errorf("reused link delivered at %v (%+v), new link at %v (%+v)", reusedDst.times, used.Stats(), freshDst.times, fresh.Stats())
+	}
+}
+
+// releaser returns every packet delivered to it to its pool.
+type releaser struct{ pool *packet.Pool }
+
+func (r releaser) Receive(p *packet.Packet) { r.pool.Put(p) }
+
+// TestLinkRecycleReturnsPackets: recycling a link mid-run returns the
+// packet in serialization, the deliveries in its train and its queue's
+// backlog to its pool, each exactly once, on the per-event and the
+// pipelined path alike.
+func TestLinkRecycleReturnsPackets(t *testing.T) {
+	for _, overprov := range []bool{false, true} {
+		sched := sim.NewScheduler()
+		pool := packet.NewPool()
+		l, err := New(sched, Config{
+			Wiring: Wiring{Name: "l", Delay: 5 * time.Millisecond, Queue: queue.NewFIFO(64), Dst: releaser{pool}, Lane: sim.NewLanes().Next()},
+			Params: Params{RateBps: 8e6, Pool: pool, Overprovisioned: overprov},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			sched.At(sim.TimeZero.Add(sim.Duration(i)*100*time.Microsecond), func() {
+				p := pool.Get()
+				p.Kind, p.Size = packet.Data, 1000
+				l.Send(p)
+			})
+		}
+		if err := sched.Run(sim.TimeZero.Add(8 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if l.Pipelined() != overprov || pool.Live() == 0 || l.train.Len() == 0 {
+			t.Fatalf("overprovisioned=%v: pipelined %v with %d packets live and %d deliveries at the cut", overprov, l.Pipelined(), pool.Live(), l.train.Len())
+		}
+		l.Recycle()
+		if gets, puts, _ := pool.Stats(); gets != 40 || puts != 40 {
+			t.Errorf("overprovisioned=%v: after Recycle the pool handed out %d packets and got %d back, want 40 and 40", overprov, gets, puts)
+		}
 	}
 }

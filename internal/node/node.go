@@ -10,6 +10,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 
 	"tcpburst/internal/link"
 	"tcpburst/internal/packet"
@@ -47,9 +48,18 @@ func NewHost(addr packet.Addr) *Host {
 	return h
 }
 
-// InitHost is NewHost in place, for hosts embedded in a larger block.
+// InitHost is NewHost in place, for hosts embedded in a larger block. A
+// host initialized again keeps its dispatch table's backing array,
+// cleared, so a reused server host regrows it only past its largest
+// fan-in. A table backed by the inline entry is not kept: the host may
+// be a copy of the one that entry belongs to.
 func InitHost(h *Host, addr packet.Addr) {
-	*h = Host{addr: addr}
+	agents := h.agents[:cap(h.agents)]
+	if len(agents) <= len(h.one) {
+		agents = nil
+	}
+	clear(agents)
+	*h = Host{addr: addr, agents: agents[:0]}
 }
 
 // Addr returns the host's node address.
@@ -60,7 +70,9 @@ func (h *Host) Bind(flow packet.FlowID, a Agent) {
 	f := int(flow)
 	if len(h.agents) == 0 {
 		h.base = f
-		h.agents = h.one[:0]
+		if cap(h.agents) == 0 {
+			h.agents = h.one[:0]
+		}
 	}
 	if f < h.base {
 		shift := h.base - f
@@ -73,6 +85,14 @@ func (h *Host) Bind(flow packet.FlowID, a Agent) {
 		h.agents = append(h.agents, nil)
 	}
 	h.agents[f-h.base] = a
+}
+
+// Reserve sizes an empty host's dispatch table for n flows bound in
+// ascending order, so binding them never regrows it.
+func (h *Host) Reserve(n int) {
+	if len(h.agents) == 0 {
+		h.agents = slices.Grow(h.agents, n)
+	}
 }
 
 // SetPool makes the host reclaim packets it must drop (unbound flows).
@@ -105,7 +125,18 @@ var _ link.Receiver = (*Gateway)(nil)
 
 // NewGateway returns a gateway with an empty routing table.
 func NewGateway(addr packet.Addr) *Gateway {
-	return &Gateway{addr: addr}
+	g := new(Gateway)
+	InitGateway(g, addr)
+	return g
+}
+
+// InitGateway is NewGateway in place, for gateways kept in a slab. A
+// gateway initialized again keeps its routing table's backing array,
+// cleared, so a reused gateway regrows it only past its largest address.
+func InitGateway(g *Gateway, addr packet.Addr) {
+	routes := g.routes[:cap(g.routes)]
+	clear(routes)
+	*g = Gateway{addr: addr, routes: routes[:0]}
 }
 
 // Addr returns the gateway's node address.
@@ -122,6 +153,12 @@ func (g *Gateway) AddRoute(dst packet.Addr, l *link.Link) error {
 	}
 	g.routes[dst] = l
 	return nil
+}
+
+// Reserve sizes the routing table for addresses below n, so adding their
+// routes never regrows it.
+func (g *Gateway) Reserve(n int) {
+	g.routes = slices.Grow(g.routes, max(n-len(g.routes), 0))
 }
 
 // Route returns the egress link for dst, or nil.

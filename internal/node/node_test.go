@@ -50,8 +50,8 @@ func TestGatewayRoutesByDestination(t *testing.T) {
 
 	mkLink := func(dst link.Receiver) *link.Link {
 		l, err := link.New(sched, link.Config{
-			Name: "l", RateBps: 1e9, Delay: time.Millisecond,
-			Queue: queue.NewFIFO(10), Dst: dst,
+			Wiring: link.Wiring{Name: "l", Delay: time.Millisecond, Queue: queue.NewFIFO(10), Dst: dst},
+			Params: link.Params{RateBps: 1e9},
 		})
 		if err != nil {
 			t.Fatalf("link.New: %v", err)
@@ -85,8 +85,8 @@ func TestGatewayDuplicateRouteRejected(t *testing.T) {
 	sched := sim.NewScheduler()
 	g := NewGateway(0)
 	l, err := link.New(sched, link.Config{
-		Name: "l", RateBps: 1e9, Delay: 0,
-		Queue: queue.NewFIFO(1), Dst: NewHost(1),
+		Wiring: link.Wiring{Name: "l", Delay: 0, Queue: queue.NewFIFO(1), Dst: NewHost(1)},
+		Params: link.Params{RateBps: 1e9},
 	})
 	if err != nil {
 		t.Fatalf("link.New: %v", err)

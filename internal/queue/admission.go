@@ -163,6 +163,9 @@ func (q *Admission) Dequeue(_ sim.Time) *packet.Packet { return q.ring.pop() }
 // Len returns the instantaneous queue length in packets.
 func (q *Admission) Len() int { return q.ring.len() }
 
+// Drain hands every queued packet to put, oldest first.
+func (q *Admission) Drain(put func(p *packet.Packet)) { q.ring.drain(put) }
+
 // Cap returns the physical buffer capacity in packets.
 func (q *Admission) Cap() int { return q.cfg.Capacity }
 

@@ -199,6 +199,14 @@ func (q *CoDel) mark(p *packet.Packet) {
 // Len returns the instantaneous queue length in packets.
 func (q *CoDel) Len() int { return q.ring.len() }
 
+// Drain hands every queued packet to put, oldest first, without the
+// control law: nothing is dropped or marked.
+func (q *CoDel) Drain(put func(p *packet.Packet)) {
+	for p, _ := q.ring.pop(); p != nil; p, _ = q.ring.pop() {
+		put(p)
+	}
+}
+
 // Cap returns the physical buffer capacity in packets.
 func (q *CoDel) Cap() int { return q.cfg.Capacity }
 

@@ -143,6 +143,20 @@ func (q *DRR) Len() int { return q.total }
 // Cap returns the shared buffer capacity in packets.
 func (q *DRR) Cap() int { return q.capacity }
 
+// Drain hands every queued packet to put, flow by flow in service order,
+// and empties the service ring: every flow holding a packet is on it.
+// Like Dequeue it leaves the handed-out slots as they are: the packets
+// belong to the pool now.
+func (q *DRR) Drain(put func(p *packet.Packet)) {
+	for _, f := range q.ring {
+		for _, p := range f.pkts {
+			put(p)
+		}
+		*f = drrFlow{id: f.id, pkts: f.pkts[:0]}
+	}
+	q.ring, q.next, q.total = q.ring[:0], 0, 0
+}
+
 // Evictions returns how many queued packets were displaced by
 // longest-queue drop.
 func (q *DRR) Evictions() uint64 { return q.evictions }

@@ -118,6 +118,9 @@ func (q *PIE) Dequeue(_ sim.Time) *packet.Packet { return q.ring.pop() }
 // Len returns the instantaneous queue length in packets.
 func (q *PIE) Len() int { return q.ring.len() }
 
+// Drain hands every queued packet to put, oldest first.
+func (q *PIE) Drain(put func(p *packet.Packet)) { q.ring.drain(put) }
+
 // Cap returns the physical buffer capacity in packets.
 func (q *PIE) Cap() int { return q.cfg.Capacity }
 

@@ -25,6 +25,11 @@ type Discipline interface {
 	Len() int
 	// Cap returns the buffer capacity in packets.
 	Cap() int
+	// Drain hands every buffered packet to put and leaves the queue
+	// empty, without running the discipline's policy: nothing is
+	// dropped, marked or counted. A run harness drains its queues once
+	// the run is over, to return their packets to the pool.
+	Drain(put func(p *packet.Packet))
 }
 
 // DequeueDropper is implemented by disciplines that consume packets at
@@ -107,10 +112,16 @@ func (r *fifoRing) pop() *packet.Packet {
 
 func (r *fifoRing) len() int { return r.n }
 
+// drain pops every packet into put.
+func (r *fifoRing) drain(put func(p *packet.Packet)) {
+	for p := r.pop(); p != nil; p = r.pop() {
+		put(p)
+	}
+}
+
 // FIFO is a drop-tail first-in first-out queue with a fixed packet capacity.
 type FIFO struct {
 	ring fifoRing
-	cap  int
 }
 
 var _ Discipline = (*FIFO)(nil)
@@ -131,7 +142,7 @@ func InitFIFO(q *FIFO, capacity int) {
 		capacity = 1
 	}
 	q.Recycle()
-	q.ring.cap, q.cap = capacity, capacity
+	q.ring.cap = capacity
 }
 
 // Recycle empties the queue, clearing every slot so it keeps no packet
@@ -154,4 +165,7 @@ func (q *FIFO) Dequeue(_ sim.Time) *packet.Packet { return q.ring.pop() }
 func (q *FIFO) Len() int { return q.ring.len() }
 
 // Cap returns the buffer capacity in packets.
-func (q *FIFO) Cap() int { return q.cap }
+func (q *FIFO) Cap() int { return q.ring.cap }
+
+// Drain hands every queued packet to put, oldest first.
+func (q *FIFO) Drain(put func(p *packet.Packet)) { q.ring.drain(put) }

@@ -165,6 +165,9 @@ func (q *RED) Dequeue(now sim.Time) *packet.Packet {
 // Len returns the instantaneous queue length in packets.
 func (q *RED) Len() int { return q.ring.len() }
 
+// Drain hands every queued packet to put, oldest first.
+func (q *RED) Drain(put func(p *packet.Packet)) { q.ring.drain(put) }
+
 // Cap returns the physical buffer capacity in packets.
 func (q *RED) Cap() int { return q.cfg.Capacity }
 

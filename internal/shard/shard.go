@@ -112,6 +112,20 @@ func (g *Group) Cross(src, dst int, at sim.Time, ord uint64, fn func(any), arg a
 	g.out[row] = append(g.out[row], crossing{at: at, ord: ord, fn: fn, arg: arg})
 }
 
+// Drain hands the arg of every crossing still buffered in an outbox to
+// visit and empties the outboxes. A Run that stops early leaves the
+// crossings of its last window there, never injected; a harness drains
+// them to reclaim what they carry.
+func (g *Group) Drain(visit func(arg any)) {
+	for row, box := range g.out {
+		for i := range box {
+			visit(box[i].arg)
+			box[i] = crossing{}
+		}
+		g.out[row] = box[:0]
+	}
+}
+
 // inject drains every outbox into its destination scheduler. Called only
 // between windows, when no shard goroutine is running.
 func (g *Group) inject() {

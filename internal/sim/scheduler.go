@@ -172,6 +172,21 @@ func (s *Scheduler) Reset() {
 	}
 }
 
+// EachPending calls visit with the argument of every pending event, in
+// no particular order. A run harness calls it once a run is over, to
+// reclaim what the events would have carried; visit must not schedule or
+// cancel events.
+func (s *Scheduler) EachPending(visit func(arg any)) {
+	for _, head := range s.wheel {
+		for i := head; i >= 0; i = s.slots[i].next {
+			visit(s.slots[i].arg)
+		}
+	}
+	for _, h := range s.heap {
+		visit(s.slots[h.slot].arg)
+	}
+}
+
 // span returns the width of the wheel window.
 func (s *Scheduler) span() Time { return Time(wheelBuckets) << s.shift }
 

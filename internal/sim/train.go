@@ -90,6 +90,16 @@ func (tr *Train) Recycle() {
 	*tr = Train{buf: tr.buf, mask: tr.mask}
 }
 
+// Drain hands the arg of every buffered element to put, in delivery
+// order, and empties the train; its pending head event, if any, stays
+// filed, so drain a train only once its scheduler's run is over, and
+// Recycle it or reset the scheduler before that runs again.
+func (tr *Train) Drain(put func(arg any)) {
+	for tr.n > 0 {
+		put(tr.pop().arg)
+	}
+}
+
 // SetEager makes the train file every element as its own scheduler event
 // (see the type comment). Only call it on an empty train, right after
 // Init.

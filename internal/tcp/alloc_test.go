@@ -43,7 +43,7 @@ func newDirectConn(t testing.TB, variant Variant) *directConn {
 	pool := packet.NewPool()
 	fwd := newDirectWire(sched)
 	rev := newDirectWire(sched)
-	cfg := Config{Flow: 1, Src: 2, Dst: 1, Variant: variant, Sched: sched, Pool: pool}
+	cfg := Config{Ends: Ends{Flow: 1, Src: 2, Dst: 1}, Params: Params{Variant: variant, Sched: sched, Pool: pool}}
 
 	sendCfg := cfg
 	sendCfg.Out = fwd

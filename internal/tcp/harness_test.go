@@ -58,11 +58,8 @@ func newConn(t *testing.T, variant Variant, mutate func(*Config)) *conn {
 	rev := &pipe{sched: sched, delay: 10 * time.Millisecond}
 
 	cfg := Config{
-		Flow:    1,
-		Src:     100,
-		Dst:     1,
-		Variant: variant,
-		Sched:   sched,
+		Ends:   Ends{Flow: 1, Src: 100, Dst: 1},
+		Params: Params{Variant: variant, Sched: sched},
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -80,7 +80,7 @@ func growWindow(s *Sender) {
 	} else {
 		s.cwnd += 1 / s.cwnd
 	}
-	if max := float64(s.cfg.MaxWindow); s.cwnd > max {
+	if max := float64(s.p.MaxWindow); s.cwnd > max {
 		s.cwnd = max
 	}
 }
@@ -92,7 +92,7 @@ func growWindow(s *Sender) {
 // gentler decrease is what keeps Vegas's aggregate traffic smooth.
 func enterFastRetransmit(s *Sender, flavor Variant) {
 	s.counters.FastRetransmits++
-	s.cfg.Metrics.FastRetransmits.Inc()
+	s.p.Metrics.FastRetransmits.Inc()
 	if flavor == Vegas {
 		s.ssthresh = math.Max(float64(s.FlightSize())*3/4, 2)
 	} else {

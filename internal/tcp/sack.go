@@ -50,7 +50,7 @@ func (c *sackCC) onDupAck(s *Sender, count int) {
 		return
 	}
 	s.counters.FastRetransmits++
-	s.cfg.Metrics.FastRetransmits.Inc()
+	s.p.Metrics.FastRetransmits.Inc()
 	s.halveSsthresh()
 	s.recover = s.sndNxt
 	s.cwnd = s.ssthresh + 3

@@ -8,14 +8,33 @@ import (
 	"tcpburst/internal/transport"
 )
 
-// segment records per-packet send state for outstanding data.
-type segment struct {
-	sentAt sim.Time
-	rtxed  bool
-	// live marks the slot as holding an outstanding transmission; a dead
-	// slot is free for the sequence that next maps onto it.
-	live bool
+// segment records one outstanding transmission in a word: its send time
+// above two flag bits, segLive and segRtxed. The zero segment is a dead
+// slot, free for the sequence that next maps onto it. Send times are
+// virtual nanoseconds since the start of the run, so the two bits cost
+// nothing short of a 146-year horizon.
+type segment uint64
+
+const (
+	// segLive marks the slot as holding an outstanding transmission.
+	segLive segment = 1 << iota
+	// segRtxed marks that transmission as a retransmission.
+	segRtxed
+	segFlagBits = iota
+)
+
+// sentSegment returns the live segment of a transmission at the given
+// instant.
+func sentSegment(at sim.Time, rtxed bool) segment {
+	g := segment(at)<<segFlagBits | segLive
+	if rtxed {
+		g |= segRtxed
+	}
+	return g
 }
+
+func (g segment) live() bool       { return g&segLive != 0 }
+func (g segment) sentAt() sim.Time { return sim.Time(g >> segFlagBits) }
 
 // congestionControl is the variant-specific half of the sender. Hooks run
 // after the sender has classified the incoming event and updated sequence
@@ -38,8 +57,10 @@ type congestionControl interface {
 // events (application submissions and received ACKs) and is not safe for
 // concurrent use.
 type Sender struct {
-	cfg Config
-	cc  congestionControl
+	// p is the block the sender shares with the endpoints built alike.
+	p    *Params
+	ends Ends
+	cc   congestionControl
 
 	// Sequence state (packet-counted).
 	sndUna    int64 // lowest unacknowledged sequence
@@ -101,47 +122,52 @@ func windowRingSize(maxWindow int) int64 {
 	return size
 }
 
-// NewSender returns a sender for the given connection, or an error for an
-// invalid configuration.
+// NewSender returns a sender for the given connection, with a parameter
+// block of its own, or an error for an invalid configuration.
 func NewSender(cfg Config) (*Sender, error) {
+	p, err := NewParams(cfg.Params)
+	if err != nil {
+		return nil, err
+	}
 	s := new(Sender)
-	if err := InitSender(s, cfg); err != nil {
+	if err := InitSender(s, p, cfg.Ends); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// InitSender is NewSender in place, for senders embedded in a larger
-// block.
-func InitSender(s *Sender, cfg Config) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+// InitSender makes s, in place, the sender of connection e running on the
+// shared block p, which must come from NewParams. Builders embed senders
+// in larger blocks and initialize them here.
+func InitSender(s *Sender, p *Params, e Ends) error {
+	if err := e.check(p); err != nil {
 		return err
 	}
 	// A sender initialized again reuses its segment ring and scoreboard,
 	// cleared, when they are large enough.
-	ring := windowRingSize(cfg.MaxWindow)
+	ring := windowRingSize(p.MaxWindow)
 	segs, sacked := reuse(s.segs, int(ring)), s.sacked
 	*s = Sender{
-		cfg:      cfg,
-		cwnd:     cfg.InitialCwnd,
-		ssthresh: cfg.InitialSsthresh,
-		rto:      cfg.InitialRTO,
+		p:        p,
+		ends:     e,
+		cwnd:     p.InitialCwnd,
+		ssthresh: p.InitialSsthresh,
+		rto:      p.InitialRTO,
 		backoff:  1,
 		segs:     segs,
 		segMask:  ring - 1,
 	}
-	switch cfg.Variant {
+	switch p.Variant {
 	case Vegas:
-		s.cc = newVegasCC(cfg.Vegas)
+		s.cc = newVegasCC()
 	case SACK:
 		s.cc = &sackCC{}
 		s.sacked = reuse(sacked, int(ring+63)/64)
 	default:
-		s.reno.flavor = cfg.Variant
+		s.reno.flavor = p.Variant
 		s.cc = &s.reno
 	}
-	s.rtxTimer.Init(cfg.Sched, senderTimeout, s)
+	s.rtxTimer.Init(p.Sched, senderTimeout, s)
 	return nil
 }
 
@@ -160,7 +186,7 @@ func reuse[T any](buf []T, n int) []T {
 func senderTimeout(a any) { a.(*Sender).onTimeout() }
 
 // Variant returns the sender's congestion-control variant.
-func (s *Sender) Variant() Variant { return s.cfg.Variant }
+func (s *Sender) Variant() Variant { return s.p.Variant }
 
 // Cwnd returns the current congestion window in packets.
 func (s *Sender) Cwnd() float64 { return s.cwnd }
@@ -205,7 +231,7 @@ func (s *Sender) Submit() {
 // sender.
 func (s *Sender) Receive(p *packet.Packet) {
 	if !p.IsAck() {
-		s.cfg.Pool.Put(p)
+		s.p.Pool.Put(p)
 		return
 	}
 	s.counters.AcksReceived++
@@ -244,7 +270,7 @@ func (s *Sender) Receive(p *packet.Packet) {
 	// The sender is the ACK's consumption point: release before opening
 	// the window so the pool can hand the slot to the packets trySend
 	// emits.
-	s.cfg.Pool.Put(p)
+	s.p.Pool.Put(p)
 	s.trySend()
 }
 
@@ -254,7 +280,7 @@ func (s *Sender) window() int64 {
 	if w < 1 {
 		w = 1
 	}
-	if max := int64(s.cfg.MaxWindow); w > max {
+	if max := int64(s.p.MaxWindow); w > max {
 		w = max
 	}
 	return w
@@ -360,32 +386,30 @@ func (s *Sender) sackedCount() int {
 // transmit puts the packet with the given sequence on the wire, tracking
 // retransmission state.
 func (s *Sender) transmit(seq int64) {
-	now := s.cfg.Sched.Now()
+	now := s.p.Sched.Now()
 	seg := &s.segs[seq&s.segMask]
-	if seg.live {
-		seg.rtxed = true
+	// A sequence still outstanding goes out again as a retransmission.
+	rtxed := seg.live()
+	if rtxed {
 		s.counters.Retransmits++
-		s.cfg.Metrics.Retransmits.Inc()
-	} else {
-		seg.live = true
-		seg.rtxed = false
+		s.p.Metrics.Retransmits.Inc()
 	}
-	seg.sentAt = now
+	*seg = sentSegment(now, rtxed)
 	s.counters.DataSent++
-	s.cfg.Metrics.DataSent.Inc()
-	p := s.cfg.Pool.Get()
+	s.p.Metrics.DataSent.Inc()
+	p := s.p.Pool.Get()
 	p.Kind = packet.Data
-	p.Flow = s.cfg.Flow
-	p.Src = s.cfg.Src
-	p.Dst = s.cfg.Dst
+	p.Flow = s.ends.Flow
+	p.Src = s.ends.Src
+	p.Dst = s.ends.Dst
 	p.Seq = seq
-	p.Size = s.cfg.PacketSize
+	p.Size = s.p.PacketSize
 	p.SentAt = now
-	p.Retransmit = seg.rtxed
+	p.Retransmit = rtxed
 	if !s.rtxTimer.Armed() {
 		s.rtxTimer.Reset(s.currentRTO())
 	}
-	s.cfg.Out.Send(p)
+	s.ends.Out.Send(p)
 }
 
 // retransmitHead resends the oldest unacknowledged packet and restarts the
@@ -401,7 +425,7 @@ func (s *Sender) retransmitHead() {
 // handleNewAck advances snd_una, samples the RTT per Karn's algorithm, and
 // hands window management to the variant.
 func (s *Sender) handleNewAck(p *packet.Packet) {
-	now := s.cfg.Sched.Now()
+	now := s.p.Sched.Now()
 	acked := p.Ack - s.sndUna
 
 	// Karn's algorithm: never sample RTT from a retransmitted segment —
@@ -415,7 +439,7 @@ func (s *Sender) handleNewAck(p *packet.Packet) {
 	s.backoff = 1
 
 	for seq := s.sndUna; seq < p.Ack; seq++ {
-		s.segs[seq&s.segMask] = segment{}
+		s.segs[seq&s.segMask] = 0
 	}
 	if s.sacked != nil {
 		// One word-wise scoreboard update for the whole acknowledged run
@@ -455,7 +479,7 @@ func (s *Sender) onTimeout() {
 		return
 	}
 	s.counters.Timeouts++
-	s.cfg.Metrics.Timeouts.Inc()
+	s.p.Metrics.Timeouts.Inc()
 	if s.backoff < 64 {
 		s.backoff *= 2
 	}
@@ -496,11 +520,11 @@ func (s *Sender) currentRTO() sim.Duration {
 }
 
 func (s *Sender) clampRTO(rto sim.Duration) sim.Duration {
-	if rto < s.cfg.MinRTO {
-		return s.cfg.MinRTO
+	if rto < s.p.MinRTO {
+		return s.p.MinRTO
 	}
-	if rto > s.cfg.MaxRTO {
-		return s.cfg.MaxRTO
+	if rto > s.p.MaxRTO {
+		return s.p.MaxRTO
 	}
 	return rto
 }
@@ -516,8 +540,8 @@ func (s *Sender) halveSsthresh() {
 // segment is not outstanding.
 func (s *Sender) segSentAt(seq int64) (sim.Time, bool) {
 	seg := s.segs[seq&s.segMask]
-	if !seg.live {
+	if !seg.live() {
 		return 0, false
 	}
-	return seg.sentAt, true
+	return seg.sentAt(), true
 }

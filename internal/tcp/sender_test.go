@@ -26,7 +26,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Variant: Reno, Sched: sched, Out: out}
+			cfg := Config{Ends: Ends{Out: out}, Params: Params{Variant: Reno, Sched: sched}}
 			tc.mutate(&cfg)
 			if _, err := NewSender(cfg); err == nil || !strings.Contains(err.Error(), tc.substr) {
 				t.Errorf("NewSender error = %v, want mention of %q", err, tc.substr)

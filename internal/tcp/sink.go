@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"fmt"
 	"math/bits"
 
 	"tcpburst/internal/packet"
@@ -16,7 +15,9 @@ import (
 // drive fast retransmit) and optionally delayed for in-order ones — and
 // echoes the timing information the sender needs for RTT sampling.
 type Sink struct {
-	cfg Config
+	// p is the block the sink shares with the endpoints built alike.
+	p    *Params
+	ends Ends
 
 	rcvNxt int64
 	// Out-of-order reorder buffer as a bitmap over a power-of-two ring of
@@ -27,8 +28,7 @@ type Sink struct {
 	// Sequences beyond that window (possible only from a misbehaving
 	// sender) are acknowledged but not buffered.
 	oooBits []uint64
-	oooMask int64
-	oooRing int64 // ring capacity in sequence slots
+	oooMask int64 // ring capacity in sequence slots, less one
 	oooCnt  int   // buffered out-of-order sequences
 
 	delivered uint64 // in-order packets handed to the application
@@ -53,39 +53,42 @@ type ackEcho struct {
 
 var _ transport.Agent = (*Sink)(nil)
 
-// NewSink returns the receiving endpoint for cfg. The sink sends ACKs from
-// cfg.Dst back to cfg.Src, so the same Config describes both endpoints;
-// Out must be the server-side egress wire.
+// NewSink returns the receiving endpoint for cfg, with a parameter block
+// of its own. The sink sends ACKs from cfg.Dst back to cfg.Src, so the
+// same Config describes both endpoints but for Out, which must be the
+// server-side egress wire.
 func NewSink(cfg Config) (*Sink, error) {
+	p, err := NewParams(cfg.Params)
+	if err != nil {
+		return nil, err
+	}
 	s := new(Sink)
-	if err := InitSink(s, cfg); err != nil {
+	if err := InitSink(s, p, cfg.Ends); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// InitSink is NewSink in place, for sinks kept in a slab.
-func InitSink(s *Sink, cfg Config) error {
-	cfg = cfg.withDefaults()
-	if cfg.Sched == nil {
-		return fmt.Errorf("tcp sink flow %d: nil scheduler", cfg.Flow)
-	}
-	if cfg.Out == nil {
-		return fmt.Errorf("tcp sink flow %d: nil wire", cfg.Flow)
+// InitSink makes s, in place, the sink of connection e running on the
+// shared block p, which must come from NewParams; sinks are kept in a
+// slab.
+func InitSink(s *Sink, p *Params, e Ends) error {
+	if err := e.check(p); err != nil {
+		return err
 	}
 	// A sink initialized again reuses its reorder bitmap, cleared, when it
 	// is large enough, and its delay store's chunks.
-	ring := windowRingSize(cfg.MaxWindow)
+	ring := windowRingSize(p.MaxWindow)
 	delays := s.delays
 	delays.Reset()
 	*s = Sink{
-		cfg:     cfg,
+		p:       p,
+		ends:    e,
 		oooBits: reuse(s.oooBits, int(ring+63)/64),
 		oooMask: ring - 1,
-		oooRing: ring,
 		delays:  delays,
 	}
-	s.delayTimer.Init(cfg.Sched, sinkDelayTimeout, s)
+	s.delayTimer.Init(p.Sched, sinkDelayTimeout, s)
 	return nil
 }
 
@@ -117,7 +120,7 @@ func (s *Sink) StateBytes() int {
 }
 
 // oooHas reports whether seq is buffered out of order. Only meaningful for
-// seq in (rcvNxt, rcvNxt+oooRing).
+// seq in (rcvNxt, rcvNxt+oooMask].
 func (s *Sink) oooHas(seq int64) bool {
 	idx := seq & s.oooMask
 	return s.oooBits[idx>>6]&(1<<uint(idx&63)) != 0
@@ -142,7 +145,7 @@ func (s *Sink) contigRun(seq int64) int64 {
 	for run < int64(s.oooCnt)+1 {
 		idx := (seq + run) & s.oooMask
 		bit := uint(idx & 63)
-		avail := s.oooRing - idx // to the ring wrap
+		avail := s.oooMask + 1 - idx // to the ring wrap
 		if c := int64(64 - bit); c < avail {
 			avail = c
 		}
@@ -163,7 +166,7 @@ func (s *Sink) oooClearRange(first, last int64) {
 	for seq := first; seq < last; {
 		idx := seq & s.oooMask
 		bit := uint(idx & 63)
-		n := s.oooRing - idx
+		n := s.oooMask + 1 - idx
 		if c := int64(64 - bit); c < n {
 			n = c
 		}
@@ -187,23 +190,23 @@ func (s *Sink) oooClearRange(first, last int64) {
 // pool can serve the ACK from the just-freed slot.
 func (s *Sink) Receive(p *packet.Packet) {
 	if !p.IsData() {
-		s.cfg.Pool.Put(p)
+		s.p.Pool.Put(p)
 		return
 	}
 	// inWindow: the sequence maps to an unambiguous ring slot.
-	inWindow := p.Seq-s.rcvNxt < s.oooRing
+	inWindow := p.Seq-s.rcvNxt <= s.oooMask
 	if p.Seq >= s.rcvNxt && (!inWindow || !s.oooHas(p.Seq)) {
 		// First copy of this packet: sample its one-way delay.
-		s.delays.Observe(s.cfg.Sched.Now().Sub(p.SentAt).Seconds())
+		s.delays.Observe(s.p.Sched.Now().Sub(p.SentAt).Seconds())
 	}
 	echo := ackEcho{seq: p.Seq, sentAt: p.SentAt, rtxed: p.Retransmit, ece: p.ECE}
-	s.cfg.Pool.Put(p)
+	s.p.Pool.Put(p)
 
 	switch {
 	case echo.seq == s.rcvNxt:
 		s.rcvNxt++
 		s.delivered++
-		s.cfg.Metrics.Delivered.Inc()
+		s.p.Metrics.Delivered.Inc()
 		// Drain any contiguous out-of-order run with one bitmap scan and
 		// one word-wise clear per run instead of one bit per packet. The
 		// counter bump is a single Add within this instant, which the
@@ -214,7 +217,7 @@ func (s *Sink) Receive(p *packet.Packet) {
 			s.oooCnt -= int(run)
 			s.rcvNxt += run
 			s.delivered += uint64(run)
-			s.cfg.Metrics.Delivered.Add(uint64(run))
+			s.p.Metrics.Delivered.Add(uint64(run))
 		}
 		if s.oooCnt > 0 {
 			// Still a hole above us: keep the dup-ACK clock running
@@ -222,7 +225,7 @@ func (s *Sink) Receive(p *packet.Packet) {
 			s.sendAck(echo)
 			return
 		}
-		if !s.cfg.DelayedAcks {
+		if !s.p.DelayedAcks {
 			s.sendAck(echo)
 			return
 		}
@@ -235,7 +238,7 @@ func (s *Sink) Receive(p *packet.Packet) {
 		}
 		s.pendingAck = true
 		s.pendingPkt = echo
-		s.delayTimer.Reset(s.cfg.DelayedAckTimeout)
+		s.delayTimer.Reset(s.p.DelayedAckTimeout)
 
 	case echo.seq > s.rcvNxt:
 		// Out of order: buffer and acknowledge immediately (duplicate
@@ -266,7 +269,7 @@ func (s *Sink) Receive(p *packet.Packet) {
 func (s *Sink) onDelayTimeout() {
 	if s.pendingAck {
 		s.pendingAck = false
-		s.cfg.Out.Send(s.cumulativeAck(s.pendingPkt))
+		s.ends.Out.Send(s.cumulativeAck(s.pendingPkt))
 	}
 }
 
@@ -284,27 +287,27 @@ func (s *Sink) flushPending() {
 // additionally reports its out-of-order holdings.
 func (s *Sink) sendAck(echo ackEcho) {
 	p := s.cumulativeAck(echo)
-	if s.cfg.Variant == SACK && s.oooCnt > 0 {
+	if s.p.Variant == SACK && s.oooCnt > 0 {
 		// Append into the packet's own (pooled) block storage: each
 		// packet owns its SACK backing array, so in-flight ACKs never
 		// share blocks and reuse is safe.
 		p.SACK = s.appendSACKBlocks(p.SACK[:0], echo.seq)
 	}
-	s.cfg.Out.Send(p)
+	s.ends.Out.Send(p)
 }
 
 // cumulativeAck counts and builds the cumulative acknowledgment of echo.
 func (s *Sink) cumulativeAck(echo ackEcho) *packet.Packet {
 	s.acksSent++
-	s.cfg.Metrics.AcksSent.Inc()
-	p := s.cfg.Pool.Get()
+	s.p.Metrics.AcksSent.Inc()
+	p := s.p.Pool.Get()
 	p.Kind = packet.Ack
-	p.Flow = s.cfg.Flow
-	p.Src = s.cfg.Dst
-	p.Dst = s.cfg.Src
+	p.Flow = s.ends.Flow
+	p.Src = s.ends.Dst
+	p.Dst = s.ends.Src
 	p.Seq = echo.seq
 	p.Ack = s.rcvNxt
-	p.Size = s.cfg.AckSize
+	p.Size = s.p.AckSize
 	p.SentAt = echo.sentAt
 	p.Retransmit = echo.rtxed
 	p.ECE = echo.ece
@@ -322,12 +325,12 @@ const maxSACKBlocks = 4
 func (s *Sink) appendSACKBlocks(dst []packet.SACKBlock, trigger int64) []packet.SACKBlock {
 	blocks := dst
 	remaining := s.oooCnt
-	for seq := s.rcvNxt + 1; remaining > 0 && seq < s.rcvNxt+s.oooRing; seq++ {
+	for seq := s.rcvNxt + 1; remaining > 0 && seq <= s.rcvNxt+s.oooMask; seq++ {
 		if !s.oooHas(seq) {
 			continue
 		}
 		first := seq
-		for remaining > 0 && seq < s.rcvNxt+s.oooRing && s.oooHas(seq) {
+		for remaining > 0 && seq <= s.rcvNxt+s.oooMask && s.oooHas(seq) {
 			remaining--
 			seq++
 		}

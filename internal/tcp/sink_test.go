@@ -21,7 +21,7 @@ func newSinkHarness(t *testing.T, mutate func(*Config)) *sinkHarness {
 	t.Helper()
 	sched := sim.NewScheduler()
 	out := &pipe{sched: sched, delay: time.Millisecond, dst: nopAgent{}}
-	cfg := Config{Flow: 1, Src: 100, Dst: 1, Variant: Reno, Sched: sched, Out: out}
+	cfg := Config{Ends: Ends{Flow: 1, Src: 100, Dst: 1, Out: out}, Params: Params{Variant: Reno, Sched: sched}}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -230,10 +230,10 @@ func TestDelayedAckSlowsWindowGrowth(t *testing.T) {
 }
 
 func TestSinkConfigValidation(t *testing.T) {
-	if _, err := NewSink(Config{Variant: Reno, Out: nil, Sched: sim.NewScheduler()}); err == nil {
+	if _, err := NewSink(Config{Params: Params{Variant: Reno, Sched: sim.NewScheduler()}}); err == nil {
 		t.Error("NewSink accepted nil wire")
 	}
-	if _, err := NewSink(Config{Variant: Reno, Out: &pipe{}, Sched: nil}); err == nil {
+	if _, err := NewSink(Config{Ends: Ends{Out: &pipe{}}, Params: Params{Variant: Reno}}); err == nil {
 		t.Error("NewSink accepted nil scheduler")
 	}
 }

@@ -6,6 +6,6 @@ import "unsafe"
 // compile-time constant, so this costs nothing at runtime.
 const (
 	senderStructBytes = unsafe.Sizeof(Sender{})
-	segmentBytes      = unsafe.Sizeof(segment{})
+	segmentBytes      = unsafe.Sizeof(segment(0))
 	sinkStructBytes   = unsafe.Sizeof(Sink{})
 )

@@ -12,6 +12,7 @@
 package tcp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -65,12 +66,13 @@ func DefaultVegasParams() VegasParams {
 	return VegasParams{Alpha: 1, Beta: 3, Gamma: 1}
 }
 
-// Config describes one TCP connection (sender plus sink endpoints).
-type Config struct {
-	// Flow identifies the conversation.
-	Flow packet.FlowID
-	// Src and Dst are the sender-side and receiver-side node addresses.
-	Src, Dst packet.Addr
+// Params is the part of a connection's configuration that does not vary
+// from flow to flow: the variant and its tunables, and the scheduler, pool
+// and telemetry handles of the shard the endpoint runs on. A builder makes
+// one block with NewParams for every set of endpoints built alike and
+// hands each endpoint a pointer to it, so an endpoint holds only its Ends
+// and its own state. Endpoints never write the block.
+type Params struct {
 	// Variant selects the congestion-control algorithm.
 	Variant Variant
 	// PacketSize is the wire size of a data packet in bytes.
@@ -97,8 +99,6 @@ type Config struct {
 	DelayedAckTimeout sim.Duration
 	// Vegas holds the Vegas thresholds; ignored by other variants.
 	Vegas VegasParams
-	// Out carries the sender's packets toward Dst. Required.
-	Out transport.Wire
 	// Sched is the simulation kernel. Required.
 	Sched *sim.Scheduler
 	// Pool, when non-nil, supplies data and ACK packets and receives them
@@ -110,6 +110,41 @@ type Config struct {
 	// path; the zero value disables publication. The experiment harness
 	// shares one handle set across every flow, so these aggregate.
 	Metrics Metrics
+
+	// ready marks a block NewParams completed.
+	ready bool
+}
+
+// Ends is what one connection's endpoints hold of their own: the flow,
+// its two addresses and the endpoint's egress.
+type Ends struct {
+	// Flow identifies the conversation.
+	Flow packet.FlowID
+	// Src and Dst are the sender-side and receiver-side node addresses.
+	Src, Dst packet.Addr
+	// Out carries the endpoint's packets: the sender's toward Dst, the
+	// sink's acknowledgments back toward Src. Required.
+	Out transport.Wire
+}
+
+// Config describes one connection in full, for callers that build its
+// endpoints one at a time: NewSender and NewSink each make a parameter
+// block of their own from it.
+type Config struct {
+	Ends
+	Params
+}
+
+// NewParams returns a block holding p, with zero-valued tunables set to
+// their paper-era defaults, for any number of endpoints to share; or an
+// error for an invalid configuration.
+func NewParams(p Params) (*Params, error) {
+	p = p.withDefaults()
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	p.ready = true
+	return &p, nil
 }
 
 // Metrics bundles the telemetry handles TCP endpoints publish when
@@ -125,7 +160,7 @@ type Metrics struct {
 }
 
 // withDefaults fills zero-valued tunables with paper-era defaults.
-func (c Config) withDefaults() Config {
+func (c Params) withDefaults() Params {
 	if c.PacketSize == 0 {
 		c.PacketSize = 1000
 	}
@@ -160,20 +195,30 @@ func (c Config) withDefaults() Config {
 }
 
 // validate reports the first configuration error, or nil.
-func (c Config) validate() error {
+func (c Params) validate() error {
 	switch {
 	case c.Sched == nil:
-		return fmt.Errorf("tcp flow %d: nil scheduler", c.Flow)
-	case c.Out == nil:
-		return fmt.Errorf("tcp flow %d: nil wire", c.Flow)
+		return errors.New("tcp: nil scheduler")
 	case c.Variant < Tahoe || c.Variant > SACK:
-		return fmt.Errorf("tcp flow %d: unknown variant %d", c.Flow, int(c.Variant))
+		return fmt.Errorf("tcp: unknown variant %d", int(c.Variant))
 	case c.PacketSize <= 0:
-		return fmt.Errorf("tcp flow %d: packet size %d <= 0", c.Flow, c.PacketSize)
+		return fmt.Errorf("tcp: packet size %d <= 0", c.PacketSize)
 	case c.MaxWindow <= 0:
-		return fmt.Errorf("tcp flow %d: max window %d <= 0", c.Flow, c.MaxWindow)
+		return fmt.Errorf("tcp: max window %d <= 0", c.MaxWindow)
 	case c.MinRTO > c.MaxRTO:
-		return fmt.Errorf("tcp flow %d: min RTO %v > max RTO %v", c.Flow, c.MinRTO, c.MaxRTO)
+		return fmt.Errorf("tcp: min RTO %v > max RTO %v", c.MinRTO, c.MaxRTO)
+	}
+	return nil
+}
+
+// check reports whether an endpoint of flow e.Flow can run on p and send
+// on e.Out.
+func (e Ends) check(p *Params) error {
+	switch {
+	case p == nil || !p.ready:
+		return fmt.Errorf("tcp flow %d: parameters not made by NewParams", e.Flow)
+	case e.Out == nil:
+		return fmt.Errorf("tcp flow %d: nil wire", e.Flow)
 	}
 	return nil
 }

@@ -18,8 +18,6 @@ import (
 // are still repaired Reno-style, with Vegas's fine-grained early
 // retransmission check on the first and second duplicate ACK.
 type vegasCC struct {
-	params VegasParams
-
 	baseRTT     sim.Duration // minimum RTT ever observed
 	epochRTTSum sim.Duration // sum of RTT samples within the current epoch
 	epochEnd    int64        // snd_nxt when the epoch began
@@ -29,8 +27,8 @@ type vegasCC struct {
 
 var _ congestionControl = (*vegasCC)(nil)
 
-func newVegasCC(params VegasParams) *vegasCC {
-	return &vegasCC{params: params, growEpoch: true}
+func newVegasCC() *vegasCC {
+	return &vegasCC{growEpoch: true}
 }
 
 func (c *vegasCC) onNewAck(s *Sender, acked int64, rtt sim.Duration) {
@@ -69,7 +67,7 @@ func (c *vegasCC) onNewAck(s *Sender, acked int64, rtt sim.Duration) {
 	// Vegas's modified slow start doubles every other RTT.
 	if s.cwnd < s.ssthresh && c.growEpoch {
 		s.cwnd++
-		if max := float64(s.cfg.MaxWindow); s.cwnd > max {
+		if max := float64(s.p.MaxWindow); s.cwnd > max {
 			s.cwnd = max
 		}
 	}
@@ -92,7 +90,7 @@ func (c *vegasCC) adjustWindow(s *Sender) {
 		// Modified slow start: exit as soon as the flow queues more
 		// than gamma packets, trimming the window to what the path
 		// actually carried.
-		if diff > c.params.Gamma {
+		if diff > s.p.Vegas.Gamma {
 			target := s.cwnd * float64(c.baseRTT) / float64(rtt)
 			s.cwnd = math.Min(s.cwnd, target+1)
 			if s.cwnd < 2 {
@@ -104,15 +102,15 @@ func (c *vegasCC) adjustWindow(s *Sender) {
 	}
 
 	switch {
-	case diff < c.params.Alpha:
+	case diff < s.p.Vegas.Alpha:
 		s.cwnd++
-	case diff > c.params.Beta:
+	case diff > s.p.Vegas.Beta:
 		s.cwnd--
 	}
 	if s.cwnd < 2 {
 		s.cwnd = 2
 	}
-	if max := float64(s.cfg.MaxWindow); s.cwnd > max {
+	if max := float64(s.p.MaxWindow); s.cwnd > max {
 		s.cwnd = max
 	}
 }
@@ -141,7 +139,7 @@ func (c *vegasCC) onDupAck(s *Sender, count int) {
 	// the third duplicate ACK.
 	if sentAt, ok := s.segSentAt(s.sndUna); ok && s.srtt > 0 {
 		fineTimeout := s.srtt + 4*s.rttvar
-		if s.cfg.Sched.Now().Sub(sentAt) > fineTimeout {
+		if s.p.Sched.Now().Sub(sentAt) > fineTimeout {
 			enterFastRetransmit(s, Vegas)
 		}
 	}

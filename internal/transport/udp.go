@@ -42,13 +42,23 @@ var (
 
 // NewUDPSender returns a sender, or an error for an invalid configuration.
 func NewUDPSender(cfg UDPConfig) (*UDPSender, error) {
+	u := new(UDPSender)
+	if err := InitUDPSender(u, cfg); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// InitUDPSender is NewUDPSender in place, for senders kept in a slab.
+func InitUDPSender(u *UDPSender, cfg UDPConfig) error {
 	if cfg.Out == nil {
-		return nil, fmt.Errorf("udp flow %d: nil wire", cfg.Flow)
+		return fmt.Errorf("udp flow %d: nil wire", cfg.Flow)
 	}
 	if cfg.PacketSize <= 0 {
-		return nil, fmt.Errorf("udp flow %d: packet size %d <= 0", cfg.Flow, cfg.PacketSize)
+		return fmt.Errorf("udp flow %d: packet size %d <= 0", cfg.Flow, cfg.PacketSize)
 	}
-	return &UDPSender{cfg: cfg}, nil
+	*u = UDPSender{cfg: cfg}
+	return nil
 }
 
 // Submit sends one datagram immediately.
@@ -92,7 +102,17 @@ func NewUDPSink() *UDPSink { return &UDPSink{} }
 // NewUDPSinkWithClock returns a sink that additionally samples one-way
 // delays on the scheduler's clock.
 func NewUDPSinkWithClock(clock *sim.Scheduler) *UDPSink {
-	return &UDPSink{clock: clock}
+	s := new(UDPSink)
+	InitUDPSink(s, clock)
+	return s
+}
+
+// InitUDPSink is NewUDPSinkWithClock in place, for sinks kept in a slab.
+// A sink initialized again keeps its delay store's chunks.
+func InitUDPSink(s *UDPSink, clock *sim.Scheduler) {
+	delays := s.delays
+	delays.Reset()
+	*s = UDPSink{clock: clock, delays: delays}
 }
 
 // SetPool makes the sink return consumed datagrams to pl. The sink is the
