@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"sync"
 
@@ -55,6 +56,9 @@ type arena struct {
 	// delay samples' scratch.
 	queueSamples []float64
 	delays       []float64
+	// idleAt is the count of completed garbage collections when the
+	// arena last went idle.
+	idleAt uint64
 }
 
 // idle holds the arenas no run is using, the most recently released last.
@@ -64,15 +68,20 @@ type arena struct {
 // second arena beside the idle one (a flows-50k run on two cores doubled
 // its peak RSS that way). Like a sync.Pool, though, idle empties across
 // garbage collections, so the arenas of a finished sweep do not outlive
-// it for long: each collection drops the arenas that were already idle at
-// the one before (ageIdle).
+// it for long: a collection drops the arenas that have been idle through
+// idleCycles collections (ageIdle).
 var idle struct {
 	sync.Mutex
 	arenas []*arena
-	// aged counts the arenas, from the front, that were idle at the last
-	// collection.
-	aged int
 }
+
+// idleCycles is the collection, counted from the first to complete after
+// an arena went idle, that drops it. Two would not do: a collection
+// already under way when the arena is released completes after it, so an
+// arena idle through one whole collection, such as a benchmark's forced
+// runtime.GC between a warm-up run and the timed ones, would be dropped,
+// and the next run would build a new one.
+const idleCycles = 3
 
 // takeArena returns the most recently released idle arena, or a new one.
 func takeArena() *arena {
@@ -85,15 +94,22 @@ func takeArena() *arena {
 	a := idle.arenas[n]
 	idle.arenas[n] = nil
 	idle.arenas = idle.arenas[:n]
-	idle.aged = min(idle.aged, n)
 	return a
 }
 
 // idleArena makes a, emptied by release, available to the next run.
 func idleArena(a *arena) {
+	a.idleAt = gcCycles()
 	idle.Lock()
 	idle.arenas = append(idle.arenas, a)
 	idle.Unlock()
+}
+
+// gcCycles returns the number of garbage collections completed so far.
+func gcCycles() uint64 {
+	sample := [1]metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(sample[:])
+	return sample[0].Value.Uint64()
 }
 
 // gcTick is a heap object whose finalizer runs after every garbage
@@ -104,16 +120,19 @@ type gcTick struct{ _ *byte }
 
 func init() { runtime.SetFinalizer(new(gcTick), ageIdle) }
 
-// ageIdle runs after each garbage collection: it drops the arenas that
-// were idle at the collection before and marks the others aged.
+// ageIdle runs after each garbage collection and drops the arenas that
+// have been idle through idleCycles collections.
 func ageIdle(t *gcTick) {
-	idle.Lock()
-	n := copy(idle.arenas, idle.arenas[idle.aged:])
-	clear(idle.arenas[n:])
-	idle.arenas = idle.arenas[:n]
-	idle.aged = n
-	idle.Unlock()
+	dropAged(gcCycles())
 	runtime.SetFinalizer(t, ageIdle)
+}
+
+// dropAged drops the idle arenas that went idle idleCycles or more
+// collections before the count now.
+func dropAged(now uint64) {
+	idle.Lock()
+	idle.arenas = slices.DeleteFunc(idle.arenas, func(a *arena) bool { return now-a.idleAt >= idleCycles })
+	idle.Unlock()
 }
 
 // take returns the first n entries of *s, growing *s to n entries when it

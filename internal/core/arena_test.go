@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -293,4 +294,37 @@ func TestIdleArenasConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestIdleArenaSurvivesTwoCollections: an arena released and then left
+// idle through two collections is still there for the next run, as it
+// must be for a benchmark that forces a collection between its warm-up
+// and its timed runs; after a third it is dropped. dropAged stands in for
+// the finalizer, which runs at some point after each collection.
+func TestIdleArenaSurvivesTwoCollections(t *testing.T) {
+	isIdle := func(a *arena) bool {
+		idle.Lock()
+		defer idle.Unlock()
+		return slices.Contains(idle.arenas, a)
+	}
+	a := takeArena()
+	// Finish any collection under way, so the two below are whole ones.
+	runtime.GC()
+	idleArena(a)
+	runtime.GC()
+	runtime.GC()
+	dropAged(gcCycles())
+	if !isIdle(a) {
+		t.Fatal("an arena idle through two collections was dropped")
+	}
+	runtime.GC()
+	dropAged(gcCycles())
+	if isIdle(a) {
+		t.Fatal("an arena idle through three collections was kept")
+	}
+	b := takeArena()
+	if b == a {
+		t.Fatal("takeArena handed out a dropped arena")
+	}
+	idleArena(b)
 }

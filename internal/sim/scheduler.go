@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrStopped is returned by Run when the simulation was halted by Stop
@@ -23,17 +24,21 @@ type Handle struct {
 // to one that fired or was canceled — see Scheduler.Active for that).
 func (h Handle) IsZero() bool { return h.slot == 0 }
 
-// The event queue is split in two by deadline. Events inside the wheel
-// window — a span of wheelBuckets equal-width time buckets starting at
-// wheelBase — go into the timing wheel: insertion is a bucket index
-// computation plus a sorted splice into a (nearly always empty or
-// one-element) chain, and popping is an array scan to the next nonempty
-// bucket. Events beyond the window — retransmission-style timers, mostly —
-// go into a 4-ary min-heap and either get canceled there or migrate into
-// the wheel when the window advances past them. Both structures order
-// events by (time, ord); ord is unique (see lane.go), so the pop order is
-// a total order and identical to a single global priority queue: the split
-// is invisible to simulation results.
+// The event queue has two levels by deadline. Events inside the wheel
+// window — [wheelBase, wheelBase+wheelLen), at most wheelBuckets
+// equal-width time buckets — go into the timing wheel: insertion is a
+// bucket index computation plus a sorted splice into a (nearly always
+// empty or one-element) chain, and popping is an array scan to the next
+// nonempty bucket. Events beyond the window — retransmission-style
+// timers, mostly — go into the far ring (ring below): filing is a bucket
+// index computation and a push onto an unsorted doubly linked chain,
+// canceling is an unlink, and when the wheel runs dry the window moves to
+// the ring's earliest event and takes over the chains it covers.
+// Every event the ring holds lies at or beyond the window's end, so the
+// wheel's first event is always the earliest pending one, and both
+// levels order events by (time, ord); ord is unique (see lane.go), so the
+// pop order is a total order and identical to a single global priority
+// queue: the split is invisible to simulation results.
 //
 // The bucket width adapts between advances: when a window saw more pops
 // than buckets the width halves, when it saw almost none it doubles. The
@@ -48,38 +53,86 @@ const (
 	maxShift = 22
 )
 
+// The far ring is a hashed hierarchical timing wheel (Varghese and Lauck,
+// SOSP 1987) of ringLevels levels with ringBuckets buckets each, indexed
+// by absolute time: level j's buckets are 1<<levelShift(j) nanoseconds
+// wide, so one rotation of level j is one bucket of level j+1, and the
+// finest level's rotation (8.6 s) outspans the widest wheel window
+// (4.3 s). An event is filed in the finest level whose current rotation —
+// the one holding wheelBase — also holds its deadline; 23 + 4·10 = 63
+// bits, so the coarsest level holds every instant there is. Within a
+// level, bucket order is deadline order, so the first set bit of its
+// occupancy bitmap is its earliest bucket. When a coarser level's first
+// bucket starts no later than the finest level's, the window moves to
+// that bucket's start and its chain is refiled, one level finer or more
+// (a cascade); an event pays one cascade per level it skips, and only if
+// it is still pending when the window reaches it.
+const (
+	ringBits    = 10
+	ringBuckets = 1 << ringBits
+	ringShift   = 23 // finest ring bucket: 8.4 ms
+	ringLevels  = 4
+	ringWidth   = Time(1) << ringShift
+)
+
+// levelShift returns the log2 width of level j's buckets, which is also
+// the log2 span of one rotation of level j-1.
+func levelShift(j int) uint { return ringShift + uint(j)*ringBits }
+
+// rotationStart returns the start of the rotation of level j holding t.
+func rotationStart(t Time, j int) Time {
+	r := levelShift(j + 1)
+	return t >> r << r
+}
+
+// ring is one level of the far ring. Bucket b holds, in an unsorted chain
+// linked through the slots' next and prev, the events whose deadline
+// falls in bucket b of the level's current rotation; its bit in bits is
+// set exactly when the chain is nonempty, and head[b] means something
+// only then.
+type ring struct {
+	head [ringBuckets]int32
+	bits [ringBuckets / 64]uint64
+	n    int // events filed in this level
+}
+
+// next returns the first nonempty bucket at or after b, or ringBuckets.
+func (r *ring) next(b int) int {
+	w := b >> 6
+	if w >= len(r.bits) {
+		return ringBuckets
+	}
+	if m := r.bits[w] >> (b & 63); m != 0 {
+		return b + bits.TrailingZeros64(m)
+	}
+	for w++; w < len(r.bits); w++ {
+		if r.bits[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(r.bits[w])
+		}
+	}
+	return ringBuckets
+}
+
 // keyBefore reports whether event key (t1, o1) precedes (t2, o2): the
-// kernel's one event order, used by the wheel chains, the far heap, the
-// wheel-or-heap pop and a train's inline chaining alike. It is written as
-// straight boolean arithmetic — no short-circuiting — so the compiler
-// lowers it to flag materialization instead of branches; the outcome is
-// data-dependent and unpredictable, and sift loops run one comparison per
-// child, so avoiding mispredicts here is worth more than skipping an ALU
-// op.
+// kernel's one event order, used by the wheel chains, the ring's minimum
+// and a train's inline chaining alike. It is written as straight boolean
+// arithmetic — no short-circuiting — so the compiler lowers it to flag
+// materialization instead of branches; the outcome is data-dependent and
+// unpredictable, so avoiding mispredicts here is worth more than skipping
+// an ALU op.
 func keyBefore(t1 Time, o1 uint64, t2 Time, o2 uint64) bool {
 	lt := t1 < t2
 	tie := t1 == t2 && o1 < o2
 	return lt || tie
 }
 
-// heapNode is one entry of the far-future event min-heap, ordered by
-// (time, ord). Nodes are plain values — no pointers, no interface
-// boxing — so sift operations are plain memory moves and the heap slice
-// never needs per-element clearing. The ordinal occupies a full word (its
-// high bits are the lane id, which must survive intact for cross-lane
-// ties), so the slot index rides in its own field rather than packing.
-type heapNode struct {
-	time Time
-	ord  uint64
-	slot int32
-}
-
 // eventSlot holds one scheduled event, fn(arg), in the scheduler's slot
-// arena (56 bytes). pos encodes where the event lives: >= 0 is its index
-// in the far heap (maintained by every sift so Cancel can delete in
-// place), <= -2 means wheel bucket -2-pos (chained through next, sorted by
-// (time, ord)). Freed slots are chained through next and recycled by
-// later schedules; gen increments on every free so stale handles miss.
+// arena (56 bytes). pos encodes where the event lives: <= -2 means wheel
+// bucket -2-pos (chained through next, sorted by (time, ord)), >= 0 means
+// ring level pos>>ringBits, bucket pos&(ringBuckets-1) (chained through
+// next and prev, unsorted, so Cancel unlinks in O(1)). Freed slots are
+// chained through next and recycled by later schedules; gen increments on
+// every free so stale handles miss.
 type eventSlot struct {
 	fn   func(any)
 	arg  any
@@ -88,6 +141,7 @@ type eventSlot struct {
 	gen  uint32
 	pos  int32
 	next int32
+	prev int32
 }
 
 // Scheduler is the discrete-event simulation kernel. It is not safe for
@@ -98,7 +152,7 @@ type eventSlot struct {
 //
 // The kernel is allocation-free in steady state: events live in a slot
 // arena recycled through a free list, near events in a timing wheel, far
-// events in an inline position-indexed min-heap of plain values. Every
+// events in the bucket chains of a fixed-size ring. Every
 // event is one form, fn(arg). Callers that schedule the same callback
 // repeatedly file it as (fn, receiver) through AtCall/AfterCall, with fn a
 // package-level trampoline such as func(a any) { a.(*T).fire() }: a
@@ -111,21 +165,25 @@ type Scheduler struct {
 	freeHead int32 // first free slot index, -1 when none
 	stopped  bool
 
-	// Timing wheel for events inside [wheelBase, wheelBase+span).
+	// Timing wheel for events inside [wheelBase, wheelBase+wheelLen).
+	// wheelBase is also the ring's reference: it never passes the clock
+	// or a ring event.
 	wheel      []int32 // head slot index per bucket, -1 empty
 	wheelBase  Time
+	wheelLen   Time  // window length: span(), cut at the end of the finest ring rotation
 	shift      uint  // bucket width = 1<<shift nanoseconds
 	wheelCount int   // events currently in the wheel
 	windowPops int   // wheel pops since the last window advance
 	minBucket  int32 // lower bound on the first nonempty bucket
 
-	// Far-future overflow heap.
-	heap []heapNode
+	// Far ring for events at or beyond the window's end.
+	rings     *[ringLevels]ring
+	ringCount int // events in the ring, all levels
 
 	// Fired counts events that have executed; useful for progress metrics.
 	fired uint64
-	// scheduled counts slot filings (wheel inserts + heap pushes at
-	// schedule time). It is pure run telemetry — the burst-batching
+	// scheduled counts slot filings (wheel or ring inserts at schedule
+	// time). It is pure run telemetry — the burst-batching
 	// benchmarks report scheduled/packet to show the amortization — and
 	// never feeds back into simulation behavior.
 	scheduled uint64
@@ -138,13 +196,13 @@ type Scheduler struct {
 
 // NewScheduler returns a kernel with the clock at TimeZero.
 func NewScheduler() *Scheduler {
-	s := &Scheduler{wheel: make([]int32, wheelBuckets)}
+	s := &Scheduler{wheel: make([]int32, wheelBuckets), rings: new([ringLevels]ring)}
 	s.Reset()
 	return s
 }
 
 // Reset returns s to the state NewScheduler leaves it in, dropping every
-// pending event, but keeps its slot arena and far heap: a run harness that
+// pending event, but keeps its slot arena, wheel and ring: a run harness that
 // reuses one scheduler for many runs grows them once, to the largest run's
 // high-water mark, instead of once per run. Reuse is safe because nothing
 // of the earlier run survives in them. Every slot goes back on the free
@@ -162,13 +220,18 @@ func (s *Scheduler) Reset() {
 	for i := range s.wheel {
 		s.wheel[i] = -1
 	}
+	for j := range s.rings {
+		s.rings[j].bits = [ringBuckets / 64]uint64{}
+		s.rings[j].n = 0
+	}
 	*s = Scheduler{
 		defLane:  newLane(defaultLaneID),
 		slots:    s.slots,
 		freeHead: free,
 		wheel:    s.wheel,
+		wheelLen: Time(wheelBuckets) << initShift,
 		shift:    initShift,
-		heap:     s.heap[:0],
+		rings:    s.rings,
 	}
 }
 
@@ -182,8 +245,13 @@ func (s *Scheduler) EachPending(visit func(arg any)) {
 			visit(s.slots[i].arg)
 		}
 	}
-	for _, h := range s.heap {
-		visit(s.slots[h.slot].arg)
+	for j := range s.rings {
+		r := &s.rings[j]
+		for b := r.next(0); b < ringBuckets; b = r.next(b + 1) {
+			for i := r.head[b]; i >= 0; i = s.slots[i].next {
+				visit(s.slots[i].arg)
+			}
+		}
 	}
 }
 
@@ -194,7 +262,7 @@ func (s *Scheduler) span() Time { return Time(wheelBuckets) << s.shift }
 func (s *Scheduler) Now() Time { return s.now }
 
 // Pending returns the number of scheduled, uncanceled events in O(1).
-func (s *Scheduler) Pending() int { return s.wheelCount + len(s.heap) }
+func (s *Scheduler) Pending() int { return s.wheelCount + s.ringCount }
 
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -290,16 +358,14 @@ func (s *Scheduler) scheduleOrd(t Time, ord uint64, fn func(any), arg any) Handl
 	return Handle{slot: uint32(idx) + 1, gen: sl.gen}
 }
 
-// file puts allocated slot idx into the wheel or the far heap by its
-// deadline. Run also uses it to undo popEvent for the one event it finds
-// beyond its horizon: the (time, ord) key is unchanged, so the event pops
-// in exactly the position it always had.
+// file puts allocated slot idx into the wheel or the ring by its
+// deadline, which is never behind the clock and so never behind
+// wheelBase.
 func (s *Scheduler) file(idx int32) {
-	sl := &s.slots[idx]
-	if d := sl.time - s.wheelBase; 0 <= d && d < s.span() {
+	if s.slots[idx].time-s.wheelBase < s.wheelLen {
 		s.wheelInsert(idx)
 	} else {
-		s.push(heapNode{time: sl.time, ord: sl.ord, slot: idx})
+		s.ringInsert(idx)
 	}
 }
 
@@ -334,11 +400,10 @@ func (s *Scheduler) wheelInsert(idx int32) {
 // Cancel ensures the event behind h will not fire, deleting it in place
 // and recycling its slot immediately. Canceling the zero Handle or an
 // already fired/canceled event is a no-op. Wheel events unlink from a
-// short bucket chain; heap events sift from their recorded position —
-// retransmission-style timers (deadline far beyond the wheel window) live
-// near the leaves, so their Reset/Stop churn is near O(1). Removal never
-// reorders the surviving events: pop order is fully determined by
-// (time, ord).
+// short bucket chain, ring events from their doubly linked one in O(1),
+// so the Reset/Stop churn of retransmission-style timers is a few stores.
+// Removal never reorders the surviving events: pop order is fully
+// determined by (time, ord).
 func (s *Scheduler) Cancel(h Handle) {
 	if !s.Active(h) {
 		return
@@ -348,7 +413,7 @@ func (s *Scheduler) Cancel(h Handle) {
 	if pos <= -2 {
 		s.wheelRemove(idx, -2-pos)
 	} else {
-		s.removeAt(int(pos))
+		s.ringRemove(idx)
 	}
 	s.freeSlot(idx)
 }
@@ -411,11 +476,146 @@ func (s *Scheduler) scanFrom(t Time) int32 {
 	return b
 }
 
-// advance moves the wheel window forward to the earliest far event and
-// migrates every heap event inside the new window into the wheel. Called
-// only with an empty wheel and a nonempty heap, which is also the free
+// ringInsert files slot idx, whose deadline lies at or beyond the wheel
+// window's end, at the head of its ring bucket's chain. Its level is the
+// finest whose current rotation holds the deadline: counting ringBits-wide
+// groups of bits from ringShift up, the group that holds the highest bit
+// in which deadline and wheelBase differ (0 when they differ only below).
+func (s *Scheduler) ringInsert(idx int32) {
+	sl := &s.slots[idx]
+	j := (bits.Len64(uint64(sl.time^s.wheelBase)>>ringShift) - 1) / ringBits
+	r := &s.rings[j]
+	b := int32(sl.time>>levelShift(j)) & (ringBuckets - 1)
+	w, m := b>>6, uint64(1)<<(b&63)
+	sl.prev = -1
+	if r.bits[w]&m == 0 {
+		r.bits[w] |= m
+		sl.next = -1
+	} else {
+		sl.next = r.head[b]
+		s.slots[sl.next].prev = idx
+	}
+	r.head[b] = idx
+	sl.pos = int32(j)<<ringBits | b
+	r.n++
+	s.ringCount++
+}
+
+// ringRemove unlinks slot idx from its ring bucket's chain.
+func (s *Scheduler) ringRemove(idx int32) {
+	sl := &s.slots[idx]
+	r := &s.rings[sl.pos>>ringBits]
+	b := sl.pos & (ringBuckets - 1)
+	switch {
+	case sl.prev >= 0:
+		s.slots[sl.prev].next = sl.next
+	case sl.next >= 0:
+		r.head[b] = sl.next
+	default:
+		r.bits[b>>6] &^= 1 << (b & 63)
+	}
+	if sl.next >= 0 {
+		s.slots[sl.next].prev = sl.prev
+	}
+	r.n--
+	s.ringCount--
+}
+
+// firstBucket returns the first nonempty bucket of ring level j, which
+// holds the level's earliest event, and the instant it starts at. Every
+// event of the level lies in wheelBase's rotation of it and not behind
+// wheelBase, so the search starts at wheelBase's bucket. The caller
+// guarantees the level is nonempty.
+func (s *Scheduler) firstBucket(j int) (int, Time) {
+	sh := levelShift(j)
+	b := s.rings[j].next(int(s.wheelBase>>sh) & (ringBuckets - 1))
+	return b, rotationStart(s.wheelBase, j) | Time(b)<<sh
+}
+
+// ringFirst returns the ring level and bucket whose time range starts
+// first, and that start. A coarser bucket wins a tie: it may hold events
+// earlier than anything in the finer one. The caller guarantees the ring
+// is nonempty.
+func (s *Scheduler) ringFirst() (level, bucket int, start Time) {
+	start = TimeMax
+	for j := range s.rings {
+		if s.rings[j].n == 0 {
+			continue
+		}
+		if b, t := s.firstBucket(j); t <= start {
+			level, bucket, start = j, b, t
+		}
+	}
+	return level, bucket, start
+}
+
+// ringMin returns the key of the ring's earliest event without moving
+// anything: it scans the levels' first buckets, skipping any that starts
+// after the best key so far. The caller guarantees the ring is nonempty.
+func (s *Scheduler) ringMin() (Time, uint64) {
+	best := int32(-1)
+	for j := range s.rings {
+		if s.rings[j].n == 0 {
+			continue
+		}
+		b, start := s.firstBucket(j)
+		if best >= 0 && start > s.slots[best].time {
+			continue
+		}
+		for i := s.rings[j].head[b]; i >= 0; i = s.slots[i].next {
+			if best < 0 || keyBefore(s.slots[i].time, s.slots[i].ord, s.slots[best].time, s.slots[best].ord) {
+				best = i
+			}
+		}
+	}
+	return s.slots[best].time, s.slots[best].ord
+}
+
+// moveChain empties bucket b of ring level j and files every event of
+// its chain again: into the wheel, or, for a cascade, into the ring.
+func (s *Scheduler) moveChain(j, b int, toWheel bool) {
+	r := &s.rings[j]
+	r.bits[b>>6] &^= 1 << (b & 63)
+	for i := r.head[b]; i >= 0; {
+		next := s.slots[i].next
+		r.n--
+		s.ringCount--
+		if toWheel {
+			s.wheelInsert(i)
+		} else {
+			s.ringInsert(i)
+		}
+		i = next
+	}
+}
+
+// advance moves the wheel window forward to the ring's earliest event and
+// moves every ring event inside the new window into the wheel. Called
+// only with an empty wheel and a nonempty ring, which is also the free
 // moment to retune the bucket width from the finished window's density.
-func (s *Scheduler) advance() {
+// If the earliest event lies beyond limit it moves nothing and reports
+// false: the window moves only right before that event fires, so
+// wheelBase never passes the clock. Whether it is due needs a chain scan
+// only when limit falls inside the first bucket.
+//
+// First, while a coarser level's first bucket starts no later than the
+// finest level's, the window moves to its start and its chain is refiled
+// (each event lands at least one level finer). Then the finest level's
+// first bucket holds the earliest event. The window starts at that event
+// and ends one span later or at the end of the finest rotation, whichever
+// comes first. The finest level's buckets it covers move into the wheel
+// whole, but for the one it ends inside, whose chain is split by deadline
+// (the rest of it is walked again at the next advance).
+func (s *Scheduler) advance(limit Time) bool {
+	j, b, start := s.ringFirst()
+	if start > limit {
+		return false
+	}
+	if limit-start < Time(1)<<levelShift(j) {
+		if t, _ := s.ringMin(); t > limit {
+			return false
+		}
+	}
 	if s.windowPops > wheelBuckets {
 		if s.shift > minShift {
 			s.shift--
@@ -426,36 +626,55 @@ func (s *Scheduler) advance() {
 		}
 	}
 	s.windowPops = 0
-	s.wheelBase = s.heap[0].time
-	s.minBucket = 0
-	span := s.span()
-	for len(s.heap) > 0 && s.heap[0].time-s.wheelBase < span {
-		n := s.pop()
-		s.wheelInsert(n.slot)
+	for j > 0 {
+		s.wheelBase = max(s.wheelBase, start)
+		s.moveChain(j, b, false)
+		j, b, start = s.ringFirst()
 	}
+	span := s.span()
+	base, _ := s.ringMin()
+	const rotation = ringWidth << ringBits
+	s.wheelBase = base
+	s.wheelLen = min(span, rotation-base&(rotation-1))
+	s.minBucket = 0
+	r := &s.rings[0]
+	for ; b < ringBuckets; b = r.next(b + 1) {
+		off := rotationStart(base, 0) | Time(b)<<ringShift - base
+		if off >= s.wheelLen {
+			break
+		}
+		if off+ringWidth <= s.wheelLen {
+			s.moveChain(0, b, true)
+			continue
+		}
+		for i := r.head[b]; i >= 0; {
+			next := s.slots[i].next
+			if s.slots[i].time-base < s.wheelLen {
+				s.ringRemove(i)
+				s.wheelInsert(i)
+			}
+			i = next
+		}
+	}
+	return true
 }
 
-// popEvent removes and returns the globally earliest event's slot index
-// and deadline. The wheel minimum is the head of the first nonempty
-// bucket; one comparison against the heap root covers the windows where
-// a far event slipped under the wheel's earliest (possible when the
-// window advanced past the current clock while peeking).
-func (s *Scheduler) popEvent() (int32, Time, bool) {
+// popEvent removes and returns the earliest pending event's slot index and
+// deadline if that deadline is at or before limit; otherwise it changes
+// nothing. The wheel's first event is the earliest pending one; an empty
+// wheel first takes the window of the ring's earliest event, but only if
+// that event is due, so the window never passes the clock.
+func (s *Scheduler) popEvent(limit Time) (int32, Time, bool) {
 	if s.wheelCount == 0 {
-		if len(s.heap) == 0 {
+		if s.ringCount == 0 || !s.advance(limit) {
 			return 0, 0, false
 		}
-		s.advance()
 	}
 	b := s.scanFrom(s.now)
 	head := s.wheel[b]
 	sl := &s.slots[head]
-	if len(s.heap) > 0 {
-		top := s.heap[0]
-		if keyBefore(top.time, top.ord, sl.time, sl.ord) {
-			n := s.pop()
-			return n.slot, n.time, true
-		}
+	if sl.time > limit {
+		return 0, 0, false
 	}
 	s.wheel[b] = sl.next
 	s.wheelCount--
@@ -467,30 +686,32 @@ func (s *Scheduler) popEvent() (int32, Time, bool) {
 // popping it, and whether any event is pending. The window-barrier
 // coordinator uses it to pick the next synchronization window start.
 func (s *Scheduler) NextTime() (Time, bool) {
-	t, _, ok := s.peekKey()
-	return t, ok
+	if s.wheelCount > 0 {
+		return s.slots[s.wheel[s.scanFrom(s.now)]].time, true
+	}
+	if s.ringCount == 0 {
+		return 0, false
+	}
+	t, _ := s.ringMin()
+	return t, true
 }
 
-// peekKey returns the full (time, ord) key of the earliest pending event
-// without popping it (and without advancing the wheel window). Trains
-// compare it against their buffered head to decide whether the next burst
-// element can run inline — i.e. whether any scheduled event would have
-// popped first under per-event execution.
-func (s *Scheduler) peekKey() (Time, uint64, bool) {
-	if s.wheelCount == 0 {
-		if len(s.heap) == 0 {
-			return 0, 0, false
-		}
-		return s.heap[0].time, s.heap[0].ord, true
+// pendingBefore reports whether a pending event's key precedes (t, ord),
+// an instant not behind the clock, without moving anything. Trains ask it
+// before running their next element inline — whether any scheduled event
+// would have popped first under per-event execution. With an empty wheel
+// an instant inside the window needs no look at the ring, all of whose
+// events lie beyond it.
+func (s *Scheduler) pendingBefore(t Time, ord uint64) bool {
+	if s.wheelCount > 0 {
+		sl := &s.slots[s.wheel[s.scanFrom(s.now)]]
+		return keyBefore(sl.time, sl.ord, t, ord)
 	}
-	sl := &s.slots[s.wheel[s.scanFrom(s.now)]]
-	t, ord := sl.time, sl.ord
-	if len(s.heap) > 0 {
-		if top := s.heap[0]; keyBefore(top.time, top.ord, t, ord) {
-			t, ord = top.time, top.ord
-		}
+	if s.ringCount == 0 || t-s.wheelBase < s.wheelLen {
+		return false
 	}
-	return t, ord, true
+	rt, rord := s.ringMin()
+	return keyBefore(rt, rord, t, ord)
 }
 
 // fire executes the event popped from slot idx: the clock moves to its
@@ -508,7 +729,7 @@ func (s *Scheduler) fire(idx int32, t Time) {
 // Step executes the single next event, advancing the clock to its timestamp.
 // It reports false when no events remain.
 func (s *Scheduler) Step() bool {
-	idx, t, ok := s.popEvent()
+	idx, t, ok := s.popEvent(TimeMax)
 	if ok {
 		s.fire(idx, t)
 	}
@@ -520,9 +741,8 @@ func (s *Scheduler) Step() bool {
 // unless stopped. Events scheduled exactly at the horizon still fire.
 //
 // The loop pops directly instead of peeking first (NextTime + Step would
-// scan the wheel twice per event); the one event found beyond the horizon
-// is refiled, paying a single extra insert per Run call instead of a scan
-// per event.
+// scan the wheel twice per event); popEvent leaves an event beyond the
+// horizon where it is.
 func (s *Scheduler) Run(horizon Time) error {
 	if horizon < s.now {
 		//burst:alloc-ok error construction on the rejected-precondition path, not per event
@@ -534,14 +754,9 @@ func (s *Scheduler) Run(horizon Time) error {
 		if s.stopped {
 			return ErrStopped
 		}
-		idx, t, ok := s.popEvent()
+		idx, t, ok := s.popEvent(horizon)
 		if !ok {
 			break
-		}
-		if t > horizon {
-			s.file(idx)
-			s.now = horizon
-			return nil
 		}
 		s.fire(idx, t)
 	}
@@ -565,107 +780,6 @@ func (s *Scheduler) RunAll() error {
 
 // Stop halts a Run/RunAll in progress after the current event completes.
 func (s *Scheduler) Stop() { s.stopped = true }
-
-// heapArity is the fan-out of the far-event heap. Four keeps siblings on
-// one or two cache lines and halves tree depth relative to binary.
-const heapArity = 4
-
-// setNode places n at heap index i and records the position in its slot.
-func (s *Scheduler) setNode(i int, n heapNode) {
-	s.heap[i] = n
-	s.slots[n.slot].pos = int32(i)
-}
-
-// push appends n and sifts it up, writing the moving node only once at
-// its final position instead of swapping at every level.
-func (s *Scheduler) push(n heapNode) {
-	//burst:alloc-ok far-heap growth is amortized doubling to the most far timers ever pending at once; Reset keeps the heap across runs
-	s.heap = append(s.heap, n)
-	s.slots[n.slot].pos = int32(len(s.heap) - 1)
-	s.siftUp(len(s.heap) - 1)
-}
-
-// pop removes and returns the root node, refilling the hole with the tail
-// node sifted down from the top.
-func (s *Scheduler) pop() heapNode {
-	h := s.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	s.heap = h[:n]
-	if n == 0 {
-		return top
-	}
-	s.setNode(0, last)
-	s.siftDown(0)
-	return top
-}
-
-// removeAt deletes the node at heap index i, restoring the heap property
-// around the tail node that takes its place.
-func (s *Scheduler) removeAt(i int) {
-	h := s.heap
-	n := len(h) - 1
-	last := h[n]
-	s.heap = h[:n]
-	if i == n {
-		return
-	}
-	s.setNode(i, last)
-	s.siftDown(i)
-	if s.heap[i].slot == last.slot {
-		s.siftUp(i)
-	}
-}
-
-// siftUp restores the heap property above index i, holding the moving
-// node in a register and writing it once at its final position.
-func (s *Scheduler) siftUp(i int) {
-	h := s.heap
-	node := h[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !keyBefore(node.time, node.ord, h[parent].time, h[parent].ord) {
-			break
-		}
-		s.setNode(i, h[parent])
-		i = parent
-	}
-	s.setNode(i, node)
-}
-
-// siftDown restores the heap property below index i, holding the moving
-// node in a register and writing it once at its final position.
-func (s *Scheduler) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	if i >= n {
-		return
-	}
-	node := h[i]
-	for {
-		c := heapArity*i + 1
-		if c >= n {
-			break
-		}
-		end := c + heapArity
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if keyBefore(h[j].time, h[j].ord, h[m].time, h[m].ord) {
-				m = j
-			}
-		}
-		if !keyBefore(h[m].time, h[m].ord, node.time, node.ord) {
-			break
-		}
-		s.setNode(i, h[m])
-		i = m
-	}
-	s.setNode(i, node)
-}
 
 // Timer is a restartable one-shot timer bound to a scheduler, mirroring the
 // retransmission-timer usage pattern in transport protocols: Reset reschedules,

@@ -371,6 +371,81 @@ func TestHeapStressRandomCancel(t *testing.T) {
 	}
 }
 
+// TestEachPendingVisitsEveryEvent files events into the wheel and into
+// every level of the ring, up to the last representable instant, cancels
+// some, and checks that EachPending visits each pending argument exactly
+// once, before and after a run has moved part of them into the wheel, and
+// that Reset leaves nothing pending and no ring bucket marked. A run
+// harness returns every in-flight packet through EachPending.
+func TestEachPendingVisitsEveryEvent(t *testing.T) {
+	s := NewScheduler()
+	nop := func(any) {}
+	at := []Time{0, Time(time.Microsecond), Time(5 * time.Millisecond), Time(time.Second),
+		Time(5 * time.Second), Time(20 * time.Second), Time(time.Minute), Time(3 * time.Hour),
+		Time(200 * 24 * time.Hour), TimeMax}
+	var handles []Handle
+	for _, t0 := range at {
+		for k := 0; k < 3; k++ {
+			handles = append(handles, s.AtCall(t0+Time(k), nop, len(handles)))
+		}
+	}
+	for j := range s.rings {
+		if s.rings[j].n == 0 {
+			t.Errorf("ring level %d holds no event", j)
+		}
+	}
+	for _, i := range []int{4, 13, 20, 29} {
+		s.Cancel(handles[i])
+	}
+	check := func(when string) {
+		t.Helper()
+		seen := make(map[int]int)
+		s.EachPending(func(a any) { seen[a.(int)]++ })
+		for i := range handles {
+			want := 0
+			if s.Active(handles[i]) {
+				want = 1
+			}
+			if seen[i] != want {
+				t.Errorf("%s: event %d visited %d times, want %d", when, i, seen[i], want)
+			}
+		}
+		if len(seen) != s.Pending() {
+			t.Errorf("%s: EachPending visited %d events, Pending() = %d", when, len(seen), s.Pending())
+		}
+	}
+	check("after filing")
+	if err := s.Run(Time(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	check("after a run")
+	s.Reset()
+	if s.Pending() != 0 {
+		t.Errorf("Pending() = %d after Reset", s.Pending())
+	}
+	for j := range s.rings {
+		for w, bits := range s.rings[j].bits {
+			if bits != 0 {
+				t.Errorf("ring level %d word %d is %#x after Reset", j, w, bits)
+			}
+		}
+	}
+	s.EachPending(func(a any) { t.Errorf("EachPending visited %v after Reset", a) })
+
+	// The reset scheduler runs the same deadlines, TimeMax included, to
+	// the end in order.
+	var fired []Time
+	for _, t0 := range at {
+		s.At(t0, func() { fired = append(fired, s.Now()) })
+	}
+	if err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(fired, at) {
+		t.Errorf("fired at %v, want %v", fired, at)
+	}
+}
+
 // Allocation budgets: the kernel hot paths must not allocate in steady
 // state. Regressions fail here instead of silently eroding the perf win.
 
@@ -389,7 +464,7 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	s := NewScheduler()
 	n := 0
 	fn := func() { n++ }
-	// Warm the slot arena and heap capacity.
+	// Warm the slot arena.
 	for i := 0; i < 64; i++ {
 		s.After(time.Microsecond, fn)
 	}
@@ -630,9 +705,11 @@ func (m *timerModel) step() bool {
 }
 
 // fuzzDelay decodes one byte into a delay: the low six bits are a count
-// and the top two pick microseconds (same-bucket ties), milliseconds
-// (inside the wheel window), 100 ms (the far heap) or negative
-// milliseconds (clamped to now).
+// n and the top two pick microseconds (same-bucket ties), milliseconds
+// (inside the wheel window), a far delay or negative milliseconds
+// (clamped to now). A far delay is n·100 ms for n < 48 (the ring's finest
+// level, up to 4.7 s) and (n−47)² minutes for n ≥ 48 (1 min to 4.3 h, up
+// to two levels coarser: a heavy-tailed off period, a backed-off RTO).
 func fuzzDelay(b byte) Duration {
 	n := Duration(b & 0x3f)
 	switch b >> 6 {
@@ -641,7 +718,10 @@ func fuzzDelay(b byte) Duration {
 	case 1:
 		return n * time.Millisecond
 	case 2:
-		return n * 100 * time.Millisecond
+		if n < 48 {
+			return n * 100 * time.Millisecond
+		}
+		return (n - 47) * (n - 47) * time.Minute
 	}
 	return -n * time.Millisecond
 }
@@ -781,15 +861,24 @@ func (m *schedModel) run(horizon Time) bool {
 }
 
 // FuzzSchedulerMatchesModel decodes bytes into At and AtCall events at
-// wheel and far-heap deadlines (and refused past ones), Cancel of live and
-// stale handles, Step and Run(horizon), and after every operation checks
-// the scheduler against schedModel: the order events fired in, Now, Fired,
-// Pending and Active for every handle issued so far.
+// wheel and ring deadlines (and refused past ones), Cancel of live and
+// stale handles, Step, Run(horizon) and NextTime, and after every
+// operation checks the scheduler against schedModel: the order events
+// fired in, Now, Fired, Pending and Active for every handle issued so far.
 func FuzzSchedulerMatchesModel(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 1, 5, 3, 0, 3, 0, 3, 0})                // same-instant ties
-	f.Add([]byte{0, 0x81, 1, 0x41, 4, 0x50, 0, 0x3f, 4, 0x90, 3, 0}) // far heap, horizon split
+	f.Add([]byte{0, 0x81, 1, 0x41, 4, 0x50, 0, 0x3f, 4, 0x90, 3, 0}) // far ring, horizon split
 	f.Add([]byte{0, 0x45, 1, 0x45, 2, 0, 2, 0, 0, 0x45, 3, 0, 3, 0}) // cancel, double cancel, slot reuse
 	f.Add([]byte{0, 0x82, 4, 0x41, 0, 0x20, 1, 0xc3, 4, 0xc1, 3, 0, 3, 0, 3, 0})
+	// Ring wraparound: from 4.7 s, a deadline past the finest level's
+	// rotation (8.6 s) and one past the next level's (2.4 h).
+	f.Add([]byte{0, 0xaf, 4, 0xaf, 0, 0xaf, 1, 0x8a, 0, 0xbf, 3, 0, 3, 0, 3, 0})
+	// Three events in one ring bucket; cancel the middle of the chain,
+	// then its head, then the last one, and file into the bucket again.
+	f.Add([]byte{0, 0x8a, 1, 0x8a, 0, 0x8a, 2, 1, 2, 2, 2, 0, 0, 0x8a, 3, 0, 3, 0})
+	// Peek with an empty wheel, then run to 0.999 s, inside the ring
+	// bucket of the 1 s event but before it.
+	f.Add([]byte{0, 0x8a, 5, 0, 4, 0x89, 4, 0x7f, 4, 0x64, 5, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		s := NewScheduler()
 		m := &schedModel{}
@@ -798,7 +887,7 @@ func FuzzSchedulerMatchesModel(f *testing.F) {
 		var handles []Handle
 		var ords []uint64
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, b := ops[i]%5, ops[i+1]
+			op, b := ops[i]%6, ops[i+1]
 			switch op {
 			case 0, 1:
 				at := s.Now().Add(fuzzDelay(b))
@@ -831,6 +920,11 @@ func FuzzSchedulerMatchesModel(f *testing.F) {
 				if got, want := s.Run(horizon) == nil, m.run(horizon); got != want {
 					t.Fatalf("op %d: Run(%v) succeeded = %v, model %v", i/2, horizon, got, want)
 				}
+			case 5:
+				got, ok := s.NextTime()
+				if want := len(m.pending) > 0; ok != want || ok && got != m.pending[0].at {
+					t.Fatalf("op %d: NextTime() = %v, %v; model %v", i/2, got, ok, m.pending)
+				}
 			}
 			if !slices.Equal(firings, m.firings) {
 				t.Fatalf("op %d: fired %v, model %v", i/2, firings, m.firings)
@@ -859,7 +953,7 @@ func TestStaleHandleInactiveAfterReset(t *testing.T) {
 	count := func() { fired++ }
 	var old []Handle
 	for i := 0; i < 40; i++ {
-		// Near events fill the wheel, far ones the heap.
+		// Near events fill the wheel, far ones the ring.
 		old = append(old, s.At(Time(i)*Time(time.Millisecond), count), s.At(Time(i)*Time(time.Hour), count))
 	}
 	s.Cancel(old[3])
@@ -901,5 +995,53 @@ func TestStaleHandleInactiveAfterReset(t *testing.T) {
 	}
 	if fired != len(fresh) {
 		t.Errorf("the reset scheduler fired %d events, want %d", fired, len(fresh))
+	}
+}
+
+// farBench is BenchmarkKernelFarTimers' workload: a stream of near events
+// (one every 20 µs, an ACK each) that re-arms the retransmission timers
+// round robin at RTO-scale distances.
+type farBench struct {
+	s      *Scheduler
+	timers []Timer
+	rto    []Duration
+	k      int
+}
+
+func farBenchAck(a any) {
+	f := a.(*farBench)
+	f.timers[f.k%len(f.timers)].Reset(f.rto[f.k%len(f.rto)])
+	f.k++
+	f.s.AfterCall(20*time.Microsecond, farBenchAck, f)
+}
+
+// farBenchExpire re-arms an expired timer, as a backed-off
+// retransmission does.
+func farBenchExpire(a any) { a.(*Timer).Reset(time.Second) }
+
+// BenchmarkKernelFarTimers times the far path as a congested run drives
+// it: 20k timers, each re-armed every 400 ms of simulated time at an RTO
+// drawn from 200 ms to 3.2 s, so most are canceled in the ring and the
+// rest expire, under a near-event stream. One op is one executed event.
+func BenchmarkKernelFarTimers(b *testing.B) {
+	const timers = 20_000
+	rng := rand.New(rand.NewSource(1))
+	f := &farBench{s: NewScheduler(), timers: make([]Timer, timers), rto: make([]Duration, 4096)}
+	for i := range f.rto {
+		f.rto[i] = 200*time.Millisecond + Duration(rng.Int63n(int64(3*time.Second)))
+	}
+	for i := range f.timers {
+		f.timers[i].Init(f.s, farBenchExpire, &f.timers[i])
+		f.timers[i].Reset(f.rto[i%len(f.rto)])
+	}
+	f.s.AfterCall(0, farBenchAck, f)
+	// Reach steady state: every timer re-armed a few times.
+	if err := f.s.Run(Time(2 * time.Second)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.s.Step()
 	}
 }

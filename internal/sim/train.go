@@ -3,16 +3,16 @@ package sim
 // Train coalesces a run of already-ordered future callbacks — the kernel
 // image of a burst of back-to-back packets leaving one link — into a single
 // scheduled event plus a private ring of follow-on elements. Only the head
-// element occupies the scheduler (one wheel/heap op per train instead of one
-// per packet); when the head fires, the trampoline chains through successor
-// elements inline for as long as per-event execution would have popped them
-// next anyway: the element's (time, ordinal) key must precede every pending
-// scheduler event, lie within the horizon of the Run in progress, and the
-// scheduler must not have been stopped. Each chained element advances the
-// clock to its own timestamp and increments the fired counter exactly as a
-// popped event would, so event order, Now() as seen by callbacks, and the
-// digest-visible executed-event count are bit-identical to per-event
-// execution (DESIGN.md §12).
+// element occupies the scheduler (one wheel or ring op per train instead
+// of one per packet); when the head fires, the trampoline chains through
+// successor elements inline for as long as per-event execution would have
+// popped them next anyway: the element's (time, ordinal) key must precede
+// every pending scheduler event, lie within the horizon of the Run in
+// progress, and the scheduler must not have been stopped. Each chained
+// element advances the clock to its own timestamp and increments the fired
+// counter exactly as a popped event would, so event order, Now() as seen
+// by callbacks, and the digest-visible executed-event count are
+// bit-identical to per-event execution (DESIGN.md §12).
 //
 // Ordinals are pre-drawn from the train's lane at Add time — the same draw
 // per-event scheduling on that lane performs — so the lane's consumption
@@ -184,7 +184,7 @@ func (tr *Train) fire() {
 		if s.stopped || h.at > s.horizon {
 			break
 		}
-		if nt, nord, ok := s.peekKey(); ok && keyBefore(nt, nord, h.at, h.ord) {
+		if s.pendingBefore(h.at, h.ord) {
 			break
 		}
 		e = tr.pop()
