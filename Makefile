@@ -29,7 +29,9 @@ race:
 ## sink's header and rows back field for field;
 ## FuzzSolveREDMatchesReference checks that the screened RED closure stays
 ## bit-identical to the every-step-dense reference; FuzzNewConfig checks
-## that every config NewConfig accepts runs 100 ms without panicking.
+## that every config NewConfig accepts runs 100 ms without panicking;
+## FuzzLinkPipelineMatchesPerEvent checks a serialization-pipelined link
+## against the per-event link on random admissions and horizons.
 fuzz:
 	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s ./internal/sim
 	go test -run '^$$' -fuzz FuzzTimerMatchesModel -fuzztime 20s ./internal/sim
@@ -39,6 +41,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s ./internal/telemetry
 	go test -run '^$$' -fuzz FuzzCSV -fuzztime 20s ./internal/telemetry
 	go test -run '^$$' -fuzz FuzzNewConfig -fuzztime 20s ./internal/core
+	go test -run '^$$' -fuzz FuzzLinkPipelineMatchesPerEvent -fuzztime 20s ./internal/link
 
 ## shard-smoke: run the parking-lot example serially and at 4 shards and
 ## diff both tables against the committed examples/parkinglot/testdata/

@@ -597,8 +597,8 @@ func BenchmarkAQMDisciplines(b *testing.B) {
 // every burst leaves its client at line rate (the self-similar regime of
 // Willinger et al. layered over the paper's dumbbell, offered load pinned
 // at 1.11x the bottleneck). Each N runs with batching off (one scheduler
-// op per packet hop) and on (train delivery, serialization pipelining,
-// idle-FIFO bypass); both execute the exact same event schedule — the
+// op per packet hop) and on (train delivery, serialization pipelining);
+// both execute the exact same event schedule — the
 // golden digests and the batching equivalence matrix pin that — so
 // speedup is pure kernel-overhead reduction. The
 // sched_ops/evt metric is the measured ops-per-event ratio: slot filings

@@ -8,8 +8,8 @@ import (
 )
 
 // TestBatchingMatchesUnbatched is the burst-train determinism contract:
-// coalesced delivery, the idle-FIFO bypass and the overprovisioned-link
-// serialization pipeline must not change a single bit of any result.
+// coalesced delivery and the overprovisioned-link serialization
+// pipeline must not change a single bit of any result.
 // Every paper cell runs at several client counts with batching on and
 // off, and the full summaries are compared byte for byte. This is the same contract the golden-digest table pins
 // against history; here it is pinned against the per-packet executor

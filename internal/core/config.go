@@ -305,9 +305,8 @@ type Config struct {
 	Shards int `json:"-"`
 
 	// DisableBatching selects the per-event reference executor: eager
-	// link trains, no idle-link FIFO bypass and no serialization
-	// pipelining (DESIGN.md §12), forcing one scheduler event per packet
-	// hop. Debug knob: results are bit-identical either way (the batching
+	// link trains and no serialization pipelining (DESIGN.md §12),
+	// forcing one scheduler event per packet hop. Debug knob: results are bit-identical either way (the batching
 	// equivalence tests enforce this), so like Shards it is excluded from
 	// JSON and cache keys.
 	//burst:nocache batching on and off produce byte-identical results (TestBatchingMatchesUnbatched), so the key must not fork

@@ -33,11 +33,13 @@ func TestBuildAllocsPerClient(t *testing.T) {
 // buildBytesPerClient bounds the heap bytes compiling a dumbbell client
 // costs on a fresh arena. It read 3,064 B while every TCP endpoint and
 // link carried its own copy of the run's parameters and a segment slot
-// took 16 B; with shared parameter blocks and 8-byte slots a client costs
-// 2,033 B: its 1,368-byte block (host, two links with their FIFOs and
-// lanes, sender, RNG and flow record), its 264-byte sink, its 80-byte
-// source, its 256-byte segment ring and its link names and table entries.
-const buildBytesPerClient = 2200
+// took 16 B, and 2,033 B while a pipelined link kept a second record of
+// its packets beside its train. A client now costs 1,889 B: its
+// 1,224-byte block (host, two 344-byte link slots holding a link, FIFO
+// and lane each, sender, RNG and flow record), its 264-byte sink, its
+// 80-byte source, its 256-byte segment ring and its link names and table
+// entries.
+const buildBytesPerClient = 2000
 
 // TestBuildBytesPerClient pins the per-client heap of a compiled dumbbell:
 // the difference between N=20,000 and N=10,000 cancels the per-run

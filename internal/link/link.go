@@ -69,9 +69,9 @@ type Params struct {
 	// into on its hot path; the zero value disables publication. The
 	// experiment harness attaches handles to the bottleneck link only.
 	Metrics Metrics
-	// DisableBatching forces one scheduled event per delivery and
-	// disables the idle-transmitter FIFO fast path — the debug escape
-	// hatch for bisecting burst-train coalescing. Results are
+	// DisableBatching forces one scheduled event per delivery and per
+	// serialization (no train coalescing, no serialization pipelining) —
+	// the debug escape hatch for bisecting both. Results are
 	// bit-identical either way (pinned by the batching equivalence
 	// tests); only the scheduler-op count differs.
 	DisableBatching bool
@@ -149,8 +149,14 @@ type Link struct {
 	p *Params
 	w Wiring
 
-	busy  bool
-	stats Stats
+	busy bool
+	// virtual marks serialization pipelining: Send computes each packet's
+	// whole store-and-forward pipeline at admission and schedules only its
+	// delivery (vSend). The serialize-done event is elided and credited at
+	// delivery (CreditFired), so every externally visible outcome matches
+	// the per-event schedule exactly.
+	virtual bool
+	stats   Stats
 
 	// inflight is the packet currently being serialized. Exactly one
 	// packet occupies the transmitter at a time, so a single field and the
@@ -160,30 +166,12 @@ type Link struct {
 
 	// train carries the deliveries: it coalesces back-to-back ones into
 	// one scheduled event, or files each as its own when batching is
-	// disabled. Unused when deliveries cross shards.
+	// disabled. Unused when deliveries cross shards. On a pipelined link
+	// it is also the record of every packet admitted and not yet
+	// delivered: the delay is fixed, so an element's serialization
+	// completed at its delivery instant minus the delay.
 	train sim.Train
-	// fastFIFO is the queue downcast to the plain FIFO discipline, when
-	// that is what it is; it enables the idle-transmitter bypass in Send.
-	fastFIFO *queue.FIFO
-
-	// Serialization pipelining (virtual drain). When virtual is set,
-	// Send computes the packet's entire store-and-forward pipeline at
-	// admission — transmission start, completion, and delivery instants
-	// follow the deterministic FIFO recurrence start = max(now,
-	// busyUntil) — and schedules only the delivery. The serialize-done
-	// event is elided: its count is credited at delivery (CreditFired)
-	// and its Departures accounting settles there too, so every
-	// externally visible outcome matches the per-event schedule exactly.
-	// vBuf is a ring of the admitted-but-unsettled pipeline entries with
-	// three monotone cursors into it: vStarted trails packets whose
-	// transmission has begun (drained lazily at each Send; the remainder
-	// is the logical queue depth), vCredited trails fired deliveries.
-	virtual    bool
-	vBuf       []vEntry
-	vMask      uint64
-	vAppended  uint64
-	vStarted   uint64
-	vCredited  uint64
+	// vBusyUntil is the pipelined transmitter's last completion instant.
 	vBusyUntil sim.Time
 
 	// lastSize/lastDelay memoize the serialization-delay division: a link
@@ -229,13 +217,10 @@ func Init(l *Link, p *Params, w Wiring) error {
 	case w.XDeliver != nil && w.Lane == nil:
 		return fmt.Errorf("link %q: cross-shard delivery without a lane", w.Name)
 	}
-	// A link initialized again keeps its train ring and pipeline ring, so
-	// the link of a reused block regrows neither.
+	// A link initialized again keeps its train ring, so the link of a
+	// reused block does not regrow it.
 	l.train.Recycle()
-	*l = Link{p: p, w: w, train: l.train, vBuf: l.vBuf}
-	if len(l.vBuf) > 0 {
-		l.vMask = uint64(len(l.vBuf) - 1)
-	}
+	*l = Link{p: p, w: w, train: l.train}
 	if dd, ok := w.Queue.(queue.DequeueDropper); ok {
 		// Disciplines that head-drop inside Dequeue (CoDel) consume packets
 		// the Send path never sees rejected; route them through the same
@@ -250,7 +235,7 @@ func Init(l *Link, p *Params, w Wiring) error {
 		})
 	}
 	if !p.DisableBatching {
-		l.fastFIFO, _ = w.Queue.(*queue.FIFO)
+		_, fifo := w.Queue.(*queue.FIFO)
 		// Serialization pipelining needs every serialize-done side effect
 		// to be provably absorbable: no drops (Overprovisioned FIFO), no
 		// wire-loss RNG draw, no cross-shard handoff, no time-sampled
@@ -259,7 +244,7 @@ func Init(l *Link, p *Params, w Wiring) error {
 		// same-instant deliveries against other default-lane events, but
 		// within a lane the link owns they are the exact ordinals the
 		// per-event path would draw.
-		l.virtual = l.fastFIFO != nil && w.XDeliver == nil &&
+		l.virtual = fifo && w.XDeliver == nil &&
 			p.Overprovisioned && w.Lane != nil && p.LossProb == 0 &&
 			!p.Metrics.Departures.Enabled() && !p.Metrics.QueueDepth.Enabled()
 	}
@@ -278,13 +263,12 @@ func Init(l *Link, p *Params, w Wiring) error {
 // pool: the one in serialization, the deliveries in its train and its
 // queue's backlog. It drops every other reference through which l could
 // keep a packet of the run alive: its queue, its destination, its
-// cross-shard hook and its taps. The rings stay for the next Init, which
-// rewrites the rest; the link is unusable until then. A run arena
-// recycles every link of a finished run, so Recycle writes only those
-// fields. The pending events that would have reached those packets must
-// be gone first: recycle a link only once its scheduler's run is over,
-// and reset or discard the scheduler before it runs again. The pipeline
-// ring holds no pointers.
+// cross-shard hook and its taps. The train's ring stays for the next
+// Init, which rewrites the rest; the link is unusable until then. A run
+// arena recycles every link of a finished run, so Recycle writes only
+// those fields. The pending events that would have reached those
+// packets must be gone first: recycle a link only once its scheduler's
+// run is over, and reset or discard the scheduler before it runs again.
 func (l *Link) Recycle() {
 	pool := l.p.Pool
 	l.train.Drain(func(arg any) { pool.Put(arg.(*packet.Packet)) })
@@ -296,13 +280,6 @@ func (l *Link) Recycle() {
 	l.onArrival, l.onDrop = nil, nil
 }
 
-// vEntry is one pipelined packet's elided serialization: transmission
-// start, completion, and the wire bytes to settle at delivery.
-type vEntry struct {
-	start, done sim.Time
-	size        int
-}
-
 // Name returns the link label.
 func (l *Link) Name() string { return l.w.Name }
 
@@ -312,8 +289,7 @@ func (l *Link) Stats() Stats { return l.stats }
 // QueueLen returns the instantaneous egress queue length in packets.
 func (l *Link) QueueLen() int {
 	if l.virtual {
-		l.vDrain(l.p.sched.Now())
-		return int(l.vAppended - l.vStarted)
+		return l.vQueued(l.p.sched.Now())
 	}
 	return l.w.Queue.Len()
 }
@@ -342,21 +318,6 @@ func (l *Link) Send(p *packet.Packet) {
 		l.vSend(now, p)
 		return
 	}
-	if l.fastFIFO != nil && !l.busy {
-		// Idle-transmitter FIFO bypass: when the transmitter is idle the
-		// FIFO is empty (transmitNext drains it before clearing busy) and
-		// capacity ≥ 1 always admits into an empty FIFO, so the
-		// enqueue/dequeue round trip through the ring is pure overhead.
-		// The depth histogram observes the same length (1) the per-packet
-		// path records after its enqueue. Not taken for RED (every
-		// enqueue is an EWMA update plus a possible RNG coin) or DRR
-		// (every enqueue moves the deficit state machine).
-		if l.p.Metrics.QueueDepth.Enabled() {
-			l.p.Metrics.QueueDepth.Observe(1)
-		}
-		l.startTransmit(p)
-		return
-	}
 	if !l.w.Queue.Enqueue(now, p) {
 		l.stats.Drops++
 		l.p.Metrics.Drops.Inc()
@@ -381,11 +342,6 @@ func (l *Link) transmitNext() {
 		l.busy = false
 		return
 	}
-	l.startTransmit(p)
-}
-
-// startTransmit clocks p onto the wire.
-func (l *Link) startTransmit(p *packet.Packet) {
 	l.busy = true
 	l.inflight = p
 	if p.Size != l.lastSize {
@@ -440,29 +396,20 @@ func deliver(recv, arg any) {
 // instant the per-event path would produce, so only the delivery is
 // scheduled (via the train) and the serialize-done event is elided.
 func (l *Link) vSend(now sim.Time, p *packet.Packet) {
-	if !now.Before(l.vBusyUntil) {
-		// Transmitter idle: the whole backlog has started (and finished)
-		// serializing, so snap the depth cursor forward with one compare
-		// instead of walking the ring. Bursty sources hit this on every
-		// inter-burst gap, which also keeps the ring from growing.
-		l.vStarted = l.vAppended
-	} else if int(l.vAppended-l.vStarted) >= l.fastFIFO.Cap() {
-		// The un-drained span hit capacity. Usually the cursor is just
-		// stale from a long busy streak — drain and retry.
-		l.vDrain(now)
-		if int(l.vAppended-l.vStarted) >= l.fastFIFO.Cap() {
+	start := now
+	if now.Before(l.vBusyUntil) {
+		start = l.vBusyUntil
+		// The queued packets are all in the train behind the one on the
+		// transmitter, so only a train longer than the queue's capacity
+		// can hold a full queue, and only then is it counted.
+		if c := l.w.Queue.Cap(); l.train.Len() > c && l.vQueued(now) >= c {
 			// The builder's Overprovisioned guarantee just failed: the
 			// per-event schedule would have consulted drop-tail admission
 			// here, which the pipeline cannot replay. Fail loudly rather
 			// than diverge silently.
 			//burst:alloc-ok panic message formatting on a violated-guarantee path that never returns
-			panic(fmt.Sprintf("link %q: overprovisioned queue reached capacity %d",
-				l.w.Name, l.fastFIFO.Cap()))
+			panic(fmt.Sprintf("link %q: overprovisioned queue reached capacity %d", l.w.Name, c))
 		}
-	}
-	start := now
-	if l.vBusyUntil > now {
-		start = l.vBusyUntil
 	}
 	if p.Size != l.lastSize {
 		l.lastSize = p.Size
@@ -472,83 +419,62 @@ func (l *Link) vSend(now sim.Time, p *packet.Packet) {
 	l.vBusyUntil = done
 	// Departure accounting settles optimistically at admission, while the
 	// stats cache line is hot from the arrival counters; FinishVirtual
-	// subtracts the entries the horizon catches mid-serialization. The
-	// delivery trampoline therefore never has to touch the (by then cold)
-	// ring.
+	// backs out the packets the horizon catches mid-serialization. The
+	// delivery trampoline therefore never touches the stats.
 	l.stats.Departures++
 	l.stats.DeliveredBytes += uint64(p.Size)
-	l.vPush(vEntry{start: start, done: done, size: p.Size})
 	l.train.Add(done.Add(l.w.Delay), p)
 }
 
-// vDrain advances the depth cursor past entries whose transmission has
-// begun. Entries starting exactly at now count as started — the per-event
+// vQueued returns how many pipelined packets wait behind the transmitter
+// at now. The train holds the packets admitted and not yet delivered, in
+// completion order, so the ones yet to complete are its tail: the first
+// of them is on the transmitter and the rest queue. A packet whose
+// transmission starts exactly at now counts as started — the per-event
 // schedule may order that serialize-done after the current event, but
-// with drops impossible the one-packet slack is visible only to this
-// drain's capacity assertion, not to any simulation outcome.
-func (l *Link) vDrain(now sim.Time) {
-	for l.vStarted < l.vAppended && !now.Before(l.vBuf[l.vStarted&l.vMask].start) {
-		l.vStarted++
-	}
-}
-
-// vPush appends an entry, growing the ring when the span between the
-// slowest cursor and the tail fills it.
-func (l *Link) vPush(e vEntry) {
-	head := l.vStarted
-	if l.vCredited < head {
-		head = l.vCredited
-	}
-	if l.vAppended-head == uint64(len(l.vBuf)) {
-		// Slots are lazy like the queue rings: the first push allocates a
-		// two-entry ring, enough for a lightly loaded access link, and
-		// growth doubles it, so idle links cost nothing.
-		size := len(l.vBuf) * 2
-		if size == 0 {
-			size = 2
+// with drops impossible the one-packet slack is visible only to vSend's
+// capacity check, not to any simulation outcome.
+func (l *Link) vQueued(now sim.Time) int {
+	cut := now.Add(l.w.Delay)
+	n := 0
+	for i := l.train.Len() - 1; i >= 0; i-- {
+		if at, _ := l.train.At(i); !cut.Before(at) {
+			break
 		}
-		//burst:alloc-ok lazy virtual-slot ring growth is amortized doubling to the link's longest backlog; Init keeps the ring, so a run arena grows it once per high-water mark, not once per run, and idle links never allocate
-		grown := make([]vEntry, size)
-		mask := uint64(len(grown) - 1)
-		for i := head; i < l.vAppended; i++ {
-			grown[i&mask] = l.vBuf[i&l.vMask]
-		}
-		l.vBuf, l.vMask = grown, mask
+		n++
 	}
-	l.vBuf[l.vAppended&l.vMask] = e
-	l.vAppended++
+	return max(n-1, 0)
 }
 
 // deliverCredit is the virtual pipeline's delivery callback: it settles
 // the elided serialize-done's fired-event credit (the departure stats
-// settled at admission), advances the credit cursor, and delivers.
-// Deliveries fire in admission order, so the cursor walks the ring front
-// to back without ever reading it.
+// settled at admission) and delivers.
 func deliverCredit(recv, arg any) {
 	l := recv.(*Link)
-	l.vCredited++
 	l.p.sched.CreditFired()
 	l.w.Dst.Receive(arg.(*packet.Packet))
 }
 
 // FinishVirtual settles elided serializations still pending at the end of
-// a run. Completions at or before horizon whose delivery events never
-// fired (the packet was mid-propagation at cutoff) are returned as a
-// count for the harness to add to SimEvents — the per-event schedule
-// fired exactly those serialize-done events before the horizon. Entries
-// the horizon catches mid-serialization are backed out of the departure
-// stats, undoing vSend's optimistic settlement exactly where the
-// per-event path would never have counted them. Call once, after the
-// final Run; on links without the virtual pipeline it is a no-op
-// returning zero.
+// a run: the packets left in the train. Completions at or before horizon
+// whose delivery events never fired (the packet was mid-propagation at
+// cutoff) are returned as a count for the harness to add to SimEvents —
+// the per-event schedule fired exactly those serialize-done events before
+// the horizon. Packets the horizon catches mid-serialization are backed
+// out of the departure stats, undoing vSend's optimistic settlement
+// exactly where the per-event path would never have counted them. Call
+// it once, after the final Run; on links without the virtual pipeline it
+// returns zero.
 func (l *Link) FinishVirtual(horizon sim.Time) uint64 {
+	if !l.virtual {
+		return 0
+	}
+	cut := horizon.Add(l.w.Delay)
 	var n uint64
-	for l.vCredited < l.vAppended {
-		e := l.vBuf[l.vCredited&l.vMask]
-		l.vCredited++
-		if horizon.Before(e.done) {
+	for i := 0; i < l.train.Len(); i++ {
+		if at, arg := l.train.At(i); cut.Before(at) {
 			l.stats.Departures--
-			l.stats.DeliveredBytes -= uint64(e.size)
+			l.stats.DeliveredBytes -= uint64(arg.(*packet.Packet).Size)
 		} else {
 			n++
 		}

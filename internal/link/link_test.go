@@ -387,8 +387,10 @@ func TestLinkVirtualMatchesPerEvent(t *testing.T) {
 	}
 }
 
-// TestLinkVirtualQueueLen checks the depth probe mid-burst: the ring
-// cursor drain must report the same occupancy the real queue would.
+// TestLinkVirtualQueueLen checks the depth probe mid-burst: the depth the
+// pipelined link reads off its train must be the occupancy the real queue
+// has, while every packet is still in the train (the 5 ms delay holds the
+// first delivery back to 6 ms).
 func TestLinkVirtualQueueLen(t *testing.T) {
 	vl, pl, _, _, vs, ps := newVirtualPair(t, 8e6, 5*time.Millisecond, 64)
 	depths := func(sched *sim.Scheduler, l *Link) []int {
@@ -398,9 +400,11 @@ func TestLinkVirtualQueueLen(t *testing.T) {
 				l.Send(data(i, 1000))
 			}
 		})
-		// Probe between serializations: at 2.5ms two packets have started
-		// (one departed, one on the wire), three still queue.
-		for _, at := range []sim.Duration{2500 * time.Microsecond, 4500 * time.Microsecond, 10 * time.Millisecond} {
+		// Probe between serializations, 1 ms each: at 0.5 ms one packet is
+		// on the transmitter and four queue; at 2.5 ms three have started
+		// (two serialized, one on the transmitter) and two queue; at 4.5 ms
+		// the last is on the transmitter; at 10 ms the link is idle.
+		for _, at := range []sim.Duration{500 * time.Microsecond, 2500 * time.Microsecond, 4500 * time.Microsecond, 10 * time.Millisecond} {
 			sched.At(sim.TimeZero.Add(at), func() { got = append(got, l.QueueLen()) })
 		}
 		if err := sched.RunAll(); err != nil {
@@ -410,8 +414,8 @@ func TestLinkVirtualQueueLen(t *testing.T) {
 	}
 	vq := depths(vs, vl)
 	pq := depths(ps, pl)
-	if fmt.Sprint(vq) != fmt.Sprint(pq) {
-		t.Errorf("QueueLen probes: virtual %v, per-event %v", vq, pq)
+	if want := "[4 2 0 0]"; fmt.Sprint(vq) != want || fmt.Sprint(pq) != want {
+		t.Errorf("QueueLen probes: virtual %v, per-event %v, want %s", vq, pq, want)
 	}
 }
 
@@ -455,30 +459,164 @@ func TestLinkFinishVirtualSettlesHorizon(t *testing.T) {
 	}
 }
 
+// FuzzLinkPipelineMatchesPerEvent decodes bytes into admissions — a
+// packet size and the gap since the previous admission, same-instant
+// bursts included — and drives them through a pipelined link and a
+// DisableBatching link with the same delay, both runs cut at the same
+// horizon, which may fall mid-pipeline. The two must agree on the delivery
+// sequence (instant and seq), on Stats after FinishVirtual, on Fired plus
+// the settlement credit against the per-event Fired, and on QueueLen at a
+// probe half a microsecond after each admission instant, off every
+// completion instant.
+func FuzzLinkPipelineMatchesPerEvent(f *testing.F) {
+	f.Add([]byte{160, 0, 160, 0, 160, 0, 60, 200}, uint16(5000), uint32(2500))
+	f.Add([]byte{255, 0, 0, 0, 10, 64, 255, 255, 30, 100, 30, 0}, uint16(0), uint32(1800))
+	f.Add([]byte{100, 90, 100, 90, 100, 90, 100, 90, 200, 0, 200, 0}, uint16(40000), uint32(30000))
+	f.Fuzz(func(t *testing.T, ops []byte, delayUs uint16, horizonUs uint32) {
+		ops = ops[:min(len(ops), 512)]
+		// At 8 Mbps a byte serializes in exactly 1 µs, so admissions,
+		// completions and deliveries all fall on whole microseconds.
+		type admission struct {
+			at   sim.Time
+			size int
+		}
+		var adm []admission
+		at, work := sim.TimeZero, sim.Duration(0)
+		for i := 0; i+1 < len(ops); i += 2 {
+			if g := ops[i+1]; g >= 64 { // a quarter of gaps are zero: bursts
+				at = at.Add(sim.Duration(g-64) * 10 * time.Microsecond)
+			}
+			size := 40 + 6*int(ops[i])
+			adm = append(adm, admission{at, size})
+			work += sim.Duration(size) * time.Microsecond
+		}
+		delay := sim.Duration(delayUs) * time.Microsecond
+		span := uint32((at.Add(work+delay).Sub(sim.TimeZero) + time.Millisecond) / time.Microsecond)
+		horizon := sim.TimeZero.Add(sim.Duration(horizonUs%span) * time.Microsecond)
+
+		// The queue holds every admission, so the overprovisioning proof
+		// holds whatever the input.
+		vl, pl, vd, pd, vs, ps := newVirtualPair(t, 8e6, delay, len(adm)+1)
+		if !vl.Pipelined() || pl.Pipelined() {
+			t.Fatalf("pipelined: batched link %v, per-event link %v", vl.Pipelined(), pl.Pipelined())
+		}
+		drive := func(sched *sim.Scheduler, l *Link) []int {
+			var depths []int
+			for i, a := range adm {
+				sched.At(a.at, func() { l.Send(data(int64(i), a.size)) })
+				if i == 0 || a.at != adm[i-1].at {
+					sched.At(a.at.Add(500*time.Nanosecond), func() { depths = append(depths, l.QueueLen()) })
+				}
+			}
+			if err := sched.Run(horizon); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			return depths
+		}
+		vq, pq := drive(vs, vl), drive(ps, pl)
+		if len(vd.times) != len(pd.times) {
+			t.Fatalf("delivered: pipelined %d, per-event %d", len(vd.times), len(pd.times))
+		}
+		for i := range vd.times {
+			if vd.times[i] != pd.times[i] || vd.pkts[i].Seq != pd.pkts[i].Seq {
+				t.Fatalf("delivery %d: pipelined seq %d at %v, per-event seq %d at %v",
+					i, vd.pkts[i].Seq, vd.times[i], pd.pkts[i].Seq, pd.times[i])
+			}
+		}
+		credit := vl.FinishVirtual(horizon)
+		if vl.Stats() != pl.Stats() {
+			t.Errorf("stats: pipelined %+v, per-event %+v", vl.Stats(), pl.Stats())
+		}
+		if got, want := vs.Fired()+credit, ps.Fired(); got != want {
+			t.Errorf("pipelined Fired+credit = %d, per-event Fired = %d", got, want)
+		}
+		if fmt.Sprint(vq) != fmt.Sprint(pq) {
+			t.Errorf("QueueLen probes: pipelined %v, per-event %v", vq, pq)
+		}
+	})
+}
+
 // TestLinkVirtualPanicsWhenOverprovisionedLied floods a small queue:
 // the pipeline cannot replay a drop decision, so a violated capacity
-// guarantee must fail loudly.
+// guarantee must fail loudly, at exactly the send the per-event FIFO
+// drops. The long-delay case first paces packets so that dozens sit in
+// propagation — a train far longer than the queue — while the queue stays
+// empty, which must not panic.
 func TestLinkVirtualPanicsWhenOverprovisionedLied(t *testing.T) {
-	sched := sim.NewScheduler()
-	dst := &collector{sched: sched}
-	l, err := New(sched, Config{
-		Wiring: Wiring{Name: "tiny", Delay: 0, Queue: queue.NewFIFO(2), Dst: dst, Lane: sim.NewLanes().Next()},
-		Params: Params{RateBps: 8e6, Overprovisioned: true},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	cases := []struct {
+		name  string
+		delay sim.Duration
+		cap   int
+		sends []sim.Duration // admission instants
+		paced int            // leading sends that must not panic
+	}{
+		{name: "burst", cap: 2, sends: make([]sim.Duration, 4)},
+		{name: "long delay", delay: 100 * time.Millisecond, cap: 4, paced: 60, sends: func() []sim.Duration {
+			// 1 ms serializations every 1.5 ms, then a burst of 8 at
+			// 90.25 ms, off every completion instant.
+			var at []sim.Duration
+			for i := 0; i < 60; i++ {
+				at = append(at, sim.Duration(i)*1500*time.Microsecond)
+			}
+			for i := 0; i < 8; i++ {
+				at = append(at, 90250*time.Microsecond)
+			}
+			return at
+		}()},
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("no panic despite exceeding declared capacity")
-		}
-		if !strings.Contains(fmt.Sprint(r), "overprovisioned") {
-			t.Errorf("panic = %v, want mention of overprovisioned", r)
-		}
-	}()
-	for i := int64(0); i < 4; i++ {
-		l.Send(data(i, 1000))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// run drives the sends and returns the index of the first one
+			// the link refused — dropped, or panicked on — or -1.
+			run := func(disable bool) (refused int, panicMsg any) {
+				sched := sim.NewScheduler()
+				l, err := New(sched, Config{
+					Wiring: Wiring{Name: "tiny", Delay: tc.delay, Queue: queue.NewFIFO(tc.cap), Dst: &collector{sched: sched}, Lane: sim.NewLanes().Next()},
+					Params: Params{RateBps: 8e6, Overprovisioned: true, DisableBatching: disable},
+				})
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				if l.Pipelined() == disable {
+					t.Fatalf("DisableBatching=%v: pipelined %v", disable, l.Pipelined())
+				}
+				refused, sent := -1, 0
+				l.OnDrop(func(sim.Time, *packet.Packet) {
+					if refused < 0 {
+						refused = sent
+					}
+				})
+				for i, at := range tc.sends {
+					sched.At(sim.TimeZero.Add(at), func() {
+						sent = i
+						l.Send(data(int64(i), 1000))
+					})
+				}
+				defer func() {
+					if panicMsg = recover(); panicMsg != nil {
+						refused = sent
+					}
+				}()
+				if err := sched.RunAll(); err != nil {
+					t.Fatalf("RunAll: %v", err)
+				}
+				return refused, nil
+			}
+			dropped, _ := run(true)
+			if dropped < tc.paced {
+				t.Fatalf("per-event FIFO dropped send %d, want one past the first %d", dropped, tc.paced)
+			}
+			panicked, msg := run(false)
+			if msg == nil {
+				t.Fatalf("no panic despite exceeding declared capacity (per-event drops send %d)", dropped)
+			}
+			if !strings.Contains(fmt.Sprint(msg), "overprovisioned") {
+				t.Errorf("panic = %v, want mention of overprovisioned", msg)
+			}
+			if panicked != dropped {
+				t.Errorf("panicked at send %d, per-event FIFO drops send %d", panicked, dropped)
+			}
+		})
 	}
 }
 

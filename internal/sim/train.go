@@ -111,6 +111,13 @@ func trainFire(a any) { a.(*Train).fire() }
 // Len returns the number of buffered elements (including the scheduled head).
 func (tr *Train) Len() int { return tr.n }
 
+// At returns the instant and arg of buffered element i, in delivery order
+// from the head (i = 0) to the latest appended (i = Len()-1).
+func (tr *Train) At(i int) (Time, any) {
+	e := &tr.buf[(tr.head+i)&tr.mask]
+	return e.at, e.arg
+}
+
 // Add appends a delivery of arg at instant at, drawing the element's
 // ordinal from the train's lane. Instants must be non-decreasing across
 // calls and never in the past.
