@@ -17,7 +17,9 @@ test:
 race:
 	go test -race ./...
 
-## fuzz: the native fuzz targets, the same budget CI gives them.
+## fuzz: the native fuzz targets, 20 s each; CI runs this target.
+## -fuzzminimizetime 1s caps the minimization of each new input, which at
+## its 60 s default can take most of a 20 s budget.
 ## FuzzRNGMatchesMathRand checks sim.RNG against math/rand's stream;
 ## FuzzTimerMatchesModel checks sim.Timer's Reset/Stop/expiry against a
 ## one-deadline reference model; FuzzSchedulerMatchesModel checks the
@@ -33,15 +35,15 @@ race:
 ## FuzzLinkPipelineMatchesPerEvent checks a serialization-pipelined link
 ## against the per-event link on random admissions and horizons.
 fuzz:
-	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s ./internal/sim
-	go test -run '^$$' -fuzz FuzzTimerMatchesModel -fuzztime 20s ./internal/sim
-	go test -run '^$$' -fuzz FuzzSchedulerMatchesModel -fuzztime 20s ./internal/sim
-	go test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/queue
-	go test -run '^$$' -fuzz FuzzSolveREDMatchesReference -fuzztime 20s ./internal/meanfield
-	go test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s ./internal/telemetry
-	go test -run '^$$' -fuzz FuzzCSV -fuzztime 20s ./internal/telemetry
-	go test -run '^$$' -fuzz FuzzNewConfig -fuzztime 20s ./internal/core
-	go test -run '^$$' -fuzz FuzzLinkPipelineMatchesPerEvent -fuzztime 20s ./internal/link
+	go test -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 20s -fuzzminimizetime 1s ./internal/sim
+	go test -run '^$$' -fuzz FuzzTimerMatchesModel -fuzztime 20s -fuzzminimizetime 1s ./internal/sim
+	go test -run '^$$' -fuzz FuzzSchedulerMatchesModel -fuzztime 20s -fuzzminimizetime 1s ./internal/sim
+	go test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s -fuzzminimizetime 1s ./internal/queue
+	go test -run '^$$' -fuzz FuzzSolveREDMatchesReference -fuzztime 20s -fuzzminimizetime 1s ./internal/meanfield
+	go test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s -fuzzminimizetime 1s ./internal/telemetry
+	go test -run '^$$' -fuzz FuzzCSV -fuzztime 20s -fuzzminimizetime 1s ./internal/telemetry
+	go test -run '^$$' -fuzz FuzzNewConfig -fuzztime 20s -fuzzminimizetime 1s ./internal/core
+	go test -run '^$$' -fuzz FuzzLinkPipelineMatchesPerEvent -fuzztime 20s -fuzzminimizetime 1s ./internal/link
 
 ## shard-smoke: run the parking-lot example serially and at 4 shards and
 ## diff both tables against the committed examples/parkinglot/testdata/

@@ -17,21 +17,17 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"slices"
 	"time"
 
+	"tcpburst/cmd/internal/cli"
 	"tcpburst/internal/core"
-	"tcpburst/internal/queue"
-	"tcpburst/internal/runcache"
 	"tcpburst/internal/runner"
-	"tcpburst/internal/telemetry"
 )
 
 func main() {
@@ -41,143 +37,76 @@ func main() {
 	}
 }
 
-func run(w io.Writer, args []string) (err error) {
+func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("burstreport", flag.ContinueOnError)
-	var (
-		seed     = fs.Int64("seed", 1, "random seed")
-		backend  = fs.String("backend", "packet", "execution engine for the sweep: packet (event-level simulation) or fluid (mean-field model)")
-		shards   = fs.Int("shards", 1, "partition each packet run over this many cores (bit-identical results)")
-		duration = fs.Duration("duration", 200*time.Second, "simulated test time per point")
-		step     = fs.Int("step", 4, "client-count step for the sweep")
-		maxN     = fs.Int("max-clients", 60, "largest client count")
-		jobs     = fs.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cache    = fs.Bool("cache", true, "reuse cached sweep results from previous runs")
-		cacheDir = fs.String("cache-dir", "", "result cache directory (default ~/.cache/tcpburst)")
-		progress = fs.Bool("progress", false, "render a live progress line on stderr")
-		stats    = fs.Bool("stats", false, "print run telemetry on stderr when done")
-
-		telemetryOn       = fs.Bool("telemetry", false, "stream per-run labeled telemetry records (requires -telemetry-out)")
-		telemetryInterval = fs.Duration("telemetry-interval", 100*time.Millisecond, "telemetry snapshot period (simulated time)")
-		telemetryOut      = fs.String("telemetry-out", "", "shared JSONL file receiving every run's labeled records")
-	)
+	runFlags := cli.NewRun(fs, cli.Shards)
+	sweepFlags := cli.NewSweep(fs)
+	execFlags := cli.NewExec(fs, cli.Jobs|cli.CacheOn|cli.Progress)
+	telemetryFlags := cli.NewTelemetry(fs, cli.Batch)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *telemetryOn && *telemetryOut == "" {
-		return fmt.Errorf("-telemetry requires -telemetry-out FILE")
-	}
-	if *step < 1 {
-		return fmt.Errorf("-step %d < 1", *step)
-	}
-	// An empty list would make RunSweep fall back to the default axis.
-	clients := core.SweepClients(*step, *maxN)
-	if len(clients) == 0 {
-		return fmt.Errorf("no client counts up to -max-clients %d at -step %d", *maxN, *step)
-	}
-
-	exec := core.ExecOptions{Jobs: *jobs}
-	if *cache {
-		store, err := runcache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "burstreport: cache disabled:", err)
-		} else {
-			exec.Cache = store
-		}
-	}
-	var prog *runner.Progress
-	if *progress {
-		prog = runner.NewProgress(os.Stderr)
-		exec.OnEvent = prog.Observe
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-
-	b, err := core.ParseBackend(*backend)
+	clients, err := sweepFlags.Clients()
 	if err != nil {
 		return err
 	}
-
 	// A sweep/trace template: Clients stays zero and is filled per job, so
 	// the base skips defaulting and validation until each run.
-	baseOpts := []core.Option{
-		core.WithSeed(*seed),
-		core.WithBackend(b),
-		core.WithDuration(*duration),
-		core.WithShards(*shards),
-	}
-	if *telemetryOn {
-		f, err := os.Create(*telemetryOut)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriterSize(f, 1<<16)
-		sw := telemetry.NewSyncWriter(bw)
-		defer func() {
-			if ferr := bw.Flush(); ferr != nil && err == nil {
-				err = ferr
-			}
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		baseOpts = append(baseOpts,
-			core.WithTelemetry(*telemetryInterval),
-			core.WithTelemetrySink(telemetry.NewJSONL(sw)),
-		)
-	}
-	base := core.BaseConfig(baseOpts...)
-
-	fmt.Fprintf(os.Stderr, "sweep: %d client counts x %d cells at %s each...\n",
-		len(clients), len(core.PaperCells()), *duration)
-	sweep, err := core.RunSweepContext(ctx, core.SweepOptions{Base: base, Clients: clients, Exec: exec})
+	_, baseOpts, err := runFlags.Options()
 	if err != nil {
-		if prog != nil {
-			prog.Finish()
-		}
 		return err
 	}
+	telOpts, err := telemetryFlags.Open()
+	if err != nil {
+		return err
+	}
+	base := core.BaseConfig(append(baseOpts, telOpts...)...)
 
-	fmt.Fprintf(w, "# TCP burstiness report (seed %d, %s per point)\n\n", *seed, *duration)
+	fmt.Fprintf(os.Stderr, "sweep: %d client counts x %d cells at %s each...\n",
+		len(clients), len(core.PaperCells()), runFlags.Duration)
+	ctx, exec := execFlags.Start(true)
+	stats, err := writeReport(ctx, w, base, clients, sweepFlags.MaxClients, exec)
+	execFlags.Finish()
+	if err := telemetryFlags.Close(err); err != nil {
+		return err
+	}
+	if execFlags.Stats {
+		fmt.Fprint(os.Stderr, stats.Table())
+	}
+	return nil
+}
+
+// writeReport runs the sweep and the traced runs and writes the report,
+// returning the batch telemetry of both.
+func writeReport(ctx context.Context, w io.Writer, base core.Config, clients []int, maxN int, exec core.ExecOptions) (runner.Stats, error) {
+	sweep, err := core.RunSweepContext(ctx, core.SweepOptions{Base: base, Clients: clients, Exec: exec})
+	if err != nil {
+		return runner.Stats{}, err
+	}
+	fmt.Fprintf(w, "# TCP burstiness report (seed %d, %s per point)\n\n", base.Seed, base.Duration)
 	writeTable1(w, base)
 	writeSweepSection(w, sweep)
-	var traceStats runner.Stats
-	if b == core.FluidBackend {
+	if base.Backend == core.FluidBackend {
 		// The window-evolution figures need per-flow cwnd samples, which the
 		// mean-field model deliberately does not carry.
 		fmt.Fprintf(w, "## Figures 5–12 — window evolution\n\n")
 		fmt.Fprintf(w, "_Skipped on the fluid backend: the mean-field model tracks window densities, "+
 			"not per-flow windows. Re-run with `-backend packet`, or use `burstsim -backend fluid "+
 			"-fluid-trace FILE` for the ODE state trajectory._\n\n")
-	} else {
-		traceStats, err = writeTraceSection(ctx, w, base, *maxN, exec)
+		return sweep.Stats, nil
 	}
-	if prog != nil {
-		prog.Finish()
-	}
-	if err != nil {
-		return err
-	}
-	if *stats {
-		fmt.Fprint(os.Stderr, sweep.Stats.Add(traceStats).Table())
-	}
-	return nil
+	traceStats, err := writeTraceSection(ctx, w, base, maxN, exec)
+	return sweep.Stats.Add(traceStats), err
 }
 
 func writeTable1(w io.Writer, base core.Config) {
 	cfg := base
 	cfg.Clients = 1
-	cfg = cfg.WithDefaults()
-	fmt.Fprintf(w, "## Table 1 — parameters\n\n")
-	fmt.Fprintf(w, "- client links: %.0f Mbps, %s; bottleneck: %.0f Mbps, %s\n",
-		cfg.ClientRateBps/1e6, cfg.ClientDelay, cfg.BottleneckRateBps/1e6, cfg.BottleneckDelay)
-	fmt.Fprintf(w, "- gateway buffer %d pkts; packet %d B; advertised window %d pkts\n",
-		cfg.BufferPackets, cfg.PacketSize, cfg.MaxWindow)
-	fmt.Fprintf(w, "- Poisson 1/λ = %s per client; RTT window %s\n",
-		cfg.MeanInterval, cfg.RTT())
-	red := queue.DefaultREDConfig(cfg.BufferPackets, 0, nil)
-	fmt.Fprintf(w, "- Vegas α/β/γ %g/%g/%g; RED %g/%g w=%g max_p=%g\n\n",
-		cfg.Vegas.Alpha, cfg.Vegas.Beta, cfg.Vegas.Gamma,
-		red.MinThreshold, red.MaxThreshold, red.Weight, red.MaxProb)
+	fmt.Fprintf(w, "## Table 1 — parameters\n\n| parameter | value |\n|---|---|\n")
+	for _, r := range cli.Table1(cfg.WithDefaults()) {
+		fmt.Fprintf(w, "| %s | %s |\n", r[0], r[1])
+	}
+	fmt.Fprintln(w)
 }
 
 func writeSweepSection(w io.Writer, sweep *core.Sweep) {

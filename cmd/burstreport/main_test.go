@@ -1,6 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -32,6 +36,8 @@ func TestReportQuick(t *testing.T) {
 	for _, want := range []string{
 		"# TCP burstiness report",
 		"## Table 1",
+		"| gateway buffer size (B) | 50 packets |",
+		"| total test time | 5s |",
 		"## Figures 2–4 and 13",
 		"Crossover analysis",
 		"## Figures 5–12",
@@ -85,5 +91,41 @@ func TestRunRejectsEmptyClientRange(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-step") {
 			t.Errorf("%v: run = %v, want a -step error", args, err)
 		}
+	}
+}
+
+// TestTelemetryOutAlone: -telemetry-out FILE turns telemetry on by itself
+// and writes every sweep job's records into FILE, each line labelled with
+// its run; a .csv name is refused because CSV has no run-label column.
+func TestTelemetryOutAlone(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "report.jsonl")
+	args := []string{"-step", "4", "-max-clients", "4", "-duration", "1s", "-cache=false"}
+	if err := run(io.Discard, append(args, "-telemetry-out", out)); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("telemetry file: %v", err)
+	}
+	labels := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var rec struct {
+			Run string `json:"run"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Run == "" {
+			t.Fatalf("line without a run label (%v): %s", err, line)
+		}
+		labels[rec.Run] = true
+	}
+	if len(labels) < 2 {
+		t.Errorf("run labels %v, want one per sweep job", labels)
+	}
+
+	csv := filepath.Join(t.TempDir(), "report.csv")
+	if err := run(io.Discard, append(args, "-telemetry-out", csv)); err == nil || !strings.Contains(err.Error(), "JSONL") {
+		t.Errorf("-telemetry-out %s: run = %v, want an error naming JSONL", csv, err)
+	}
+	if err := run(io.Discard, append(args, "-telemetry")); err == nil || !strings.Contains(err.Error(), "-telemetry-out") {
+		t.Errorf("-telemetry without a file: run = %v, want an error naming -telemetry-out", err)
 	}
 }

@@ -14,26 +14,22 @@
 //
 // With -cache the run is served from the persistent result store when the
 // same configuration has been simulated before (-flows always simulates:
-// the per-flow breakdown is not part of the cached digest). With -telemetry
-// the run streams periodic snapshot records — queue depth, per-RTT c.o.v.,
-// per-flow windows, drop and retransmit counters — to -telemetry-out
-// (JSONL, or CSV by extension) while a live line on stderr shows the run's
-// pulse; telemetry runs always simulate, never touching the cache.
+// the per-flow breakdown is not part of the cached digest). With
+// -telemetry-out FILE the run streams periodic snapshot records — queue
+// depth, per-RTT c.o.v., per-flow windows, drop and retransmit counters —
+// to FILE (JSONL, or CSV by extension) while a live line on stderr shows
+// the run's pulse; -telemetry alone shows only the line. Telemetry runs
+// always simulate, never touching the cache.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"time"
 
+	"tcpburst/cmd/internal/cli"
 	"tcpburst/internal/core"
-	"tcpburst/internal/prof"
-	"tcpburst/internal/runcache"
-	"tcpburst/internal/telemetry"
 )
 
 func main() {
@@ -49,33 +45,23 @@ func run(w io.Writer, args []string) error {
 		clients  = fs.Int("clients", 20, "number of Poisson client streams")
 		proto    = fs.String("proto", "reno", "transport protocol: udp, reno, reno-delayack, vegas, tahoe, newreno, sack")
 		qdisc    = fs.String("queue", "fifo", "gateway discipline spec: fifo, red, drr, codel, pie, tokenbucket, leakybucket — with ?key=value params, e.g. red?min=5&max=20&weight=0.01&maxprob=0.2 or codel?target=5ms&interval=100ms")
-		backend  = fs.String("backend", "packet", "execution engine: packet (event-level simulation) or fluid (mean-field model)")
-		shards   = fs.Int("shards", 1, "partition the packet simulation over this many cores (results are bit-identical to -shards 1)")
-		seed     = fs.Int64("seed", 1, "random seed (identical seeds replay identically)")
-		interarr = fs.Duration("mean-interval", 0, "mean packet inter-generation time per client (0 = paper default)")
-		duration = fs.Duration("duration", 200*time.Second, "simulated test time")
 		perFlow  = fs.Bool("flows", false, "print per-flow breakdown")
 		asJSON   = fs.Bool("json", false, "emit the result summary as JSON")
 		minRTO   = fs.Duration("minrto", 0, "minimum TCP retransmission timeout (0 = default)")
 		wireLoss = fs.Float64("wireloss", 0, "random loss probability on the bottleneck wire")
 		revRate  = fs.Float64("revrate", 0, "reverse (ACK) path rate in bps (0 = bottleneck rate)")
-		cache    = fs.Bool("cache", false, "reuse/store the result in the persistent cache")
-		cacheDir = fs.String("cache-dir", "", "result cache directory (default ~/.cache/tcpburst)")
-		stats    = fs.Bool("stats", false, "print run telemetry on stderr when done")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
-
-		telemetryOn       = fs.Bool("telemetry", false, "stream periodic metric snapshots (implied by -telemetry-out)")
-		telemetryInterval = fs.Duration("telemetry-interval", 100*time.Millisecond, "telemetry snapshot period (simulated time)")
-		telemetryOut      = fs.String("telemetry-out", "", "telemetry stream destination (.csv for CSV, anything else JSONL)")
 
 		fluidTrace         = fs.String("fluid-trace", "", "write the fluid backend's ODE state trajectory as CSV to this file (requires -backend fluid)")
 		fluidTraceInterval = fs.Duration("fluid-trace-interval", 0, "simulated time between fluid-trace samples (0 = every integrator step)")
 	)
+	runFlags := cli.NewRun(fs, cli.Shards|cli.MeanInterval)
+	execFlags := cli.NewExec(fs, cli.Cache)
+	telemetryFlags := cli.NewTelemetry(fs, 0)
+	profFlags := cli.NewProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := profFlags.Start()
 	if err != nil {
 		return err
 	}
@@ -89,7 +75,7 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	b, err := core.ParseBackend(*backend)
+	b, opts, err := runFlags.Options()
 	if err != nil {
 		return err
 	}
@@ -100,58 +86,30 @@ func run(w io.Writer, args []string) error {
 		return fmt.Errorf("-flows requires the packet backend: the fluid model tracks window densities, not individual flows")
 	}
 
-	opts := []core.Option{
+	opts = append(opts,
 		core.WithClients(*clients),
 		core.WithProtocol(p),
 		qopt,
-		core.WithBackend(b),
-		core.WithSeed(*seed),
-		core.WithDuration(*duration),
 		core.WithWireLoss(*wireLoss),
 		core.WithReverseRate(*revRate),
-		core.WithShards(*shards),
-	}
+	)
 	if *minRTO > 0 {
 		opts = append(opts, core.WithMinRTO(*minRTO))
 	}
-	if *interarr > 0 {
-		opts = append(opts, core.WithMeanInterval(*interarr))
-	}
-	var closeSink func() error
-	if *telemetryOn || *telemetryOut != "" {
-		opts = append(opts, core.WithTelemetry(*telemetryInterval))
-		sink, closeFn, err := telemetry.OpenLiveSink(os.Stderr, *telemetryOut,
-			"queue.depth", "cov.rtt", "gw.drops", "tcp.timeouts")
-		if err != nil {
-			return err
-		}
-		closeSink = closeFn
-		opts = append(opts, core.WithTelemetrySink(sink))
-	}
-	cfg, err := core.NewConfig(opts...)
+	telOpts, err := telemetryFlags.Open()
 	if err != nil {
 		return err
 	}
-
-	exec := core.ExecOptions{Jobs: 1}
-	if *cache && !*perFlow {
-		store, err := runcache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "burstsim: cache disabled:", err)
-		} else {
-			exec.Cache = store
-		}
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-
-	results, batchStats, err := core.RunBatch(ctx, []core.Config{cfg}, exec)
-	if closeSink != nil {
-		if cerr := closeSink(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+	cfg, err := core.NewConfig(append(opts, telOpts...)...)
 	if err != nil {
+		return telemetryFlags.Close(err)
+	}
+
+	// The per-flow breakdown is not part of the cached digest.
+	ctx, exec := execFlags.Start(!*perFlow)
+	results, batchStats, err := core.RunBatch(ctx, []core.Config{cfg}, exec)
+	execFlags.Finish()
+	if err := telemetryFlags.Close(err); err != nil {
 		return err
 	}
 	res := results[0]
@@ -168,7 +126,7 @@ func run(w io.Writer, args []string) error {
 			return err
 		}
 	}
-	if *stats {
+	if execFlags.Stats {
 		fmt.Fprint(os.Stderr, batchStats.Table())
 		fmt.Fprint(os.Stderr, barrierStats(res))
 		fmt.Fprint(os.Stderr, solverStats(res))

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -101,5 +104,41 @@ func TestRunRejectsEmptyClientRange(t *testing.T) {
 func TestRunRejectsUnknownBackend(t *testing.T) {
 	if err := run([]string{"-fig", "2", "-backend", "bogus"}); err == nil {
 		t.Error("bogus backend accepted")
+	}
+}
+
+// TestTelemetryOutAlone: -telemetry-out FILE turns telemetry on by itself
+// and writes every job's records into FILE, each line labelled with its
+// run; a .csv name is refused because CSV has no run-label column.
+func TestTelemetryOutAlone(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "sweep.jsonl")
+	args := []string{"-fig", "2", "-max-clients", "4", "-duration", "1s", "-cache=false"}
+	if err := run(append(args, "-telemetry-out", out)); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("telemetry file: %v", err)
+	}
+	labels := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var rec struct {
+			Run string `json:"run"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Run == "" {
+			t.Fatalf("line without a run label (%v): %s", err, line)
+		}
+		labels[rec.Run] = true
+	}
+	if want := len(core.PaperCells()); len(labels) != want {
+		t.Errorf("%d run labels, want one per cell (%d): %v", len(labels), want, labels)
+	}
+
+	csv := filepath.Join(t.TempDir(), "sweep.csv")
+	if err := run(append(args, "-telemetry-out", csv)); err == nil || !strings.Contains(err.Error(), "JSONL") {
+		t.Errorf("-telemetry-out %s: run = %v, want an error naming JSONL", csv, err)
+	}
+	if _, err := os.Stat(csv); !os.IsNotExist(err) {
+		t.Errorf("refused .csv path was created: %v", err)
 	}
 }

@@ -15,18 +15,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"time"
 
+	"tcpburst/cmd/internal/cli"
 	"tcpburst/internal/core"
-	"tcpburst/internal/runner"
-	"tcpburst/internal/telemetry"
 	"tcpburst/internal/trace"
 )
 
@@ -43,25 +40,19 @@ func run(args []string) error {
 		clients  = fs.Int("clients", 20, "number of Poisson client streams")
 		proto    = fs.String("proto", "reno", "transport protocol (TCP variants only)")
 		qdisc    = fs.String("queue", "fifo", "gateway discipline spec: fifo, red, drr, codel, pie, tokenbucket, leakybucket — with ?key=value params")
-		backend  = fs.String("backend", "packet", "execution engine (window tracing requires packet)")
-		seed     = fs.Int64("seed", 1, "random seed")
-		duration = fs.Duration("duration", 200*time.Second, "simulated test time")
 		interval = fs.Duration("interval", 100*time.Millisecond, "sampling interval (paper: 0.1s)")
 		traceArg = fs.String("trace-clients", "", "comma-separated 1-based client indices (default: 1, N/2, N)")
 		summary  = fs.Bool("summary", false, "print per-20s stability summary instead of CSV")
 		withQ    = fs.Bool("qlen", false, "also trace the gateway queue length")
-		progress = fs.Bool("progress", false, "render a live progress line on stderr")
-		stats    = fs.Bool("stats", false, "print run telemetry on stderr when done")
-
-		telemetryOn       = fs.Bool("telemetry", false, "stream periodic metric snapshots (implied by -telemetry-out)")
-		telemetryInterval = fs.Duration("telemetry-interval", 100*time.Millisecond, "telemetry snapshot period (simulated time)")
-		telemetryOut      = fs.String("telemetry-out", "", "telemetry stream destination (.csv for CSV, anything else JSONL)")
 	)
+	runFlags := cli.NewRun(fs, 0)
+	execFlags := cli.NewExec(fs, cli.Progress)
+	telemetryFlags := cli.NewTelemetry(fs, 0)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	b, err := core.ParseBackend(*backend)
+	b, opts, err := runFlags.Options()
 	if err != nil {
 		return err
 	}
@@ -84,56 +75,32 @@ func run(args []string) error {
 		return err
 	}
 
-	opts := []core.Option{
+	opts = append(opts,
 		core.WithClients(*clients),
 		core.WithProtocol(p),
 		qopt,
-		core.WithSeed(*seed),
-		core.WithDuration(*duration),
 		core.WithCwndTracing(*interval, traceClients...),
-	}
+	)
 	if *withQ {
 		opts = append(opts, core.WithQueueTrace())
 	}
-	var closeSink func() error
-	if *telemetryOn || *telemetryOut != "" {
-		opts = append(opts, core.WithTelemetry(*telemetryInterval))
-		sink, closeFn, err := telemetry.OpenLiveSink(os.Stderr, *telemetryOut,
-			"queue.depth", "cov.rtt", "gw.drops", "tcp.timeouts")
-		if err != nil {
-			return err
-		}
-		closeSink = closeFn
-		opts = append(opts, core.WithTelemetrySink(sink))
-	}
-	cfg, err := core.NewConfig(opts...)
+	telOpts, err := telemetryFlags.Open()
 	if err != nil {
 		return err
 	}
-
-	exec := core.ExecOptions{Jobs: 1}
-	var prog *runner.Progress
-	if *progress {
-		prog = runner.NewProgress(os.Stderr)
-		exec.OnEvent = prog.Observe
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-
-	results, batchStats, err := core.RunBatch(ctx, []core.Config{cfg}, exec)
-	if prog != nil {
-		prog.Finish()
-	}
-	if closeSink != nil {
-		if cerr := closeSink(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+	cfg, err := core.NewConfig(append(opts, telOpts...)...)
 	if err != nil {
+		return telemetryFlags.Close(err)
+	}
+
+	ctx, exec := execFlags.Start(false)
+	results, batchStats, err := core.RunBatch(ctx, []core.Config{cfg}, exec)
+	execFlags.Finish()
+	if err := telemetryFlags.Close(err); err != nil {
 		return err
 	}
 	res := results[0]
-	if *stats {
+	if execFlags.Stats {
 		fmt.Fprint(os.Stderr, batchStats.Table())
 	}
 

@@ -30,6 +30,7 @@ func TestConfigFieldAndFlagFixtures(t *testing.T) {
 	analysistest.Run(t, configdrift.Analyzer, "testdata/src",
 		"tcpburst/internal/core",
 		"tcpburst/cmd/burstsim",
+		"tcpburst/cmd/internal/cli",
 	)
 }
 

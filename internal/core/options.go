@@ -105,11 +105,6 @@ func WithDuration(d sim.Duration) Option {
 	return func(c *Config) { c.Duration = d }
 }
 
-// WithWarmup discards the initial warmup from the c.o.v. measurement.
-func WithWarmup(d sim.Duration) Option {
-	return func(c *Config) { c.Warmup = d }
-}
-
 // WithMix assigns protocols per client block (protocol-competition runs).
 func WithMix(mix ...MixEntry) Option {
 	return func(c *Config) { c.Mix = mix }
@@ -120,25 +115,9 @@ func WithTraffic(m TrafficModel) Option {
 	return func(c *Config) { c.Traffic = m }
 }
 
-// WithParetoOnOff selects the heavy-tailed on/off workload with the given
-// tail index and mean burst/idle durations.
-func WithParetoOnOff(shape float64, meanOn, meanOff sim.Duration) Option {
-	return func(c *Config) {
-		c.Traffic = TrafficParetoOnOff
-		c.ParetoShape = shape
-		c.MeanOnTime = meanOn
-		c.MeanOffTime = meanOff
-	}
-}
-
 // WithMeanInterval sets the mean packet inter-generation time 1/λ.
 func WithMeanInterval(d sim.Duration) Option {
 	return func(c *Config) { c.MeanInterval = d }
-}
-
-// WithMaxWindow sets TCP's maximum advertised window in packets.
-func WithMaxWindow(w int) Option {
-	return func(c *Config) { c.MaxWindow = w }
 }
 
 // WithBuffer sets the gateway buffer size in packets.
@@ -182,12 +161,6 @@ func WithCwndTracing(interval sim.Duration, clients ...int) Option {
 // cwnd sampling period.
 func WithQueueTrace() Option {
 	return func(c *Config) { c.TraceQueue = true }
-}
-
-// WithPacketLog retains the most recent bottleneck packet events in an
-// ns-style trace ring of the given capacity.
-func WithPacketLog(capacity int) Option {
-	return func(c *Config) { c.PacketLogCapacity = capacity }
 }
 
 // WithTelemetry enables the telemetry subsystem at the given snapshot
